@@ -23,13 +23,12 @@ from .semigroups import (
     FiniteSemigroup,
     GreenStructure,
     atoms,
+    close_under,
     closure_of_subset,
     dump_table,
-    fingerprints,
     from_json_dict,
     generating_set,
     green_relations,
-    is_commutative,
     load_table,
     to_json_dict,
     validate,

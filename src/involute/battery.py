@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from . import families
+from .errors import OrderBudgetExceededError
 from .graphs import (
     complete_graph,
     cycle_graph,
@@ -42,7 +43,7 @@ from .permgroups import (
     to_cayley_table,
     two_involution_factorization,
 )
-from .semigroups import FiniteSemigroup, validate
+from .semigroups import FiniteSemigroup, close_under, validate
 from .traces import TraceContext, bfs_trace_class, delta_map, gamma_map, normal_form, trace_equal
 
 
@@ -499,7 +500,8 @@ def _check_trace_words(opts):
 
 # --- search engine vs. brute force on small semigroups ---------------------
 
-def _brute_morphisms(s: FiniteSemigroup, anti: bool):
+def brute_morphisms(s: FiniteSemigroup, anti: bool = False):
+    """All bijective (anti-)morphisms of s, by filtering every permutation."""
     n, t = s.n, s.table
     out = []
     for p in permutations(range(n)):
@@ -524,16 +526,9 @@ def _random_transformation_semigroup(rng):
         m = rng.randint(2, 4)
         k = rng.randint(1, 2)
         maps = [tuple(rng.randrange(m) for _ in range(m)) for _ in range(k)]
-        elems = set(maps)
-        work = list(elems)
-        while work and len(elems) <= 6:
-            f = work.pop()
-            for g in tuple(elems):
-                for h in (tuple(f[g[x]] for x in range(m)), tuple(g[f[x]] for x in range(m))):
-                    if h not in elems:
-                        elems.add(h)
-                        work.append(h)
-        if len(elems) > 6:
+        try:
+            elems = close_under(maps, maps, lambda f, g: tuple(f[x] for x in g), cap=6)
+        except OrderBudgetExceededError:
             continue
         order = sorted(elems)
         index = {f: i for i, f in enumerate(order)}
@@ -569,7 +564,7 @@ def _completeness_corpus(rng):
         families.doubled_semigroup(validate([[0, 0], [1, 1]])),
         frucht_semigroup(path_graph(3)),
         frucht_semigroup(complete_graph(3)),
-        families.dual_table(families.rectangular_band(2, 3)),
+        families.rectangular_band(2, 3).dual(),
         families.direct_product_table(families.cyclic_group(2), families.cyclic_group(3)),
         families.symmetric_inverse_monoid(1),
     ]
@@ -581,7 +576,7 @@ def _completeness_corpus(rng):
             corpus.append(_random_table_semigroup(rng))
         else:
             base = corpus[rng.randrange(len(corpus))]
-            corpus.append(families.dual_table(base))
+            corpus.append(base.dual())
     return corpus
 
 
@@ -590,10 +585,10 @@ def _check_engine_completeness(opts):
     corpus = _completeness_corpus(rng)
     for i, s in enumerate(corpus):
         engine_auts = [p.mapping for p in enumerate_automorphisms(s, budget=opts.budget)]
-        if engine_auts != _brute_morphisms(s, anti=False):
+        if engine_auts != brute_morphisms(s, anti=False):
             return False, f"automorphism mismatch on corpus item {i} (n={s.n})"
         engine_anti = [p.mapping for p in enumerate_anti_automorphisms(s, budget=opts.budget)]
-        if engine_anti != _brute_morphisms(s, anti=True):
+        if engine_anti != brute_morphisms(s, anti=True):
             return False, f"anti-automorphism mismatch on corpus item {i} (n={s.n})"
     return True, f"{len(corpus)} semigroups of order <= 6 match the n! brute force"
 

@@ -47,7 +47,7 @@ def _parse_construct(tokens: list[str]) -> tuple[FiniteSemigroup, list[str]]:
         return families.doubled_semigroup(inner), rest
     if head == "dual":
         inner, rest = _parse_construct(rest)
-        return families.dual_table(inner), rest
+        return inner.dual(), rest
     if head == "product":
         left, rest = _parse_construct(rest)
         right, rest = _parse_construct(rest)
@@ -59,8 +59,11 @@ def _parse_construct(tokens: list[str]) -> tuple[FiniteSemigroup, list[str]]:
             return frucht_semigroup(load_graph(rest[0])), rest[1:]
         if len(rest) < 2:
             raise InputFormatError("inline frucht needs '<n> <edges like 0-1,1-2>'")
-        graph = parse_edge_list(rest[1], n=int(rest[0]))
-        return frucht_semigroup(graph), rest[2:]
+        try:
+            n = int(rest[0])
+        except ValueError as exc:
+            raise InputFormatError("frucht vertex count must be an integer") from exc
+        return frucht_semigroup(parse_edge_list(rest[1], n=n)), rest[2:]
     if head == "file":
         if not rest:
             raise InputFormatError("file needs a path")
@@ -92,7 +95,10 @@ def _parse_construct(tokens: list[str]) -> tuple[FiniteSemigroup, list[str]]:
         "quaternion": families.quaternion_group,
         "z2^k": families.elementary_abelian_two_group,
     }
-    return builders[head](*args), rest
+    try:
+        return builders[head](*args), rest
+    except ValueError as exc:
+        raise InputFormatError(f"{head}: {exc}") from exc
 
 
 # --- trace helpers ---------------------------------------------------------
@@ -172,7 +178,6 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    stretch = args.stretch or args.scale == "full"
     only = set(args.only.split(",")) if args.only else None
     if only:
         unknown = only - set(check_names())
@@ -183,7 +188,7 @@ def _cmd_verify(args) -> int:
         print(f"[{flag}] {r.name} ({r.seconds:.2f}s): {r.detail}", flush=True)
 
     results = run_battery(
-        stretch=stretch,
+        stretch=args.stretch,
         only=only,
         budget=args.budget_nodes,
         order_cap=args.budget_order,
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def budgets(p):
         p.add_argument("--budget-nodes", type=int, default=None, metavar="N",
                        help="cap on morphism-search extension steps")
         p.add_argument("--budget-order", type=int, default=None, metavar="N",
@@ -255,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full report for a Cayley-table JSON file")
     p.add_argument("file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    common(p)
+    budgets(p)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser(
@@ -267,23 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("spec", nargs="+", help="family name plus arguments")
     p.add_argument("-o", "--output", help="write JSON here instead of stdout")
-    common(p)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("verify", help="run the verification battery")
-    p.add_argument("--scale", choices=("small", "full"), default="small",
-                   help="'full' includes the stretch targets")
     p.add_argument("--stretch", action="store_true",
-                   help="include Sym(6) and T_4 (same as --scale full)")
+                   help="include Sym(6) and T_4")
     p.add_argument("--only", help="comma-separated subset of check names")
     p.add_argument("--json", action="store_true")
-    common(p)
+    budgets(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("factor", help="write a permutation as a product of two involutions")
     p.add_argument("perm", help="cycle notation, e.g. '(0 1 2)(3 4)'")
     p.add_argument("--degree", type=int, default=None)
-    common(p)
     p.set_defaults(fn=_cmd_factor)
 
     p = sub.add_parser("trace", help="partially commutative word tools")
@@ -299,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         tp.add_argument("--edges", default="", help="commuting pairs, e.g. ab,bc")
         tp.add_argument("--alphabet", default=None)
         tp.add_argument("--bound", type=int, default=16, help="word length cap")
-        common(tp)
         tp.set_defaults(fn=_cmd_trace)
 
     return parser

@@ -312,15 +312,6 @@ def direct_product_table(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteSemigr
     return validate(table, names=names)
 
 
-def dual_table(s: FiniteSemigroup) -> FiniteSemigroup:
-    """The opposite semigroup as a fresh validated table."""
-    n = s.n
-    return validate(
-        [[s.table[j][i] for j in range(n)] for i in range(n)],
-        names=s.names,
-    )
-
-
 def dihedral_group(k: int) -> FiniteSemigroup:
     """The dihedral group of order 2k (rotations first, then reflections)."""
     if k < 1:
@@ -371,6 +362,8 @@ def quaternion_group() -> FiniteSemigroup:
 
 def elementary_abelian_two_group(k: int) -> FiniteSemigroup:
     """Z_2^k; element i is the bit vector of i, product is xor."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
     if 2**k > TABLE_CAP:
         raise OrderBudgetExceededError(TABLE_CAP)
     size = 2**k

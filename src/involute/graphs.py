@@ -214,8 +214,10 @@ def parse_edge_list(text: str, n: int | None = None) -> SimpleGraph:
     if text and text != "-":
         for part in text.split(","):
             bits = part.replace("-", " ").split()
-            if len(bits) != 2:
-                raise InputFormatError(f"bad edge {part!r}; expected like 0-1")
-            edges.append((int(bits[0]), int(bits[1])))
+            try:
+                u, v = map(int, bits)
+            except ValueError as exc:
+                raise InputFormatError(f"bad edge {part!r}; expected like 0-1") from exc
+            edges.append((u, v))
     top = max((max(e) for e in edges), default=-1) + 1
     return SimpleGraph(n if n is not None else top, edges)

@@ -59,27 +59,26 @@ def _as_mapping(alpha) -> tuple[int, ...]:
     return alpha.mapping if isinstance(alpha, Permutation) else tuple(alpha)
 
 
-def is_homomorphism(alpha, s: FiniteSemigroup, t: FiniteSemigroup) -> bool:
-    """True iff alpha(xy) = alpha(x)alpha(y) on all pairs."""
+def _preserves_products(alpha, s: FiniteSemigroup, t: FiniteSemigroup, anti: bool) -> bool:
     m = _as_mapping(alpha)
     if len(m) != s.n or s.n != t.n:
         raise DegreeMismatchError(
             f"degree {len(m)} against tables of sizes {s.n} and {t.n}"
         )
     p = np.asarray(m, dtype=np.int32)
-    return bool((p[s.np_table] == t.np_table[p[:, None], p[None, :]]).all())
+    # broadcasting yields rhs[x, y] = t[alpha(x), alpha(y)], or t[alpha(y), alpha(x)] if anti
+    rows, cols = (p[None, :], p[:, None]) if anti else (p[:, None], p[None, :])
+    return bool((p[s.np_table] == t.np_table[rows, cols]).all())
+
+
+def is_homomorphism(alpha, s: FiniteSemigroup, t: FiniteSemigroup) -> bool:
+    """True iff alpha(xy) = alpha(x)alpha(y) on all pairs."""
+    return _preserves_products(alpha, s, t, anti=False)
 
 
 def is_anti_homomorphism(alpha, s: FiniteSemigroup, t: FiniteSemigroup) -> bool:
     """True iff alpha(xy) = alpha(y)alpha(x) on all pairs."""
-    m = _as_mapping(alpha)
-    if len(m) != s.n or s.n != t.n:
-        raise DegreeMismatchError(
-            f"degree {len(m)} against tables of sizes {s.n} and {t.n}"
-        )
-    p = np.asarray(m, dtype=np.int32)
-    # broadcasting yields rhs[x, y] = t[alpha(y), alpha(x)]
-    return bool((p[s.np_table] == t.np_table[p[None, :], p[:, None]]).all())
+    return _preserves_products(alpha, s, t, anti=True)
 
 
 def _fingerprint_ids(s: FiniteSemigroup, t: FiniteSemigroup):

@@ -1,7 +1,8 @@
 """Materialized permutation groups: closures, fingerprints, C(S), G(S), K_G.
 
-Closure is plain breadth-first product saturation; every target here has
-order well under the default cap, so no stabilizer chains are needed.
+Every group is materialized element by element with the worklist closure
+:func:`~involute.semigroups.close_under`; every target here has order well
+under the default cap, so no stabilizer chains are needed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import NotAGroupError, OrderBudgetExceededError
 from .morphisms import involutions, order_two_automorphisms, enumerate_automorphisms, enumerate_anti_automorphisms
 from .perms import Permutation, compose, identity_tuple
-from .semigroups import FiniteSemigroup, validate
+from .semigroups import FiniteSemigroup, close_under, closure_of_subset, validate
 
 #: Default cap on materialized group order.
 DEFAULT_ORDER_BUDGET = 10**6
@@ -71,21 +72,9 @@ def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
         degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators act on different degrees")
-    ident = identity_tuple(degree)
-    seen = {ident}
-    frontier = [ident]
-    gen_maps = [g.mapping for g in gens]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gen_maps:
-                y = compose(x, g)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise OrderBudgetExceededError(cap)
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    seen = close_under(
+        [identity_tuple(degree)], [g.mapping for g in gens], compose, cap=cap
+    )
     return PermGroup(degree, gens, (Permutation(m) for m in seen))
 
 
@@ -216,26 +205,6 @@ def _group_inverses(table: FiniteSemigroup):
     return inv
 
 
-def _derived_of_table(table: FiniteSemigroup, inv) -> frozenset[int]:
-    t = table.table
-    n = table.n
-    comms = {
-        t[t[a][b]][t[inv[a]][inv[b]]]
-        for a in range(n)
-        for b in range(n)
-    }
-    members = set(comms)
-    work = list(members)
-    while work:
-        x = work.pop()
-        for y in tuple(members):
-            for p in (t[x][y], t[y][x]):
-                if p not in members:
-                    members.add(p)
-                    work.append(p)
-    return frozenset(members)
-
-
 def k_group(table: FiniteSemigroup) -> PairGroup:
     """The subgroup of G x G generated by {(g, g^-1)} for a group table G.
 
@@ -244,24 +213,17 @@ def k_group(table: FiniteSemigroup) -> PairGroup:
     """
     inv = _group_inverses(table)
     t = table.table
-    gens = tuple((g, inv[g]) for g in range(table.n))
-    seen = set(gens)
-    seen.add((table.identity, table.identity))
-    work = list(seen)
-    while work:
-        a, b = work.pop()
-        for c, d in gens:
-            p = (t[a][c], t[b][d])
-            if p not in seen:
-                seen.add(p)
-                work.append(p)
-    derived = _derived_of_table(table, inv)
-    expected = {
-        (g, h) for g in range(table.n) for h in range(table.n) if t[g][h] in derived
-    }
+    n = table.n
+    gens = tuple((g, inv[g]) for g in range(n))
+    seen = close_under(gens, gens, lambda x, g: (t[x[0]][g[0]], t[x[1]][g[1]]))
+    # in a finite group the subsemigroup the commutators generate is [G, G]
+    derived = closure_of_subset(
+        table, {t[t[a][b]][t[inv[a]][inv[b]]] for a in range(n) for b in range(n)}
+    )
+    expected = {(g, h) for g in range(n) for h in range(n) if t[g][h] in derived}
     if seen != expected:
         raise AssertionError("closure of {(g, g^-1)} differs from the gh-in-[G,G] set")
-    return PairGroup(table.n, gens, frozenset(seen))
+    return PairGroup(n, gens, frozenset(seen))
 
 
 # ---------------------------------------------------------------------------

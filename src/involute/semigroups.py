@@ -120,10 +120,6 @@ def validate(table, names=None) -> FiniteSemigroup:
     return FiniteSemigroup(tuple(rows), names=names, identity=identity, _checked=True)
 
 
-def is_commutative(s: FiniteSemigroup) -> bool:
-    return s.is_commutative
-
-
 def atoms(s: FiniteSemigroup) -> frozenset[int]:
     """Elements with no factorization into non-identity elements.
 
@@ -265,10 +261,6 @@ def index_and_period(s: FiniteSemigroup, x: int) -> tuple[int, int]:
     raise AssertionError("power sequence failed to cycle within n steps")
 
 
-def fingerprints(s: FiniteSemigroup) -> tuple[ElementFingerprint, ...]:
-    return s.fingerprints
-
-
 def _compute_fingerprints(s: FiniteSemigroup) -> tuple[ElementFingerprint, ...]:
     n, t = s.n, s.table
     green = s.green
@@ -298,20 +290,44 @@ def _compute_fingerprints(s: FiniteSemigroup) -> tuple[ElementFingerprint, ...]:
     return tuple(out)
 
 
-def closure_of_subset(s: FiniteSemigroup, seed) -> frozenset[int]:
-    """Smallest subsemigroup containing ``seed``."""
-    members = set(seed)
-    work = list(members)
-    t = s.table
-    while work:
+def close_under(seeds, gens, product, *, cap: int | None = None) -> set:
+    """The smallest set that contains ``seeds`` and is closed under
+    ``x -> product(x, g)`` for every ``g`` in ``gens``.
+
+    A worklist: each member is multiplied by every generator exactly once.
+    Raises :class:`OrderBudgetExceededError` the moment a ``cap + 1``-th
+    element would be added.
+    """
+    gens = list(gens)
+    limit = float("inf") if cap is None else cap
+    members: set = set()
+    work: list = []
+    batch = seeds
+    while True:
+        for y in batch:
+            if y not in members:
+                if len(members) >= limit:
+                    raise OrderBudgetExceededError(cap)
+                members.add(y)
+                work.append(y)
+        if not work:
+            return members
         x = work.pop()
-        row = t[x]
-        for y in tuple(members):
-            for p in (row[y], t[y][x]):
-                if p not in members:
-                    members.add(p)
-                    work.append(p)
-    return frozenset(members)
+        batch = [product(x, g) for g in gens]
+
+
+def closure_of_subset(s: FiniteSemigroup, seed) -> frozenset[int]:
+    """Smallest subsemigroup containing ``seed``.
+
+    The subsemigroup <A> is the set of all products a1*a2*...*ak with every
+    ai in A.  Each such product is a1 right-multiplied by a2, ..., ak in
+    turn, so closing A under right multiplication by A reaches all of them,
+    and every element reached is such a product.  This costs |<A>|*|A|
+    table lookups rather than |<A>|^2.
+    """
+    seed = list(seed)
+    t = s.table
+    return frozenset(close_under(seed, seed, lambda x, g: t[x][g]))
 
 
 def generating_set(s: FiniteSemigroup) -> list[int]:
@@ -336,7 +352,7 @@ def generating_set(s: FiniteSemigroup) -> list[int]:
         if x in have:
             continue
         gens.append(x)
-        have = closure_of_subset(s, have | {x})
+        have = closure_of_subset(s, gens)
         if len(have) == n:
             break
     return gens

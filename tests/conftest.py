@@ -1,22 +1,7 @@
-from itertools import permutations
-
 import pytest
 
+from involute.battery import brute_morphisms  # noqa: F401  (shared oracle for the tests)
 from involute.semigroups import validate
-
-
-def brute_morphisms(s, anti=False):
-    """All bijective (anti-)morphisms of s, by filtering every permutation."""
-    n, t = s.n, s.table
-    out = []
-    for p in permutations(range(n)):
-        if all(
-            p[t[i][j]] == (t[p[j]][p[i]] if anti else t[p[i]][p[j]])
-            for i in range(n)
-            for j in range(n)
-        ):
-            out.append(p)
-    return out
 
 
 @pytest.fixture

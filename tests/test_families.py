@@ -7,7 +7,6 @@ from involute.families import (
     dihedral_group,
     direct_product_table,
     dual_symmetric_inverse_monoid,
-    dual_table,
     doubled_semigroup,
     elementary_abelian_two_group,
     full_transformation_monoid,
@@ -139,10 +138,10 @@ def test_direct_product_and_dual():
     assert find_isomorphism(z6, cyclic_group(6)) is not None
     assert find_isomorphism(klein_four(), cyclic_group(4)) is None
     lz = validate([[0, 0], [1, 1]])
-    assert dual_table(lz).table == ((0, 1), (0, 1))
-    assert dual_table(dual_table(lz)).table == lz.table
+    assert lz.dual().table == ((0, 1), (0, 1))
+    assert lz.dual().dual().table == lz.table
     z5 = cyclic_group(5)
-    assert dual_table(z5).table == z5.table
+    assert z5.dual().table == z5.table
 
 
 def test_comparison_groups():

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -37,6 +38,18 @@ def test_closure_examples():
 def test_closure_budget():
     with pytest.raises(OrderBudgetExceededError):
         closure([Permutation((1, 2, 3, 4, 0))], cap=3)
+
+
+def test_closure_order_matches_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(0x5E17)
+    for _ in range(40):
+        degree = rng.randint(1, 7)
+        gens = [rng.sample(range(degree), degree) for _ in range(rng.randint(1, 3))]
+        expected = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(g) for g in gens]
+        ).order()
+        assert closure([Permutation(g) for g in gens]).order == expected
 
 
 def test_closure_idempotence():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from involute.cli import main
 from involute.families import full_transformation_monoid, rectangular_band
 from involute.report import analyze, report_to_json_dict, report_to_text
@@ -70,6 +72,45 @@ def test_cli_construct_frucht(capsys):
     assert main(["construct", "frucht", "3", "0-1,1-2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["n"] == 5
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ["cyclic", "0"],
+        ["band", "0", "2"],
+        ["z2^k", "-1"],
+        ["frucht", "x", "0-1"],
+        ["frucht", "3", "0-a"],
+    ],
+)
+def test_cli_construct_rejects_bad_arguments_without_a_traceback(spec, capsys):
+    assert main(["construct", *spec]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_construct_dual_output_is_unchanged(capsys):
+    assert main(["construct", "dual", "band", "2", "3"]) == 0
+    assert capsys.readouterr().out == (
+        '{"n": 6, "names": ["(0,0)", "(0,1)", "(0,2)", "(1,0)", "(1,1)", "(1,2)"], '
+        '"table": [[0, 0, 0, 3, 3, 3], [1, 1, 1, 4, 4, 4], [2, 2, 2, 5, 5, 5], '
+        '[0, 0, 0, 3, 3, 3], [1, 1, 1, 4, 4, 4], [2, 2, 2, 5, 5, 5]]}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "klein", "--jobs", "2"],
+        ["factor", "(0 1)", "--budget-nodes", "5"],
+        ["trace", "nf", "ab", "--budget-order", "5"],
+        ["verify", "--scale", "full"],
+    ],
+)
+def test_cli_rejects_removed_flags(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_factor(capsys):

@@ -8,16 +8,21 @@ from involute.errors import (
     IndexOutOfRangeError,
     InputFormatError,
     NotAssociativeError,
+    OrderBudgetExceededError,
 )
 from involute.families import (
     cyclic_group,
+    direct_product_table,
+    doubled_semigroup,
     full_transformation_monoid,
+    partition_monoid,
     rectangular_band,
     zero_semigroup,
 )
 from involute.graphs import complete_graph, frucht_semigroup
 from involute.semigroups import (
     atoms,
+    close_under,
     closure_of_subset,
     from_json_dict,
     generating_set,
@@ -124,6 +129,72 @@ def test_generating_set_examples():
 def test_generating_set_generates_cyclic(n):
     s = cyclic_group(n)
     assert closure_of_subset(s, generating_set(s)) == frozenset(range(n))
+
+
+def test_generating_set_is_pinned():
+    # the greedy order decides the search's branching order downstream
+    assert generating_set(full_transformation_monoid(3)) == [15, 7, 1]
+    assert generating_set(partition_monoid(2)) == [8, 10, 0]
+    assert generating_set(cyclic_group(12)) == [1]
+
+
+def _all_pairs_closure(s, seed):
+    """Reference: saturate under every product of two members, both orders."""
+    members = set(seed)
+    work = list(members)
+    t = s.table
+    while work:
+        x = work.pop()
+        row = t[x]
+        for y in tuple(members):
+            for p in (row[y], t[y][x]):
+                if p not in members:
+                    members.add(p)
+                    work.append(p)
+    return frozenset(members)
+
+
+def _subtable(s, members):
+    order = sorted(members)
+    index = {x: i for i, x in enumerate(order)}
+    return validate([[index[s.table[a][b]] for b in order] for a in order])
+
+
+def test_closure_of_subset_matches_the_all_pairs_reference():
+    rng = random.Random(0xC105E)
+    t3 = full_transformation_monoid(3)
+    tables = [
+        t3,
+        cyclic_group(7),
+        rectangular_band(2, 3),
+        zero_semigroup(4),
+        doubled_semigroup(full_transformation_monoid(2)),
+        direct_product_table(rectangular_band(2, 2), cyclic_group(3)),
+    ]
+    tables += [
+        _subtable(t3, _all_pairs_closure(t3, rng.sample(range(27), rng.randint(1, 3))))
+        for _ in range(20)
+    ]
+    assert sum(s.identity is None for s in tables) >= 5
+    for s in tables:
+        for _ in range(8):
+            seed = rng.sample(range(s.n), rng.randint(0, min(4, s.n)))
+            expected = _all_pairs_closure(s, seed)
+            assert closure_of_subset(s, seed) == expected
+
+
+def test_close_under_raises_exactly_past_the_cap():
+    t = full_transformation_monoid(3).table
+    rng = random.Random(7)
+    for _ in range(30):
+        seed = rng.sample(range(27), rng.randint(1, 3))
+        size = len(close_under(seed, seed, lambda x, g: t[x][g]))
+        assert len(close_under(seed, seed, lambda x, g: t[x][g], cap=size)) == size
+        with pytest.raises(OrderBudgetExceededError):
+            close_under(seed, seed, lambda x, g: t[x][g], cap=size - 1)
+    with pytest.raises(OrderBudgetExceededError):
+        close_under([0], [], lambda x, g: x, cap=0)
+    assert close_under([], [1], lambda x, g: x + g, cap=0) == set()
 
 
 def test_fingerprint_examples():
