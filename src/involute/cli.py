@@ -14,7 +14,7 @@ import sys
 
 from . import families
 from .battery import check_names, run_battery
-from .errors import AlgebraError, BudgetExceededError, InputFormatError
+from .errors import AlgebraError, BudgetExceededError, InputFormatError, OrderBudgetExceededError
 from .graphs import frucht_semigroup, load_graph, parse_edge_list
 from .perms import Permutation, parse_cycles
 from .permgroups import two_involution_factorization
@@ -164,7 +164,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    s, rest = _parse_construct(list(args.spec))
+    try:
+        s, rest = _parse_construct(list(args.spec))
+    except OrderBudgetExceededError as exc:
+        # the arguments asked for a table past a size limit: bad input, not a budget
+        raise InputFormatError(
+            f"the requested table exceeds the limit of {exc.limit} elements"
+        ) from exc
     if rest:
         raise InputFormatError(f"unused construct arguments: {rest}")
     doc = json.dumps(to_json_dict(s), sort_keys=True)
@@ -242,6 +248,21 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(minimum: int):
+    """An argparse type for integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="involute",
@@ -250,11 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def budgets(p):
-        p.add_argument("--budget-nodes", type=int, default=None, metavar="N",
+        p.add_argument("--budget-nodes", type=_int_at_least(0), default=None, metavar="N",
                        help="cap on morphism-search extension steps")
-        p.add_argument("--budget-order", type=int, default=None, metavar="N",
+        p.add_argument("--budget-order", type=_int_at_least(0), default=None, metavar="N",
                        help="cap on materialized group order")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_int_at_least(1), default=1,
                        help="parallel workers for the search's first branching level")
 
     p = sub.add_parser("analyze", help="full report for a Cayley-table JSON file")

@@ -64,7 +64,9 @@ def klein_four() -> FiniteSemigroup:
 @lru_cache(maxsize=None)
 def sym_group_table(n: int) -> FiniteSemigroup:
     """Sym(n) as a Cayley table over the lexicographically sorted permutations."""
-    if not 1 <= n <= 7:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > 7:
         raise OrderBudgetExceededError(5040)
     elems = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
@@ -79,7 +81,9 @@ def sym_group_table(n: int) -> FiniteSemigroup:
 @lru_cache(maxsize=None)
 def full_transformation_monoid(n: int) -> FiniteSemigroup:
     """T_n: all maps on n points under composition (right factor acts first)."""
-    if not 1 <= n <= 4:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > 4:
         raise OrderBudgetExceededError(4**4)
     elems = list(product(range(n), repeat=n))
     index = {f: i for i, f in enumerate(elems)}
@@ -94,7 +98,9 @@ def full_transformation_monoid(n: int) -> FiniteSemigroup:
 @lru_cache(maxsize=None)
 def symmetric_inverse_monoid(n: int) -> FiniteSemigroup:
     """I_n: all partial bijections on n points."""
-    if not 1 <= n <= 4:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > 4:
         raise OrderBudgetExceededError(TABLE_CAP)
     elems = []
     for k in range(n + 1):
@@ -207,7 +213,9 @@ def _partition_name(p: tuple, n: int) -> str:
 @lru_cache(maxsize=None)
 def partition_monoid(n: int) -> FiniteSemigroup:
     """P_n: all partitions of the 2n points, under diagram stacking."""
-    if not 1 <= n <= 3:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > 3:
         raise OrderBudgetExceededError(TABLE_CAP)
     elems = sorted(_all_rgs(2 * n))
     index = {p: i for i, p in enumerate(elems)}
@@ -230,7 +238,9 @@ def star_map(n: int) -> Permutation:
 def dual_symmetric_inverse_monoid(n: int) -> FiniteSemigroup:
     """I*_n: block bijections, realized inside the partition monoid as the
     partitions whose every block meets both rows."""
-    if not 1 <= n <= 3:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > 3:
         raise OrderBudgetExceededError(TABLE_CAP)
 
     def both_rows(p):
@@ -372,7 +382,9 @@ def elementary_abelian_two_group(k: int) -> FiniteSemigroup:
 
 def alternating_group_table(n: int) -> FiniteSemigroup:
     """Alt(n) as a Cayley table (even permutations, lex sorted)."""
-    if not 1 <= n <= 6:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > 6:
         raise OrderBudgetExceededError(360)
     elems = [p for p in sorted(permutations(range(n))) if Permutation(p).parity() == 0]
     index = {p: i for i, p in enumerate(elems)}

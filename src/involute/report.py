@@ -11,7 +11,6 @@ from .morphisms import (
     enumerate_automorphisms,
     find_isomorphism,
     involutions,
-    is_proper_involution,
     order_two_automorphisms,
 )
 from .perms import Permutation, compose
@@ -119,11 +118,21 @@ class AnalysisReport:
     involution_maps: tuple = field(repr=False, default=())
 
 
+def _proper_involutions(invs, s):
+    """The involutions that are not also automorphisms.
+
+    An anti-automorphism alpha that is also a homomorphism gives
+    alpha(x)alpha(y) = alpha(xy) = alpha(y)alpha(x) for all x, y, and alpha
+    is onto, so S is commutative; on a commutative S every anti-automorphism
+    is an automorphism.  So the involutions, already certified by the
+    search, are all proper or none is, and no n^2 check is needed.
+    """
+    return [] if s.is_commutative else list(invs)
+
+
 def _central_proper_involutions(invs, auts, s):
     out = []
-    for iota in invs:
-        if not is_proper_involution(iota, s):
-            continue
+    for iota in _proper_involutions(invs, s):
         im = iota.mapping
         if all(compose(a.mapping, im) == compose(im, a.mapping) for a in auts):
             out.append(iota)
@@ -147,7 +156,7 @@ def analyze(
     g = closure(j_set.elements, degree=s.n, cap=order_cap)
     signed = signed_aut_group(s, budget=budget, jobs=jobs)
 
-    proper = [p for p in invs if is_proper_involution(p, s)]
+    proper = _proper_involutions(invs, s)
     split_law = None
     if proper:
         aut_set = set(auts.elements)

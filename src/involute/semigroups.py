@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,14 +85,36 @@ class FiniteSemigroup:
         return f"FiniteSemigroup(n={self.n}, identity={self.identity})"
 
 
+_SEQUENCES = (list, tuple)
+
+
 def validate(table, names=None) -> FiniteSemigroup:
     """Check a square index table for associativity and wrap it.
 
-    Detects and records an identity element if one exists.  Raises
-    :class:`NotAssociativeError` with a witness triple, or
-    :class:`IndexOutOfRangeError` for entries outside 0..n-1.
+    The table must be a list (or tuple) of rows of plain integers; floats,
+    booleans and strings raise :class:`InputFormatError`, entries outside
+    0..n-1 raise :class:`IndexOutOfRangeError`.  Detects and records an
+    identity element if one exists.
+
+    Associativity is checked by Light's test in O(n^2 |A|) rather than
+    O(n^3): ``A`` is a set whose right closure (close A under x -> x*a for
+    a in A, as in :func:`closure_of_subset`) is all of the table.  That
+    closure is plain table lookups, so it is sound before associativity is
+    known.  Then (x*a)*y = x*(a*y) is checked for every a in A and all x, y.
+    Proof that this suffices: let B = {b : (xb)y = x(by) for all x, y}.  If
+    b, c are in B then for all x, y
+    (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y),
+    using b, c, b and c in B in turn, so B is closed under the product.
+    B contains A, hence every product of elements of A however bracketed,
+    in particular every element of the right closure of A, which is the
+    whole table.  So B is everything and the table is associative.  On
+    failure :class:`NotAssociativeError` carries a genuine witness (x, a, y).
     """
-    rows = [tuple(int(v) for v in row) for row in table]
+    if not isinstance(table, _SEQUENCES) or not all(
+        isinstance(row, _SEQUENCES) for row in table
+    ):
+        raise InputFormatError("table must be a list of rows")
+    rows = tuple(map(tuple, table))
     n = len(rows)
     if n == 0:
         raise InputFormatError("empty table")
@@ -99,25 +122,66 @@ def validate(table, names=None) -> FiniteSemigroup:
         raise InputFormatError("table is not square")
     if n > TABLE_CAP:
         raise OrderBudgetExceededError(TABLE_CAP)
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= n:
+    # type() rather than isinstance(): bool is a subclass of int
+    kinds = set().union(*(map(type, row) for row in rows))
+    if kinds != {int}:
+        bad = sorted(k.__name__ for k in kinds - {int})
+        raise InputFormatError(f"table entries must be integers, not {', '.join(bad)}")
+    try:
+        arr = np.asarray(rows, dtype=np.int64)
+        in_range = arr.min() >= 0 and arr.max() < n
+    except OverflowError:
+        in_range = False
+    if not in_range:
         raise IndexOutOfRangeError(f"table entries must lie in 0..{n - 1}")
     arr = arr.astype(np.int32)
-    # associativity, one row of the outer index at a time to bound memory
-    for i in range(n):
-        left = arr[arr[i]]          # [j,k] -> (i*j)*k
-        right = arr[i][arr]         # [j,k] -> i*(j*k)
-        if not np.array_equal(left, right):
-            j, k = map(int, np.argwhere(left != right)[0])
-            raise NotAssociativeError(i, j, k)
+    for a in _right_generators(rows, arr):
+        # [x, y] -> (x*a)*y against x*(a*y), in one expression so that
+        # neither n x n side outlives the comparison
+        bad = arr[arr[:, a]] != arr[:, arr[a]]
+        if bad.any():
+            x, y = map(int, np.argwhere(bad)[0])
+            raise NotAssociativeError(x, a, y)
     if names is not None:
+        if not isinstance(names, _SEQUENCES):
+            raise InputFormatError("names must be a list")
         names = tuple(str(s) for s in names)
         if len(names) != n:
             raise InputFormatError("names list length differs from table size")
     ident = np.arange(n, dtype=np.int32)
     hits = np.flatnonzero((arr == ident).all(axis=1) & (arr.T == ident).all(axis=1))
     identity = int(hits[0]) if hits.size else None
-    return FiniteSemigroup(tuple(rows), names=names, identity=identity, _checked=True)
+    return FiniteSemigroup(rows, names=names, identity=identity, _checked=True)
+
+
+def _right_generators(rows, arr) -> Iterator[int]:
+    """Yield, one at a time, a set A whose right closure under x -> x*a
+    (a in A) is every element.
+
+    Chosen greedily, elements with more distinct row plus column entries
+    first, then by index.  Only table lookups are used, so this holds for
+    any magma and serves :func:`validate` before associativity is known.
+    Each member is yielded before the closure is extended by it, so a
+    failing table stops at its first bad generator.
+    """
+    n = len(rows)
+    idx = np.arange(n)
+    in_row = np.zeros((n, n), dtype=bool)
+    in_row[idx[:, None], arr] = True        # in_row[x, v]: v occurs in row x
+    in_col = np.zeros((n, n), dtype=bool)
+    in_col[arr, idx] = True                 # in_col[v, y]: v occurs in column y
+    spread = (in_row.sum(axis=1) + in_col.sum(axis=0)).tolist()
+    del in_row, in_col  # a generator keeps its locals alive
+    gens: list[int] = []
+    have: set = set()
+    for x in sorted(range(n), key=lambda x: (-spread[x], x)):
+        if x in have:
+            continue
+        yield x
+        gens.append(x)
+        have = close_under(gens, gens, lambda u, g: rows[u][g])
+        if len(have) == n:
+            return
 
 
 def atoms(s: FiniteSemigroup) -> frozenset[int]:
@@ -374,14 +438,15 @@ def to_json_dict(s: FiniteSemigroup) -> dict:
 def from_json_dict(doc) -> FiniteSemigroup:
     if not isinstance(doc, dict) or "table" not in doc:
         raise InputFormatError("expected an object with a 'table' field")
-    table = doc["table"]
-    if "n" in doc and doc["n"] != len(table):
+    s = validate(doc["table"], names=doc.get("names"))
+    if "n" in doc and (type(doc["n"]) is not int or doc["n"] != s.n):
         raise InputFormatError("'n' disagrees with the table height")
-    s = validate(table, names=doc.get("names"))
-    if "identity" in doc and doc["identity"] != s.identity:
-        raise InputFormatError(
-            f"declared identity {doc['identity']} but detected {s.identity}"
-        )
+    if "identity" in doc:
+        declared = doc["identity"]
+        if declared is not None and type(declared) is not int:
+            raise InputFormatError("'identity' must be an integer")
+        if declared != s.identity:
+            raise InputFormatError(f"declared identity {declared} but detected {s.identity}")
     return s
 
 

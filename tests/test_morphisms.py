@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import brute_morphisms
+from involute.battery import _completeness_corpus
 from involute.errors import DegreeMismatchError, NotAnInvolutionError
 from involute.families import (
     cyclic_group,
@@ -14,6 +15,7 @@ from involute.families import (
     sym_group_table,
 )
 from involute.morphisms import (
+    _generator_certificate,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
     find_anti_isomorphism,
@@ -25,7 +27,7 @@ from involute.morphisms import (
     order_two_automorphisms,
 )
 from involute.perms import Permutation, compose
-from involute.semigroups import atoms, validate
+from involute.semigroups import atoms, generating_set, validate
 
 
 def test_is_homomorphism_examples(klein):
@@ -206,3 +208,35 @@ def test_search_budget_is_enforced():
 
     with pytest.raises(SearchBudgetExceededError):
         enumerate_automorphisms(sym_group_table(4), budget=5)
+
+
+@pytest.fixture(scope="module")
+def completeness_tables():
+    """The tables of the battery's engine_completeness check."""
+    return _completeness_corpus(random.Random(0xCA11))
+
+
+def test_generator_certificate_agrees_with_the_full_check(completeness_tables):
+    rng = random.Random(5)
+    agreed = {True: 0, False: 0}
+    for s in completeness_tables:
+        gens = generating_set(s)
+        hom = _generator_certificate(s, s, gens, anti=False)
+        anti = _generator_certificate(s, s, gens, anti=True)
+        maps = [p.mapping for p in enumerate_automorphisms(s)]
+        maps += [p.mapping for p in enumerate_anti_automorphisms(s)]
+        maps += [tuple(rng.sample(range(s.n), s.n)) for _ in range(10)]
+        for m in maps:
+            assert hom(m) == is_homomorphism(m, s, s), (s.table, m)
+            assert anti(m) == is_anti_homomorphism(m, s, s), (s.table, m)
+            agreed[hom(m)] += 1
+    assert agreed[True] >= 200 and agreed[False] >= 200
+
+
+def test_involutions_are_proper_exactly_on_non_commutative_tables(completeness_tables):
+    seen = {True: 0, False: 0}
+    for s in completeness_tables:
+        for iota in involutions(s):
+            assert is_proper_involution(iota, s) == (not s.is_commutative)
+            seen[s.is_commutative] += 1
+    assert seen[True] and seen[False]

@@ -1,11 +1,18 @@
+import hashlib
 import json
 
 import pytest
 
 from involute.cli import main
-from involute.families import full_transformation_monoid, rectangular_band
+from involute.families import (
+    cyclic_group,
+    doubled_semigroup,
+    full_transformation_monoid,
+    rectangular_band,
+    sym_group_table,
+)
 from involute.report import analyze, report_to_json_dict, report_to_text
-from involute.semigroups import dump_table, load_table
+from involute.semigroups import dump_table, load_table, validate
 
 
 def test_analyze_klein_report(klein):
@@ -82,6 +89,14 @@ def test_cli_construct_frucht(capsys):
         ["z2^k", "-1"],
         ["frucht", "x", "0-1"],
         ["frucht", "3", "0-a"],
+        ["sym", "0"],
+        ["alt", "0"],
+        ["transformation", "0"],
+        ["partition", "-1"],
+        ["inverse", "-1"],
+        ["dual-inverse", "-1"],
+        ["sym", "8"],
+        ["product", "sym", "5", "sym", "5"],
     ],
 )
 def test_cli_construct_rejects_bad_arguments_without_a_traceback(spec, capsys):
@@ -111,6 +126,75 @@ def test_cli_rejects_removed_flags(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "x.json", "--jobs", "-1"],
+        ["analyze", "x.json", "--budget-nodes", "-5"],
+        ["analyze", "x.json", "--budget-order", "-1"],
+        ["verify", "--jobs", "-2"],
+        ["verify", "--budget-nodes", "-1"],
+        ["verify", "--budget-order", "-7"],
+    ],
+)
+def test_cli_rejects_negative_counts(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"table": [[0, 1.5], [1, 0]]},
+        {"table": 5},
+        {"table": [[0]], "names": 7},
+        {"table": [[False]]},
+        {"table": [["0"]]},
+    ],
+)
+def test_cli_analyze_rejects_non_integer_tables(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+#: sha256 of ``analyze NAME.json --json`` on five small tables; the report is
+#: meant to stay byte-identical unless a change says why it moves.
+GOLDEN_ANALYZE = {
+    "z12": (
+        lambda: cyclic_group(12),
+        "934c09e0b9e5a79d74b9d5a73b2a238e6a97fc6b5425e232b4fb3de304c4e231",
+    ),
+    "band2x3": (
+        lambda: rectangular_band(2, 3),
+        "068ef3d3113d91caad710943780a2f04caf56b0a6519c459dd8f7c4512e14913",
+    ),
+    "t3": (
+        lambda: full_transformation_monoid(3),
+        "25fd58e214f7b56381bbc977c5b761b4050447da8281315fb5466d621cf80ea2",
+    ),
+    "doubled_lz2": (
+        lambda: doubled_semigroup(validate([[0, 0], [1, 1]])),
+        "eae1787e4f676df34f61bd86b8ec6035221879ab6d2f2b9feb40356482fdbaef",
+    ),
+    "sym3": (
+        lambda: sym_group_table(3),
+        "c3bb6128dc5e0af07754a4ca37d5f8e95abf13ad1fa1d1f0332b06781bd0978b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYZE))
+def test_cli_analyze_json_is_pinned(tmp_path, monkeypatch, capsys, name):
+    build, digest = GOLDEN_ANALYZE[name]
+    monkeypatch.chdir(tmp_path)
+    dump_table(build(), f"{name}.json")
+    assert main(["analyze", f"{name}.json", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_factor(capsys):

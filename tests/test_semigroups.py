@@ -60,6 +60,90 @@ def test_validate_rejects_bad_entries():
         validate([])
 
 
+def _is_associative(t) -> bool:
+    n = len(t)
+    return all(
+        t[t[x][y]][z] == t[x][t[y][z]] for x in range(n) for y in range(n) for z in range(n)
+    )
+
+
+def _light_test_corpus():
+    """Random 2-4-element tables, plus relabelled associative tables of those
+    sizes and their one-entry mutations, which fail associativity narrowly."""
+    rng = random.Random(2024)
+    bases = [
+        [list(row) for row in s.table]
+        for s in (
+            cyclic_group(2), cyclic_group(3), cyclic_group(4),
+            direct_product_table(cyclic_group(2), cyclic_group(2)),
+            rectangular_band(1, 2), rectangular_band(2, 2), rectangular_band(1, 4),
+            zero_semigroup(2), zero_semigroup(3), full_transformation_monoid(2),
+        )
+    ]
+    bases += [[[0, 0, 0], [0, 1, 1], [0, 1, 2]], [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 2], [0, 1, 2, 3]]]
+    tables = []
+    for _ in range(600):
+        n = rng.randint(2, 4)
+        tables.append([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    for base in bases:
+        n = len(base)
+        for _ in range(20):
+            sigma = rng.sample(range(n), n)
+            inv = sorted(range(n), key=sigma.__getitem__)
+            t = [[sigma[base[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+            tables.append(t)
+            bad = [row[:] for row in t]
+            bad[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            tables.append(bad)
+    return tables
+
+
+def test_light_test_agrees_with_the_triple_loop():
+    verdicts = []
+    for t in _light_test_corpus():
+        expected = _is_associative(t)
+        try:
+            validate(t)
+            verdicts.append(True)
+            assert expected, t
+        except NotAssociativeError as exc:
+            verdicts.append(False)
+            assert not expected, t
+            x, a, y = exc.witness
+            assert t[t[x][a]][y] != t[x][t[a][y]], (t, exc.witness)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 500
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1.5], [1, 0]],
+        [[0.0]],
+        [[False]],
+        [[0, True], [True, 0]],
+        [["0"]],
+        [[None]],
+        5,
+        "00",
+        [5],
+        [(0,), {0}],
+    ],
+)
+def test_validate_rejects_non_integer_input(table):
+    with pytest.raises(InputFormatError):
+        validate(table)
+
+
+def test_validate_rejects_huge_entries_and_bad_names():
+    with pytest.raises(IndexOutOfRangeError):
+        validate([[2**70]])
+    with pytest.raises(InputFormatError):
+        validate([[0]], names=7)
+    with pytest.raises(InputFormatError):
+        validate([[0]], names="e")
+    assert validate(((0, 1), (1, 0)), names=("e", "a")).names == ("e", "a")
+
+
 def test_commutativity():
     assert cyclic_group(5).is_commutative
     assert not validate([[0, 0], [1, 1]]).is_commutative
@@ -232,3 +316,14 @@ def test_json_rejects_inconsistencies():
         from_json_dict({"table": [[0, 1], [1, 0]], "identity": 1})
     with pytest.raises(InputFormatError):
         from_json_dict([1, 2, 3])
+    for doc in (
+        {"table": 5},
+        {"table": [[0]], "names": 7},
+        {"table": [[0]], "n": True},
+        {"table": [[0]], "n": 1.0},
+        {"table": [[0]], "identity": True},
+        {"table": [[0]], "identity": 0.0},
+    ):
+        with pytest.raises(InputFormatError):
+            from_json_dict(doc)
+    assert from_json_dict({"table": [[0]], "n": 1, "identity": 0}).identity == 0
