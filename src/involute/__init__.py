@@ -34,7 +34,6 @@ from .semigroups import (
     validate,
 )
 from .morphisms import (
-    MorphismKind,
     MorphismSet,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,

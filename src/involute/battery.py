@@ -121,7 +121,7 @@ def _check_symmetric_groups(opts):
     ok = True
     for n in (3, 4, 5):
         s = families.sym_group_table(n)
-        auts = enumerate_automorphisms(s, budget=opts.budget, jobs=opts.jobs)
+        auts = enumerate_automorphisms(s, budget=opts.budget)
         c = c_group(s, budget=opts.budget, cap=opts.order_cap)
         iso = find_isomorphism(to_cayley_table(c), _z2_times_sym(n))
         fact = len(s.table)
@@ -133,7 +133,7 @@ def _check_symmetric_groups(opts):
 
 def _check_sym6_stretch(opts):
     s = families.sym_group_table(6)
-    auts = enumerate_automorphisms(s, budget=opts.budget, jobs=opts.jobs)
+    auts = enumerate_automorphisms(s, budget=opts.budget)
     return len(auts) == 1440, f"|Aut(Sym(6))|={len(auts)} (outer automorphism included)"
 
 
@@ -141,7 +141,7 @@ def _check_sym6_stretch(opts):
 
 def _t_laws(n, opts):
     s = families.full_transformation_monoid(n)
-    auts = enumerate_automorphisms(s, budget=opts.budget, jobs=opts.jobs)
+    auts = enumerate_automorphisms(s, budget=opts.budget)
     antis = enumerate_anti_automorphisms(s, budget=opts.budget)
     c = c_group(s, budget=opts.budget, cap=opts.order_cap)
     fact = 1
@@ -275,7 +275,7 @@ def _check_doubled_semigroups(opts):
     for label, s in cases:
         auts = enumerate_automorphisms(s, budget=opts.budget)
         d = families.doubled_semigroup(s)
-        d_auts = enumerate_automorphisms(d, budget=opts.budget, jobs=opts.jobs)
+        d_auts = enumerate_automorphisms(d, budget=opts.budget)
         d_invs = involutions(d, budget=opts.budget)
         expected = _doubled_expected_involutions([a.mapping for a in auts], s.n)
         c = c_group(d, budget=opts.budget, cap=opts.order_cap)
@@ -599,7 +599,6 @@ def _check_engine_completeness(opts):
 class BatteryOptions:
     budget: int | None = None
     order_cap: int | None = None
-    jobs: int = 1
 
 
 _CHECKS = [
@@ -632,14 +631,13 @@ def run_battery(
     only=None,
     budget: int | None = None,
     order_cap: int | None = None,
-    jobs: int = 1,
     on_result=None,
 ) -> list[CheckResult]:
     """Run the acceptance checks; ``stretch`` adds Sym(6) and T_4.
 
     ``on_result`` is called with each :class:`CheckResult` as it finishes.
     """
-    opts = BatteryOptions(budget=budget, order_cap=order_cap, jobs=jobs)
+    opts = BatteryOptions(budget=budget, order_cap=order_cap)
     results = []
     for name, bound, is_stretch, fn in _CHECKS:
         if is_stretch and not stretch:

@@ -154,7 +154,6 @@ def _cmd_analyze(args) -> int:
         name=args.file,
         budget=args.budget_nodes,
         order_cap=args.budget_order,
-        jobs=args.jobs,
     )
     if args.json:
         print(json.dumps(report_to_json_dict(rep), sort_keys=True, indent=2))
@@ -198,7 +197,6 @@ def _cmd_verify(args) -> int:
         only=only,
         budget=args.budget_nodes,
         order_cap=args.budget_order,
-        jobs=args.jobs,
         on_result=None if args.json else announce,
     )
     if args.json:
@@ -272,11 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def budgets(p):
         p.add_argument("--budget-nodes", type=_int_at_least(0), default=None, metavar="N",
-                       help="cap on morphism-search extension steps")
+                       help="cap on morphism-search nodes")
         p.add_argument("--budget-order", type=_int_at_least(0), default=None, metavar="N",
                        help="cap on materialized group order")
-        p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                       help="parallel workers for the search's first branching level")
 
     p = sub.add_parser("analyze", help="full report for a Cayley-table JSON file")
     p.add_argument("file")
@@ -320,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
             tp.add_argument("word2")
         tp.add_argument("--edges", default="", help="commuting pairs, e.g. ab,bc")
         tp.add_argument("--alphabet", default=None)
-        tp.add_argument("--bound", type=int, default=16, help="word length cap")
+        tp.add_argument("--bound", type=_int_at_least(0), default=16, help="word length cap")
         tp.set_defaults(fn=_cmd_trace)
 
     return parser

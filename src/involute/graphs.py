@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 
 from .errors import InputFormatError, NoEdgesError, SearchBudgetExceededError
-from .morphisms import MorphismKind, MorphismSet
+from .morphisms import MorphismSet
 from .perms import Permutation
 from .permgroups import PermGroup, closure
 from .semigroups import FiniteSemigroup, validate
@@ -153,7 +153,7 @@ def graph_automorphisms(g: SimpleGraph, *, budget: int | None = None) -> Morphis
     perms = tuple(sorted(Permutation(m) for m in results))
     for p in perms:
         assert g.is_automorphism(p)
-    return MorphismSet(MorphismKind.AUTOMORPHISMS, n, perms)
+    return MorphismSet(perms)
 
 
 def graph_involution_group(g: SimpleGraph, *, budget=None, cap=None) -> PermGroup:

@@ -10,10 +10,8 @@ falls out of computing fingerprints on the dual table.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,21 +23,15 @@ from .errors import (
 from .perms import Permutation, compose
 from .semigroups import FiniteSemigroup, generating_set
 
-#: Default cap on extension steps for one search (configurable per call).
+#: Default cap on nodes for one search (configurable per call).
 DEFAULT_NODE_BUDGET = 10**8
-
-
-class MorphismKind(Enum):
-    AUTOMORPHISMS = "automorphisms"
-    ANTI_AUTOMORPHISMS = "antiAutomorphisms"
-    INVOLUTIONS = "involutions"
-    ORDER_TWO_AUTOMORPHISMS = "orderTwoAutomorphisms"
 
 
 @dataclass(frozen=True)
 class MorphismSet:
-    kind: MorphismKind
-    domain_size: int
+    """A sorted tuple of (anti-)automorphisms; a class, not a bare tuple, so
+    that callers can hold weak references to the cached sets."""
+
     elements: tuple[Permutation, ...]
 
     def __iter__(self):
@@ -50,9 +42,6 @@ class MorphismSet:
 
     def __contains__(self, perm):
         return perm in self.elements
-
-    def mappings(self) -> list[list[int]]:
-        return [list(p.mapping) for p in self.elements]
 
 
 def _as_mapping(alpha) -> tuple[int, ...]:
@@ -129,6 +118,10 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit):
     :func:`_generator_certificate` implies f(xy) = f(x)f(y) for all x, y;
     that O(n |gens|) certificate, not the n^2 equations, is re-checked on
     each solution.
+
+    ``budget`` caps the nodes: one per generator image tried (each ``place``
+    call, so a branch that dies on its first assignment still costs one)
+    plus one per element dequeued while saturating.
     """
     n = s.n
     tab_s, tab_t = s.table, t.table
@@ -159,6 +152,9 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit):
 
     def place(g, h) -> bool:
         nonlocal steps
+        steps += 1
+        if steps > budget:
+            raise SearchBudgetExceededError(budget)
         base = len(known)
         if not assign(g, h):
             return False
@@ -222,20 +218,11 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit):
     return results
 
 
-def _subsearch(args):
-    """Worker for parallel first-generator branching."""
-    table_s, table_t, gens, cand, sid, tid, budget = args
-    s = FiniteSemigroup(table_s, _checked=True)
-    t = FiniteSemigroup(table_t, _checked=True)
-    return _search_isomorphisms(s, t, gens, cand, sid, tid, budget, None)
-
-
 def enumerate_isomorphism_mappings(
     s: FiniteSemigroup,
     t: FiniteSemigroup,
     *,
     budget: int | None = None,
-    jobs: int = 1,
     limit: int | None = None,
 ) -> list[tuple[int, ...]]:
     """All isomorphisms S -> T as mapping tuples (or the first ``limit``)."""
@@ -255,18 +242,6 @@ def enumerate_isomorphism_mappings(
     order = sorted(range(len(gens)), key=lambda i: (len(cand[i]), gens[i]))
     gens = [gens[i] for i in order]
     cand = [cand[i] for i in order]
-    if jobs > 1 and limit is None and len(cand[0]) > 1:
-        chunks = [cand[0][i::jobs] for i in range(jobs)]
-        payload = [
-            (s.table, t.table, gens, [chunk] + cand[1:], sid, tid, budget)
-            for chunk in chunks
-            if chunk
-        ]
-        with ProcessPoolExecutor(max_workers=len(payload)) as pool:
-            parts = list(pool.map(_subsearch, payload))
-        merged = [m for part in parts for m in part]
-        merged.sort()
-        return merged
     return _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit)
 
 
@@ -277,23 +252,17 @@ def _memo(s: FiniteSemigroup, key, build):
     return cache[key]
 
 
-def enumerate_automorphisms(
-    s: FiniteSemigroup, *, budget: int | None = None, jobs: int = 1
-) -> MorphismSet:
+def enumerate_automorphisms(s: FiniteSemigroup, *, budget: int | None = None) -> MorphismSet:
     """The complete automorphism group of S, canonically sorted."""
 
     def build():
-        maps = enumerate_isomorphism_mappings(s, s, budget=budget, jobs=jobs)
-        return MorphismSet(
-            MorphismKind.AUTOMORPHISMS, s.n, tuple(Permutation(m) for m in maps)
-        )
+        maps = enumerate_isomorphism_mappings(s, s, budget=budget)
+        return MorphismSet(tuple(Permutation(m) for m in maps))
 
-    return _memo(s, ("aut", budget, jobs), build)
+    return _memo(s, ("aut", budget), build)
 
 
-def enumerate_anti_automorphisms(
-    s: FiniteSemigroup, *, budget: int | None = None, jobs: int = 1
-) -> MorphismSet:
+def enumerate_anti_automorphisms(s: FiniteSemigroup, *, budget: int | None = None) -> MorphismSet:
     """The complete set of anti-automorphisms of S.
 
     On a commutative S this is Aut(S) itself.  Otherwise one
@@ -305,41 +274,33 @@ def enumerate_anti_automorphisms(
 
     def build():
         if s.is_commutative:
-            auts = enumerate_automorphisms(s, budget=budget, jobs=jobs)
-            return MorphismSet(MorphismKind.ANTI_AUTOMORPHISMS, s.n, auts.elements)
+            auts = enumerate_automorphisms(s, budget=budget)
+            return MorphismSet(auts.elements)
         first = enumerate_isomorphism_mappings(s, s.dual(), budget=budget, limit=1)
         if not first:
-            return MorphismSet(MorphismKind.ANTI_AUTOMORPHISMS, s.n, ())
+            return MorphismSet(())
         beta = first[0]
-        auts = enumerate_automorphisms(s, budget=budget, jobs=jobs)
+        auts = enumerate_automorphisms(s, budget=budget)
         composed = sorted(compose(a.mapping, beta) for a in auts)
         anti_certified = _generator_certificate(s, s, generating_set(s), anti=True)
         for m in composed:
             if not anti_certified(m):
                 raise AssertionError("composition trick produced a non-anti-morphism")
-        return MorphismSet(
-            MorphismKind.ANTI_AUTOMORPHISMS, s.n, tuple(Permutation(m) for m in composed)
-        )
+        return MorphismSet(tuple(Permutation(m) for m in composed))
 
-    return _memo(s, ("anti", budget, jobs), build)
+    return _memo(s, ("anti", budget), build)
 
 
-def involutions(
-    s: FiniteSemigroup, *, budget: int | None = None, jobs: int = 1
-) -> MorphismSet:
+def involutions(s: FiniteSemigroup, *, budget: int | None = None) -> MorphismSet:
     """Anti-automorphisms of order exactly 2 (the identity never counts)."""
-    anti = enumerate_anti_automorphisms(s, budget=budget, jobs=jobs)
-    kept = tuple(a for a in anti if a.is_involution())
-    return MorphismSet(MorphismKind.INVOLUTIONS, s.n, kept)
+    anti = enumerate_anti_automorphisms(s, budget=budget)
+    return MorphismSet(tuple(a for a in anti if a.is_involution()))
 
 
-def order_two_automorphisms(
-    s: FiniteSemigroup, *, budget: int | None = None, jobs: int = 1
-) -> MorphismSet:
+def order_two_automorphisms(s: FiniteSemigroup, *, budget: int | None = None) -> MorphismSet:
     """Automorphisms alpha with alpha^2 = 1, identity included."""
-    auts = enumerate_automorphisms(s, budget=budget, jobs=jobs)
-    kept = tuple(a for a in auts if a.is_identity() or a.is_involution())
-    return MorphismSet(MorphismKind.ORDER_TWO_AUTOMORPHISMS, s.n, kept)
+    auts = enumerate_automorphisms(s, budget=budget)
+    return MorphismSet(tuple(a for a in auts if a.is_identity() or a.is_involution()))
 
 
 def is_proper_involution(alpha, s: FiniteSemigroup) -> bool:

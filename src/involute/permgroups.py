@@ -78,26 +78,26 @@ def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
     return PermGroup(degree, gens, (Permutation(m) for m in seen))
 
 
-def c_group(s: FiniteSemigroup, *, budget=None, jobs=1, cap=None) -> PermGroup:
+def c_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
     """C(S): the subgroup of Sym(S) generated by all involutions of S."""
-    inv = involutions(s, budget=budget, jobs=jobs)
+    inv = involutions(s, budget=budget)
     return closure(inv.elements, degree=s.n, cap=cap)
 
 
-def g_group(s: FiniteSemigroup, *, budget=None, jobs=1, cap=None) -> PermGroup:
+def g_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
     """G(S): the subgroup generated by the order-at-most-2 automorphisms."""
-    j = order_two_automorphisms(s, budget=budget, jobs=jobs)
+    j = order_two_automorphisms(s, budget=budget)
     return closure(j.elements, degree=s.n, cap=cap)
 
 
-def signed_aut_group(s: FiniteSemigroup, *, budget=None, jobs=1) -> PermGroup:
+def signed_aut_group(s: FiniteSemigroup, *, budget=None) -> PermGroup:
     """Aut(S) together with all anti-automorphisms, as one group.
 
     On a commutative semigroup the two sets coincide, so the order is
     |Aut(S)|; otherwise they are disjoint and the order is their sum.
     """
-    auts = enumerate_automorphisms(s, budget=budget, jobs=jobs)
-    antis = enumerate_anti_automorphisms(s, budget=budget, jobs=jobs)
+    auts = enumerate_automorphisms(s, budget=budget)
+    antis = enumerate_anti_automorphisms(s, budget=budget)
     members = set(auts.elements) | set(antis.elements)
     return PermGroup(s.n, auts.elements, members)
 

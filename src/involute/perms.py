@@ -48,13 +48,15 @@ class Permutation:
     @classmethod
     def from_cycles(cls, cycles, degree: int) -> "Permutation":
         m = list(range(degree))
+        seen: set[int] = set()
         for cyc in cycles:
             cyc = list(cyc)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 if not 0 <= a < degree:
                     raise ValueError(f"cycle point {a} outside degree {degree}")
-                if m[a] != a:
-                    raise ValueError("cycles are not disjoint")
+                if a in seen:
+                    raise ValueError(f"point {a} appears twice in the cycles")
+                seen.add(a)
                 m[a] = b
         return cls(m)
 
@@ -158,7 +160,7 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
             cyc = [int(p) for p in points]
         except ValueError as exc:
             raise InputFormatError(f"bad cycle point in {text!r}") from exc
-        if len(cyc) >= 2:
+        if cyc:
             cycles.append(cyc)
     top = max((max(c) for c in cycles), default=-1) + 1
     deg = degree if degree is not None else top

@@ -145,16 +145,15 @@ def analyze(
     name: str = "semigroup",
     budget: int | None = None,
     order_cap: int | None = None,
-    jobs: int = 1,
 ) -> AnalysisReport:
     """Full report for one Cayley table; deterministic across runs."""
-    auts = enumerate_automorphisms(s, budget=budget, jobs=jobs)
-    antis = enumerate_anti_automorphisms(s, budget=budget, jobs=jobs)
-    invs = involutions(s, budget=budget, jobs=jobs)
-    j_set = order_two_automorphisms(s, budget=budget, jobs=jobs)
+    auts = enumerate_automorphisms(s, budget=budget)
+    antis = enumerate_anti_automorphisms(s, budget=budget)
+    invs = involutions(s, budget=budget)
+    j_set = order_two_automorphisms(s, budget=budget)
     c = closure(invs.elements, degree=s.n, cap=order_cap)
     g = closure(j_set.elements, degree=s.n, cap=order_cap)
-    signed = signed_aut_group(s, budget=budget, jobs=jobs)
+    signed = signed_aut_group(s, budget=budget)
 
     proper = _proper_involutions(invs, s)
     split_law = None

@@ -1,8 +1,8 @@
 """Finite semigroups presented by Cayley tables.
 
 Elements are the dense indices 0..n-1; ``table[i][j]`` is the product i*j.
-Optional names are display-only metadata.  Instances are immutable after
-construction and safe to share between workers.
+Optional names are display-only metadata.  A table does not change after
+construction; what is derived from it is cached on the instance.
 """
 
 from __future__ import annotations

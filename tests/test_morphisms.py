@@ -4,7 +4,8 @@ import pytest
 
 from conftest import brute_morphisms
 from involute.battery import _completeness_corpus
-from involute.errors import DegreeMismatchError, NotAnInvolutionError
+from involute import morphisms
+from involute.errors import DegreeMismatchError, NotAnInvolutionError, SearchBudgetExceededError
 from involute.families import (
     cyclic_group,
     direct_product_table,
@@ -18,6 +19,7 @@ from involute.morphisms import (
     _generator_certificate,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
+    enumerate_isomorphism_mappings,
     find_anti_isomorphism,
     find_isomorphism,
     involutions,
@@ -26,7 +28,9 @@ from involute.morphisms import (
     is_proper_involution,
     order_two_automorphisms,
 )
+from involute.permgroups import c_group, g_group, signed_aut_group
 from involute.perms import Permutation, compose
+from involute.report import analyze
 from involute.semigroups import atoms, generating_set, validate
 
 
@@ -197,17 +201,40 @@ def test_fingerprint_preservation_under_morphisms():
         assert all(fps[p.mapping[x]] == fps[x].swapped() for x in range(s.n))
 
 
-def test_parallel_jobs_match_sequential(klein):
-    seq = enumerate_automorphisms(klein)
-    par = enumerate_automorphisms(klein, jobs=2)
-    assert seq.elements == par.elements
-
-
 def test_search_budget_is_enforced():
-    from involute.errors import SearchBudgetExceededError
-
     with pytest.raises(SearchBudgetExceededError):
         enumerate_automorphisms(sym_group_table(4), budget=5)
+
+
+def test_search_budget_counts_dead_branches():
+    # The band's saturation steps alone come to 66 nodes; the search also
+    # tries 186 generator images, most of them dead at once, to keep 12
+    # automorphisms, and each costs a node, so 252 is exactly enough.
+    b = rectangular_band(2, 3)
+    with pytest.raises(SearchBudgetExceededError):
+        enumerate_isomorphism_mappings(b, b, budget=66)
+    with pytest.raises(SearchBudgetExceededError):
+        enumerate_isomorphism_mappings(b, b, budget=251)
+    assert len(enumerate_isomorphism_mappings(b, b, budget=252)) == 12
+
+
+def test_every_caller_shares_one_search(monkeypatch):
+    s = validate(sym_group_table(4).table)  # a fresh instance with an empty cache
+    calls = []
+    search = morphisms.enumerate_isomorphism_mappings
+
+    def counted(src, dst, **kwargs):
+        if src is s:
+            calls.append("aut" if dst is s else f"dual limit={kwargs.get('limit')}")
+        return search(src, dst, **kwargs)
+
+    monkeypatch.setattr(morphisms, "enumerate_isomorphism_mappings", counted)
+    enumerate_automorphisms(s)
+    c_group(s)
+    g_group(s)
+    signed_aut_group(s)
+    analyze(s)
+    assert sorted(calls) == ["aut", "dual limit=1"]
 
 
 @pytest.fixture(scope="module")

@@ -31,10 +31,21 @@ def test_parse_cycles_roundtrip():
     assert p.mapping == (1, 2, 0, 4, 3)
     assert parse_cycles("()", degree=3) == Permutation.identity(3)
     assert parse_cycles("(0,2)", degree=3).mapping == (2, 1, 0)
+    assert parse_cycles("(0 1)(2)").mapping == (1, 0, 2)
     with pytest.raises(InputFormatError):
         parse_cycles("(0 1")
     with pytest.raises(InputFormatError):
         parse_cycles("(0 1)(1 2)")
+    with pytest.raises(InputFormatError):
+        parse_cycles("(0 1 1)")
+    with pytest.raises(InputFormatError):
+        parse_cycles("(0 0)")
+    with pytest.raises(InputFormatError):
+        parse_cycles("(0 1 0)")
+    with pytest.raises(InputFormatError):
+        parse_cycles("(0 1)(1)")
+    with pytest.raises(ValueError):
+        Permutation.from_cycles([[2, 0, 2]], 3)
 
 
 def test_order_and_parity():

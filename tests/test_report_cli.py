@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import involute
 from involute.cli import main
 from involute.families import (
     cyclic_group,
@@ -120,6 +125,8 @@ def test_cli_construct_dual_output_is_unchanged(capsys):
         ["factor", "(0 1)", "--budget-nodes", "5"],
         ["trace", "nf", "ab", "--budget-order", "5"],
         ["verify", "--scale", "full"],
+        ["analyze", "x.json", "--jobs", "2"],
+        ["verify", "--jobs", "2"],
     ],
 )
 def test_cli_rejects_removed_flags(argv):
@@ -137,6 +144,7 @@ def test_cli_rejects_removed_flags(argv):
         ["verify", "--jobs", "-2"],
         ["verify", "--budget-nodes", "-1"],
         ["verify", "--budget-order", "-7"],
+        ["trace", "nf", "ab", "--bound", "-1"],
     ],
 )
 def test_cli_rejects_negative_counts(argv):
@@ -202,6 +210,7 @@ def test_cli_factor(capsys):
     out = capsys.readouterr().out
     assert "OK" in out
     assert main(["factor", "(0 1"]) == 2
+    assert main(["factor", "(0 1 1)"]) == 2  # a repeated point, not the transposition
 
 
 def test_cli_trace(capsys):
@@ -231,10 +240,14 @@ def test_cli_verify_reports_failure_with_exit_one(capsys):
     assert "[FAIL] klein" in out
 
 
-def test_analyze_is_deterministic_across_worker_counts(klein):
-    r1 = report_to_json_dict(analyze(klein, jobs=1))
-    r2 = report_to_json_dict(analyze(klein, jobs=2))
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+def test_import_leaves_out_process_pools():
+    src = str(Path(involute.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, involute; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_verify_json(capsys):
