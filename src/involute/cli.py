@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="write a permutation as a product of two involutions")
     p.add_argument("perm", help="cycle notation, e.g. '(0 1 2)(3 4)'")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_int_at_least(0), default=None)
     p.set_defaults(fn=_cmd_factor)
 
     p = sub.add_parser("trace", help="partially commutative word tools")

@@ -1,21 +1,27 @@
-"""Materialized permutation groups: closures, fingerprints, C(S), G(S), K_G.
+"""Permutation groups from their generators: closures, fingerprints, C(S), G(S), K_G.
 
 Every group is materialized element by element with the worklist closure
-:func:`~involute.semigroups.close_under`; every target here has order well
-under the default cap, so no stabilizer chains are needed.
+:func:`~involute.semigroups.close_under` and carries a generating set.
+:func:`closure` keeps a generator only if it is not already in the group
+built so far, so C(Sym(6)) keeps 7 of its 112 involutions.  The invariants
+are computed from those generators: the centre is the centralizer of the
+generators and the derived subgroup is the normal closure of their
+commutators, so nothing costs O(|G|^2).  Orders and membership still come
+from the element set; there are no stabilizer chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 from math import gcd
 
 import numpy as np
 
 from .errors import NotAGroupError, OrderBudgetExceededError
 from .morphisms import involutions, order_two_automorphisms, enumerate_automorphisms, enumerate_anti_automorphisms
-from .perms import Permutation, compose, identity_tuple
+from .perms import Permutation, compose, identity_tuple, invert
 from .semigroups import FiniteSemigroup, close_under, closure_of_subset, validate
 
 #: Default cap on materialized group order.
@@ -24,6 +30,9 @@ DEFAULT_ORDER_BUDGET = 10**6
 
 class PermGroup:
     """A permutation group with its element set materialized.
+
+    Invariant: ``generators`` generate ``elements``.  The invariants in
+    :func:`group_fingerprint` rely on it.
 
     Elements are canonically sorted, so equal groups compare equal and all
     derived output is deterministic regardless of construction order.
@@ -58,13 +67,50 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
+class _Growing:
+    """A group <gens> as mapping tuples, grown one generator at a time."""
+
+    def __init__(self, degree, cap):
+        self.cap = DEFAULT_ORDER_BUDGET if cap is None else cap
+        self.degree = degree
+        # through close_under, so that the cap counts the identity too
+        self.members = close_under([identity_tuple(degree)], [], compose, cap=self.cap)
+        self.gens: list[tuple] = []
+
+    def adjoin(self, g) -> bool:
+        """Grow to <gens, g>; False, with nothing kept, if g is already a member.
+
+        ``members`` is closed under right multiplication by the old
+        generators.  The products h*g of the old members are the seeds, and
+        every element the worklist adds is multiplied by all generators, so
+        the result is closed under right multiplication by each of them.  A
+        finite set holding the identity and closed that way is the group
+        they generate, since every g^-1 is a positive power of g.  Each
+        member is multiplied by each kept generator once, as in one closure
+        over the kept generators.
+        """
+        if g in self.members:
+            return False
+        self.gens.append(g)
+        seeds = [compose(h, g) for h in self.members]
+        close_under(seeds, self.gens, compose, cap=self.cap, members=self.members)
+        return True
+
+    def group(self) -> PermGroup:
+        return PermGroup(
+            self.degree, map(Permutation, self.gens), map(Permutation, self.members)
+        )
+
+
 def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
     """The subgroup generated by the given permutations.
 
-    An empty generator list yields the trivial group (the degree must then
-    be supplied).  Raises :class:`OrderBudgetExceededError` past ``cap``.
+    The result's ``generators`` are the non-redundant ones: each given
+    permutation is kept only if it lies outside the group generated by
+    those kept before it.  An empty generator list yields the trivial group
+    (the degree must then be supplied).  Raises
+    :class:`OrderBudgetExceededError` past ``cap``.
     """
-    cap = DEFAULT_ORDER_BUDGET if cap is None else cap
     gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
     if degree is None:
         if not gens:
@@ -72,10 +118,10 @@ def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
         degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators act on different degrees")
-    seen = close_under(
-        [identity_tuple(degree)], [g.mapping for g in gens], compose, cap=cap
-    )
-    return PermGroup(degree, gens, (Permutation(m) for m in seen))
+    grown = _Growing(degree, cap)
+    for g in gens:
+        grown.adjoin(g.mapping)
+    return grown.group()
 
 
 def c_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
@@ -94,25 +140,37 @@ def signed_aut_group(s: FiniteSemigroup, *, budget=None) -> PermGroup:
     """Aut(S) together with all anti-automorphisms, as one group.
 
     On a commutative semigroup the two sets coincide, so the order is
-    |Aut(S)|; otherwise they are disjoint and the order is their sum.
+    |Aut(S)|; otherwise they are disjoint and the order is their sum.  The
+    anti-automorphisms, if any, are one coset alpha*Aut(S) (alpha^-1 beta
+    preserves products), so Aut(S) and any one of them generate the group.
     """
     auts = enumerate_automorphisms(s, budget=budget)
     antis = enumerate_anti_automorphisms(s, budget=budget)
     members = set(auts.elements) | set(antis.elements)
-    return PermGroup(s.n, auts.elements, members)
+    return PermGroup(s.n, auts.elements + antis.elements[:1], members)
 
 
 def derived_subgroup(g: PermGroup, *, cap=None) -> PermGroup:
-    """The commutator subgroup [G, G]."""
-    m = np.asarray([p.mapping for p in g.elements], dtype=np.int32)
-    invm = np.argsort(m, axis=1)
-    comms = set()
-    for i in range(len(m)):
-        aj = m[i][m]                                  # rows: g_i o g_j
-        conj = aj[:, invm[i]]                         # g_i o g_j o g_i^-1
-        full = np.take_along_axis(conj, invm, axis=1)  # ... o g_j^-1
-        comms.update(map(tuple, full.tolist()))
-    return closure((Permutation(c) for c in comms), degree=g.degree, cap=cap)
+    """The commutator subgroup [G, G], from the generators X of G.
+
+    It is the normal closure N of {[a, b] : a, b in X}.  N lies in [G, G],
+    which is normal and holds those commutators.  In G/N the images of the
+    generators commute pairwise, so G/N is abelian and [G, G] lies in N.
+    N is built by closing the commutators and then adjoining x k x^-1 for
+    each generator k of the subgroup K so far and each x in X until nothing
+    new appears.  Conjugation by x is an automorphism, so x K x^-1 is
+    generated by those images; it lies in K and has the order of K, so it
+    is K.  Every element of G is a product of the x, so K is normal.
+    """
+    gens = [p.mapping for p in g.generators]
+    grown = _Growing(g.degree, cap)
+    for a, b in combinations(gens, 2):
+        grown.adjoin(compose(compose(a, b), invert(compose(b, a))))
+    conjugators = [(x, invert(x)) for x in gens]
+    for k in grown.gens:  # grows while it is walked
+        for x, x_inv in conjugators:
+            grown.adjoin(compose(compose(x, k), x_inv))
+    return grown.group()
 
 
 @dataclass(frozen=True)
@@ -130,25 +188,28 @@ class GroupFingerprint:
         return dict(self.element_order_histogram)
 
 
-def group_fingerprint(g: PermGroup) -> GroupFingerprint:
+def _center_order(g: PermGroup) -> int:
+    """|Z(G)| as the number of elements that commute with every generator:
+    such an element commutes with every product of generators, which is
+    every element of G."""
     m = np.asarray([p.mapping for p in g.elements], dtype=np.int32)
-    count, deg = m.shape
-    orders = [p.order() for p in g.elements]
+    central = np.ones(len(m), dtype=bool)
+    for a in g.generators:
+        a = np.asarray(a.mapping, dtype=np.intp)
+        central &= (a[m] == m[:, a]).all(axis=1)  # row j: a g_j == g_j a
+    return int(central.sum())
+
+
+def group_fingerprint(g: PermGroup) -> GroupFingerprint:
     hist: dict[int, int] = {}
-    for o in orders:
+    for p in g.elements:
+        o = p.order()
         hist[o] = hist.get(o, 0) + 1
     exponent = reduce(lambda a, b: a * b // gcd(a, b), hist, 1)
-    abelian = True
-    center = 0
-    for i in range(count):
-        left = m[i][m]        # row j: g_i o g_j
-        right = m[:, m[i]]    # row j: g_j o g_i
-        same = (left == right).all(axis=1)
-        center += bool(same.all())
-        abelian = abelian and bool(same.all())
+    center = _center_order(g)
     return GroupFingerprint(
-        order=count,
-        abelian=abelian,
+        order=g.order,
+        abelian=center == g.order,
         exponent=exponent,
         element_order_histogram=tuple(sorted(hist.items())),
         center_order=center,

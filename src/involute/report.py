@@ -22,7 +22,7 @@ from .permgroups import (
     signed_aut_group,
     to_cayley_table,
 )
-from .semigroups import FiniteSemigroup
+from .semigroups import FiniteSemigroup, generating_set
 
 
 def _catalog_for_order(m: int):
@@ -65,34 +65,36 @@ def _catalog_for_order(m: int):
     return out
 
 
-def identify_group(g: PermGroup, *, budget=None) -> list[tuple[str, bool]]:
+def identify_group(
+    g: PermGroup, fingerprint: GroupFingerprint, *, budget=None
+) -> list[tuple[str, bool]]:
     """Match a materialized group against the named catalog of its order.
 
-    Returns (descriptor, matched) verdicts; the fingerprint filters first,
-    an exact isomorphism search decides.  Groups too large to tabulate get
-    no verdicts.
+    Returns (descriptor, matched) verdicts; ``fingerprint``, which must be
+    ``group_fingerprint(g)``, filters first, an exact isomorphism search
+    decides.  Groups too large to tabulate get no verdicts.
     """
     from .semigroups import TABLE_CAP
 
     if g.order > TABLE_CAP:
         return []
-    table = to_cayley_table(g)
-    fp = group_fingerprint(g)
+    table = None
     verdicts = []
     for name, cand in _catalog_for_order(g.order):
-        cand_group = _left_regular_group(cand)
-        if group_fingerprint(cand_group) != fp:
+        if group_fingerprint(_left_regular_group(cand)) != fingerprint:
             verdicts.append((name, False))
             continue
+        table = to_cayley_table(g) if table is None else table
         verdicts.append((name, find_isomorphism(table, cand, budget=budget) is not None))
     return verdicts
 
 
 def _left_regular_group(table: FiniteSemigroup) -> PermGroup:
     """A group table's rows are permutations and already form a group: the
-    left regular representation."""
+    left regular representation.  Row x times row y is row xy, so the rows
+    of a generating set of the table generate it."""
     rows = [Permutation(table.table[i]) for i in range(table.n)]
-    return PermGroup(table.n, rows, rows)
+    return PermGroup(table.n, [rows[i] for i in generating_set(table)], rows)
 
 
 @dataclass(frozen=True)
@@ -154,6 +156,7 @@ def analyze(
     c = closure(invs.elements, degree=s.n, cap=order_cap)
     g = closure(j_set.elements, degree=s.n, cap=order_cap)
     signed = signed_aut_group(s, budget=budget)
+    c_fingerprint = group_fingerprint(c)
 
     proper = _proper_involutions(invs, s)
     split_law = None
@@ -180,11 +183,11 @@ def analyze(
         c_order=c.order,
         g_order=g.order,
         signed_order=signed.order,
-        c_fingerprint=group_fingerprint(c),
+        c_fingerprint=c_fingerprint,
         proper_involution_exists=bool(proper),
         split_law_ok=split_law,
         central_law_ok=central_law,
-        identifications=tuple(identify_group(c, budget=budget)),
+        identifications=tuple(identify_group(c, c_fingerprint, budget=budget)),
         automorphisms=tuple(tuple(p.mapping) for p in auts),
         anti_automorphisms=tuple(tuple(p.mapping) for p in antis),
         involution_maps=tuple(tuple(p.mapping) for p in invs),

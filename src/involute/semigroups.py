@@ -354,17 +354,22 @@ def _compute_fingerprints(s: FiniteSemigroup) -> tuple[ElementFingerprint, ...]:
     return tuple(out)
 
 
-def close_under(seeds, gens, product, *, cap: int | None = None) -> set:
+def close_under(seeds, gens, product, *, cap: int | None = None, members: set | None = None) -> set:
     """The smallest set that contains ``seeds`` and is closed under
     ``x -> product(x, g)`` for every ``g`` in ``gens``.
 
     A worklist: each member is multiplied by every generator exactly once.
     Raises :class:`OrderBudgetExceededError` the moment a ``cap + 1``-th
     element would be added.
+
+    ``members``, if given, is grown in place and returned.  Its elements
+    count as already expanded and are never multiplied again, so the caller
+    vouches that their products by ``gens`` lie in the result: either they
+    are already members or the caller passes them among the ``seeds``.
     """
     gens = list(gens)
     limit = float("inf") if cap is None else cap
-    members: set = set()
+    members = set() if members is None else members
     work: list = []
     batch = seeds
     while True:

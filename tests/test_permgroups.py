@@ -1,20 +1,28 @@
 import random
+from collections import Counter
 from itertools import permutations
+from math import lcm
 
+import numpy as np
 import pytest
 
+from involute.battery import _aut_as_group
 from involute.errors import NotAGroupError, OrderBudgetExceededError
 from involute.families import (
+    alternating_group_table,
     cyclic_group,
+    dihedral_group,
     direct_product_table,
+    elementary_abelian_two_group,
     full_transformation_monoid,
     klein_four,
     rectangular_band,
     sym_group_table,
 )
-from involute.morphisms import enumerate_automorphisms, find_isomorphism
+from involute.morphisms import enumerate_automorphisms, find_isomorphism, involutions
 from involute.perms import Permutation
 from involute.permgroups import (
+    GroupFingerprint,
     c_group,
     closure,
     derived_subgroup,
@@ -25,7 +33,15 @@ from involute.permgroups import (
     to_cayley_table,
     two_involution_factorization,
 )
+from involute.report import _left_regular_group
 from involute.semigroups import validate
+
+
+def _random_generator_sets(seed, count=40, max_degree=7):
+    rng = random.Random(seed)
+    for _ in range(count):
+        degree = rng.randint(1, max_degree)
+        yield [rng.sample(range(degree), degree) for _ in range(rng.randint(1, 3))]
 
 
 def test_closure_examples():
@@ -50,6 +66,111 @@ def test_closure_order_matches_sympy():
             [combinatorics.Permutation(g) for g in gens]
         ).order()
         assert closure([Permutation(g) for g in gens]).order == expected
+
+
+def test_closure_keeps_only_generators_outside_the_group_so_far():
+    tables = (sym_group_table(4), alternating_group_table(4), dihedral_group(6))
+    cases = [[Permutation(g) for g in gens] for gens in _random_generator_sets(0x9E7)]
+    cases += [list(involutions(t).elements) for t in tables]
+    for gens in cases:
+        g = closure(gens)
+        kept = list(g.generators)
+        assert set(kept) <= set(gens)
+        first_seen = [gens.index(p) for p in kept]
+        assert first_seen == sorted(first_seen)  # in input order
+        for i, p in enumerate(kept):
+            assert p not in closure(kept[:i], degree=g.degree)
+
+
+_INVARIANT_TABLES = {
+    "Sym(3)": sym_group_table(3),
+    "band 2x2": rectangular_band(2, 2),
+    "Z_12": cyclic_group(12),
+    "T_3": full_transformation_monoid(3),
+}
+
+_GROUP_SOURCES = {
+    "closure": lambda s: closure(enumerate_automorphisms(s).elements, degree=s.n),
+    "c_group": c_group,
+    "g_group": g_group,
+    "signed_aut_group": signed_aut_group,
+    "left_regular": _left_regular_group,
+    "aut_as_group": _aut_as_group,
+}
+
+
+@pytest.mark.parametrize(
+    "source, table",
+    [
+        (source, table)
+        for source in sorted(_GROUP_SOURCES)
+        for table in sorted(_INVARIANT_TABLES)
+        # the left regular representation needs a group table
+        if source != "left_regular" or table in ("Sym(3)", "Z_12")
+    ],
+)
+def test_generators_generate_the_elements(source, table):
+    g = _GROUP_SOURCES[source](_INVARIANT_TABLES[table])
+    assert closure(g.generators, degree=g.degree) == g
+
+
+def _reference_fingerprint(g):
+    """The O(|G|^2) reference: the centre and abelianness from all pairs,
+    [G, G] as the closure of all |G|^2 commutators."""
+    m = np.asarray([p.mapping for p in g.elements], dtype=np.int32)
+    invm = np.argsort(m, axis=1)
+    center = 0
+    comms = set()
+    for i in range(len(m)):
+        left = m[i][m]        # row j: g_i o g_j
+        right = m[:, m[i]]    # row j: g_j o g_i
+        center += bool((left == right).all())
+        conj = left[:, invm[i]]                        # g_i o g_j o g_i^-1
+        full = np.take_along_axis(conj, invm, axis=1)  # ... o g_j^-1
+        comms.update(map(tuple, full.tolist()))
+    hist = Counter(p.order() for p in g.elements)
+    return GroupFingerprint(
+        order=len(m),
+        abelian=center == len(m),
+        exponent=lcm(*hist),
+        element_order_histogram=tuple(sorted(hist.items())),
+        center_order=center,
+        derived_order=closure([Permutation(c) for c in comms], degree=g.degree).order,
+    )
+
+
+def _fingerprint_cases(max_degree):
+    for gens in _random_generator_sets(0xF1A7, max_degree=max_degree):
+        yield [Permutation(g) for g in gens], len(gens[0])
+    for t in (
+        sym_group_table(4),
+        alternating_group_table(4),
+        rectangular_band(1, 5),
+        elementary_abelian_two_group(3),
+        dihedral_group(6),
+    ):
+        yield list(involutions(t).elements), t.n
+
+
+def test_group_fingerprint_matches_the_quadratic_reference():
+    # degree 6 keeps the |G|^2 reference to at most 720^2 pairs; it takes
+    # tens of seconds on Sym(7), which the sympy test below covers
+    for gens, degree in _fingerprint_cases(max_degree=6):
+        g = closure(gens, degree=degree)
+        assert group_fingerprint(g) == _reference_fingerprint(g), gens
+
+
+def test_group_fingerprint_matches_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for gens, degree in _fingerprint_cases(max_degree=7):
+        fp = group_fingerprint(closure(gens, degree=degree))
+        sg = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(p.mapping)) for p in gens]
+            or [combinatorics.Permutation(list(range(degree)))]
+        )
+        assert fp.center_order == sg.center().order()
+        assert fp.derived_order == sg.derived_subgroup().order()
+        assert fp.abelian == sg.is_abelian
 
 
 def test_closure_idempotence():

@@ -28,6 +28,29 @@ def test_analyze_klein_report(klein):
     assert not r.proper_involution_exists
 
 
+def test_analyze_fingerprints_c_once(klein, monkeypatch):
+    from involute import report
+
+    degrees = []
+    real = report.group_fingerprint
+
+    def counting(g):
+        degrees.append(g.degree)
+        return real(g)
+
+    monkeypatch.setattr(report, "group_fingerprint", counting)
+    r = report.analyze(klein)
+    # C acts on the 4 elements; the catalog candidates on their 6
+    assert degrees.count(4) == 1 and r.c_fingerprint.order == 6
+
+
+@pytest.mark.stretch
+def test_analyze_sym6_c_invariants():
+    r = analyze(sym_group_table(6), name="Sym6")
+    fp = r.c_fingerprint
+    assert (r.c_order, fp.center_order, fp.derived_order, fp.exponent) == (2880, 2, 360, 120)
+
+
 def test_analyze_t3_report():
     r = analyze(full_transformation_monoid(3), name="T3")
     assert (r.n_automorphisms, r.n_anti_automorphisms, r.c_order) == (6, 0, 1)
@@ -145,6 +168,8 @@ def test_cli_rejects_removed_flags(argv):
         ["verify", "--budget-nodes", "-1"],
         ["verify", "--budget-order", "-7"],
         ["trace", "nf", "ab", "--bound", "-1"],
+        ["factor", "id", "--degree", "-3"],
+        ["factor", "()", "--degree", "-3"],
     ],
 )
 def test_cli_rejects_negative_counts(argv):
