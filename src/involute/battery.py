@@ -527,16 +527,12 @@ def _random_transformation_semigroup(rng):
         k = rng.randint(1, 2)
         maps = [tuple(rng.randrange(m) for _ in range(m)) for _ in range(k)]
         try:
-            elems = close_under(maps, maps, lambda f, g: tuple(f[x] for x in g), cap=6)
+            elems = close_under(maps, maps, compose, cap=6)
         except OrderBudgetExceededError:
             continue
         order = sorted(elems)
         index = {f: i for i, f in enumerate(order)}
-        table = [
-            [index[tuple(f[g[x]] for x in range(m))] for g in order]
-            for f in order
-        ]
-        return validate(table)
+        return validate([[index[compose(f, g)] for g in order] for f in order])
     return families.cyclic_group(rng.randint(2, 6))
 
 

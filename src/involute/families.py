@@ -13,11 +13,10 @@ are reproducible:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .errors import OrderBudgetExceededError
-from .perms import Permutation
+from .perms import Permutation, compose
 from .semigroups import FiniteSemigroup, TABLE_CAP, validate
 
 
@@ -61,7 +60,16 @@ def klein_four() -> FiniteSemigroup:
     return direct_product_table(cyclic_group(2), cyclic_group(2))
 
 
-@lru_cache(maxsize=None)
+def _cayley_table(elems, mult, names) -> FiniteSemigroup:
+    """The table of ``mult`` on ``elems``, element i being ``elems[i]``."""
+    index = {x: i for i, x in enumerate(elems)}
+    try:
+        table = [[index[mult(a, b)] for b in elems] for a in elems]
+    except KeyError:
+        raise AssertionError("the elements are not closed under the product") from None
+    return validate(table, names=names)
+
+
 def sym_group_table(n: int) -> FiniteSemigroup:
     """Sym(n) as a Cayley table over the lexicographically sorted permutations."""
     if n < 1:
@@ -69,16 +77,9 @@ def sym_group_table(n: int) -> FiniteSemigroup:
     if n > 7:
         raise OrderBudgetExceededError(5040)
     elems = sorted(permutations(range(n)))
-    index = {p: i for i, p in enumerate(elems)}
-    table = [
-        [index[tuple(a[b[x]] for x in range(n))] for b in elems]
-        for a in elems
-    ]
-    names = [Permutation(p).cycle_string() for p in elems]
-    return validate(table, names=names)
+    return _cayley_table(elems, compose, [Permutation(p).cycle_string() for p in elems])
 
 
-@lru_cache(maxsize=None)
 def full_transformation_monoid(n: int) -> FiniteSemigroup:
     """T_n: all maps on n points under composition (right factor acts first)."""
     if n < 1:
@@ -86,16 +87,9 @@ def full_transformation_monoid(n: int) -> FiniteSemigroup:
     if n > 4:
         raise OrderBudgetExceededError(4**4)
     elems = list(product(range(n), repeat=n))
-    index = {f: i for i, f in enumerate(elems)}
-    table = [
-        [index[tuple(f[g[x]] for x in range(n))] for g in elems]
-        for f in elems
-    ]
-    names = ["[" + " ".join(map(str, f)) + "]" for f in elems]
-    return validate(table, names=names)
+    return _cayley_table(elems, compose, ["[" + " ".join(map(str, f)) + "]" for f in elems])
 
 
-@lru_cache(maxsize=None)
 def symmetric_inverse_monoid(n: int) -> FiniteSemigroup:
     """I_n: all partial bijections on n points."""
     if n < 1:
@@ -108,7 +102,6 @@ def symmetric_inverse_monoid(n: int) -> FiniteSemigroup:
             for img in permutations(range(n), k):
                 elems.append((dom, img))
     elems.sort()
-    index = {f: i for i, f in enumerate(elems)}
 
     def compose_partial(f, g):
         # (f o g)(x) = f(g(x)) wherever defined
@@ -124,15 +117,11 @@ def symmetric_inverse_monoid(n: int) -> FiniteSemigroup:
         img = tuple(y for _, y in pairs)
         return dom, img
 
-    table = [
-        [index[compose_partial(f, g)] for g in elems]
-        for f in elems
-    ]
     names = [
         "{" + ", ".join(f"{x}>{y}" for x, y in zip(dom, img)) + "}"
         for dom, img in elems
     ]
-    return validate(table, names=names)
+    return _cayley_table(elems, compose_partial, names)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +199,6 @@ def _partition_name(p: tuple, n: int) -> str:
     )
 
 
-@lru_cache(maxsize=None)
 def partition_monoid(n: int) -> FiniteSemigroup:
     """P_n: all partitions of the 2n points, under diagram stacking."""
     if n < 1:
@@ -218,13 +206,9 @@ def partition_monoid(n: int) -> FiniteSemigroup:
     if n > 3:
         raise OrderBudgetExceededError(TABLE_CAP)
     elems = sorted(_all_rgs(2 * n))
-    index = {p: i for i, p in enumerate(elems)}
-    table = [
-        [index[compose_partitions(p, q, n)] for q in elems]
-        for p in elems
-    ]
-    names = [_partition_name(p, n) for p in elems]
-    return validate(table, names=names)
+    return _cayley_table(
+        elems, lambda p, q: compose_partitions(p, q, n), [_partition_name(p, n) for p in elems]
+    )
 
 
 def star_map(n: int) -> Permutation:
@@ -234,7 +218,6 @@ def star_map(n: int) -> Permutation:
     return Permutation(index[flip_partition(p, n)] for p in elems)
 
 
-@lru_cache(maxsize=None)
 def dual_symmetric_inverse_monoid(n: int) -> FiniteSemigroup:
     """I*_n: block bijections, realized inside the partition monoid as the
     partitions whose every block meets both rows."""
@@ -249,17 +232,9 @@ def dual_symmetric_inverse_monoid(n: int) -> FiniteSemigroup:
         return tops == bots == set(p)
 
     elems = sorted(p for p in _all_rgs(2 * n) if both_rows(p))
-    index = {p: i for i, p in enumerate(elems)}
-    table = []
-    for p in elems:
-        row = []
-        for q in elems:
-            r = compose_partitions(p, q, n)
-            assert r in index, "block bijections failed to close under product"
-            row.append(index[r])
-        table.append(row)
-    names = [_partition_name(p, n) for p in elems]
-    return validate(table, names=names)
+    return _cayley_table(
+        elems, lambda p, q: compose_partitions(p, q, n), [_partition_name(p, n) for p in elems]
+    )
 
 
 def rectangular_band(p: int, q: int) -> FiniteSemigroup:
@@ -341,7 +316,6 @@ def dihedral_group(k: int) -> FiniteSemigroup:
 def quaternion_group() -> FiniteSemigroup:
     """Q_8 with elements 1, -1, i, -i, j, -j, k, -k."""
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    index = {s: x for x, s in enumerate(names)}
 
     def neg(s):
         return s[1:] if s.startswith("-") else "-" + s
@@ -366,8 +340,7 @@ def quaternion_group() -> FiniteSemigroup:
         out = base[(a, b)]
         return neg(out) if sign else out
 
-    table = [[index[mult(a, b)] for b in names] for a in names]
-    return validate(table, names=names)
+    return _cayley_table(names, mult, names)
 
 
 def elementary_abelian_two_group(k: int) -> FiniteSemigroup:
@@ -387,10 +360,4 @@ def alternating_group_table(n: int) -> FiniteSemigroup:
     if n > 6:
         raise OrderBudgetExceededError(360)
     elems = [p for p in sorted(permutations(range(n))) if Permutation(p).parity() == 0]
-    index = {p: i for i, p in enumerate(elems)}
-    table = [
-        [index[tuple(a[b[x]] for x in range(n))] for b in elems]
-        for a in elems
-    ]
-    names = [Permutation(p).cycle_string() for p in elems]
-    return validate(table, names=names)
+    return _cayley_table(elems, compose, [Permutation(p).cycle_string() for p in elems])

@@ -18,12 +18,17 @@ class SimpleGraph:
     """An undirected graph without loops or parallel edges."""
 
     def __init__(self, n: int, edges):
-        if n < 0:
-            raise InputFormatError("vertex count must be non-negative")
+        # type() rather than isinstance(): bool is a subclass of int
+        if type(n) is not int or n < 0:
+            raise InputFormatError("vertex count must be a non-negative integer")
+        if not isinstance(edges, (list, tuple)):
+            raise InputFormatError("edges must be a list of vertex pairs")
         canon = set()
         for e in edges:
+            if not (isinstance(e, (list, tuple)) and len(e) == 2
+                    and all(type(x) is int for x in e)):
+                raise InputFormatError(f"edge {e!r} is not a pair of integer vertices")
             u, v = e
-            u, v = int(u), int(v)
             if u == v:
                 raise InputFormatError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -193,7 +198,7 @@ def graph_to_json_dict(g: SimpleGraph) -> dict:
 def graph_from_json_dict(doc) -> SimpleGraph:
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise InputFormatError("expected an object with 'n' and 'edges'")
-    return SimpleGraph(int(doc["n"]), doc["edges"])
+    return SimpleGraph(doc["n"], doc["edges"])
 
 
 def load_graph(path) -> SimpleGraph:

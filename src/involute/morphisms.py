@@ -245,11 +245,16 @@ def enumerate_isomorphism_mappings(
     return _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit)
 
 
-def _memo(s: FiniteSemigroup, key, build):
-    cache = s.__dict__.setdefault("_morphism_cache", {})
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+def _memo(s: FiniteSemigroup, key: str, build):
+    """``build()``, computed once per instance and kept in ``s.search_cache``.
+
+    The key is what was searched for, not the budget: a budget bounds the
+    search work actually done, and a cache hit does none.  A search that
+    exceeds its budget raises before anything is stored.
+    """
+    if key not in s.search_cache:
+        s.search_cache[key] = build()
+    return s.search_cache[key]
 
 
 def enumerate_automorphisms(s: FiniteSemigroup, *, budget: int | None = None) -> MorphismSet:
@@ -259,7 +264,7 @@ def enumerate_automorphisms(s: FiniteSemigroup, *, budget: int | None = None) ->
         maps = enumerate_isomorphism_mappings(s, s, budget=budget)
         return MorphismSet(tuple(Permutation(m) for m in maps))
 
-    return _memo(s, ("aut", budget), build)
+    return _memo(s, "aut", build)
 
 
 def enumerate_anti_automorphisms(s: FiniteSemigroup, *, budget: int | None = None) -> MorphismSet:
@@ -288,7 +293,7 @@ def enumerate_anti_automorphisms(s: FiniteSemigroup, *, budget: int | None = Non
                 raise AssertionError("composition trick produced a non-anti-morphism")
         return MorphismSet(tuple(Permutation(m) for m in composed))
 
-    return _memo(s, ("anti", budget), build)
+    return _memo(s, "anti", build)
 
 
 def involutions(s: FiniteSemigroup, *, budget: int | None = None) -> MorphismSet:

@@ -175,7 +175,7 @@ def derived_subgroup(g: PermGroup, *, cap=None) -> PermGroup:
 
 @dataclass(frozen=True)
 class GroupFingerprint:
-    """Isomorphism-invariant summary used to pre-filter identification."""
+    """Isomorphism-invariant summary of a group, as the report shows it."""
 
     order: int
     abelian: bool

@@ -22,7 +22,7 @@ from .permgroups import (
     signed_aut_group,
     to_cayley_table,
 )
-from .semigroups import FiniteSemigroup, generating_set
+from .semigroups import FiniteSemigroup
 
 
 def _catalog_for_order(m: int):
@@ -65,36 +65,24 @@ def _catalog_for_order(m: int):
     return out
 
 
-def identify_group(
-    g: PermGroup, fingerprint: GroupFingerprint, *, budget=None
-) -> list[tuple[str, bool]]:
+def identify_group(g: PermGroup, *, budget=None) -> list[tuple[str, bool]]:
     """Match a materialized group against the named catalog of its order.
 
-    Returns (descriptor, matched) verdicts; ``fingerprint``, which must be
-    ``group_fingerprint(g)``, filters first, an exact isomorphism search
-    decides.  Groups too large to tabulate get no verdicts.
+    Returns (descriptor, matched) verdicts, each decided by an exact
+    isomorphism search from the Cayley table of g to the candidate.  The
+    search rejects a candidate at once when the element fingerprints
+    differ, which on a group means the element orders.  Groups too large to
+    tabulate get no verdicts.
     """
     from .semigroups import TABLE_CAP
 
     if g.order > TABLE_CAP:
         return []
-    table = None
-    verdicts = []
-    for name, cand in _catalog_for_order(g.order):
-        if group_fingerprint(_left_regular_group(cand)) != fingerprint:
-            verdicts.append((name, False))
-            continue
-        table = to_cayley_table(g) if table is None else table
-        verdicts.append((name, find_isomorphism(table, cand, budget=budget) is not None))
-    return verdicts
-
-
-def _left_regular_group(table: FiniteSemigroup) -> PermGroup:
-    """A group table's rows are permutations and already form a group: the
-    left regular representation.  Row x times row y is row xy, so the rows
-    of a generating set of the table generate it."""
-    rows = [Permutation(table.table[i]) for i in range(table.n)]
-    return PermGroup(table.n, [rows[i] for i in generating_set(table)], rows)
+    table = to_cayley_table(g)
+    return [
+        (name, find_isomorphism(table, cand, budget=budget) is not None)
+        for name, cand in _catalog_for_order(g.order)
+    ]
 
 
 @dataclass(frozen=True)
@@ -187,7 +175,7 @@ def analyze(
         proper_involution_exists=bool(proper),
         split_law_ok=split_law,
         central_law_ok=central_law,
-        identifications=tuple(identify_group(c, c_fingerprint, budget=budget)),
+        identifications=tuple(identify_group(c, budget=budget)),
         automorphisms=tuple(tuple(p.mapping) for p in auts),
         anti_automorphisms=tuple(tuple(p.mapping) for p in antis),
         involution_maps=tuple(tuple(p.mapping) for p in invs),

@@ -37,6 +37,8 @@ class FiniteSemigroup:
         self.n = len(table)
         self.names = names
         self.identity = identity
+        #: results of searches on this table, filled by :mod:`involute.morphisms`
+        self.search_cache: dict = {}
 
     @cached_property
     def np_table(self) -> np.ndarray:
@@ -59,21 +61,8 @@ class FiniteSemigroup:
         return self.table[i][j]
 
     def dual(self) -> "FiniteSemigroup":
-        """The opposite semigroup (transposed table); memoized."""
-        cached = self.__dict__.get("_dual")
-        if cached is not None:
-            return cached
-        n = self.n
-        t = self.table
-        dual_table = tuple(tuple(t[j][i] for j in range(n)) for i in range(n))
-        out = FiniteSemigroup.__new__(FiniteSemigroup)
-        out.table = dual_table
-        out.n = n
-        out.names = self.names
-        out.identity = self.identity
-        out._dual = self
-        self._dual = out
-        return out
+        """The opposite semigroup: the transposed table, a new instance."""
+        return FiniteSemigroup(tuple(zip(*self.table)), self.names, self.identity, _checked=True)
 
     def name_of(self, x: int) -> str:
         return self.names[x] if self.names is not None else str(x)
@@ -93,8 +82,9 @@ def validate(table, names=None) -> FiniteSemigroup:
 
     The table must be a list (or tuple) of rows of plain integers; floats,
     booleans and strings raise :class:`InputFormatError`, entries outside
-    0..n-1 raise :class:`IndexOutOfRangeError`.  Detects and records an
-    identity element if one exists.
+    0..n-1 raise :class:`IndexOutOfRangeError`.  ``names``, if given, must
+    be a list of n strings.  Detects and records an identity element if one
+    exists.
 
     Associativity is checked by Light's test in O(n^2 |A|) rather than
     O(n^3): ``A`` is a set whose right closure (close A under x -> x*a for
@@ -145,7 +135,9 @@ def validate(table, names=None) -> FiniteSemigroup:
     if names is not None:
         if not isinstance(names, _SEQUENCES):
             raise InputFormatError("names must be a list")
-        names = tuple(str(s) for s in names)
+        names = tuple(names)
+        if not all(type(s) is str for s in names):
+            raise InputFormatError("names must be strings")
         if len(names) != n:
             raise InputFormatError("names list length differs from table size")
     ident = np.arange(n, dtype=np.int32)

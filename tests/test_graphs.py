@@ -109,6 +109,9 @@ def test_graph_json_roundtrip():
     assert graph_from_json_dict(graph_to_json_dict(g)) == g
     with pytest.raises(InputFormatError):
         graph_from_json_dict({"n": 3})
+    for n in (True, "2"):  # the other bad cases go through `construct frucht`
+        with pytest.raises(InputFormatError):
+            graph_from_json_dict({"n": n, "edges": []})
 
 
 def test_parse_edge_list():

@@ -1,9 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import brute_morphisms
-from involute.battery import _completeness_corpus
+from involute.battery import _completeness_corpus, _split_law_corpus, run_battery
 from involute import morphisms
 from involute.errors import DegreeMismatchError, NotAnInvolutionError, SearchBudgetExceededError
 from involute.families import (
@@ -202,8 +203,13 @@ def test_fingerprint_preservation_under_morphisms():
 
 
 def test_search_budget_is_enforced():
+    s = sym_group_table(4)
     with pytest.raises(SearchBudgetExceededError):
-        enumerate_automorphisms(sym_group_table(4), budget=5)
+        enumerate_automorphisms(s, budget=5)
+    # a budget bounds the search work done, and a cache hit does none
+    auts = enumerate_automorphisms(s)
+    assert enumerate_automorphisms(s, budget=5) is auts
+    assert sym_group_table(4) is not s  # builders share no instances
 
 
 def test_search_budget_counts_dead_branches():
@@ -219,7 +225,7 @@ def test_search_budget_counts_dead_branches():
 
 
 def test_every_caller_shares_one_search(monkeypatch):
-    s = validate(sym_group_table(4).table)  # a fresh instance with an empty cache
+    s = sym_group_table(4)  # a fresh instance with an empty cache
     calls = []
     search = morphisms.enumerate_isomorphism_mappings
 
@@ -235,6 +241,29 @@ def test_every_caller_shares_one_search(monkeypatch):
     signed_aut_group(s)
     analyze(s)
     assert sorted(calls) == ["aut", "dual limit=1"]
+
+
+def test_a_check_searches_the_same_whatever_ran_before(monkeypatch):
+    searches = []
+    search = morphisms.enumerate_isomorphism_mappings
+
+    def counted(*args, **kwargs):
+        searches[-1] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(morphisms, "enumerate_isomorphism_mappings", counted)
+    for name in ("involution_split_laws", "partition_monoids", "involution_split_laws"):
+        searches.append(0)
+        assert run_battery(only={name})[0].passed
+    # every table of the check is searched afresh, the second time too
+    assert searches[2] == searches[0] >= len(_split_law_corpus())
+
+
+def test_the_source_keeps_no_shared_or_hidden_caches():
+    for path in sorted(Path(morphisms.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for word in ("lru_cache", "__dict__", "__new__"):
+            assert word not in text, (path.name, word)
 
 
 @pytest.fixture(scope="module")

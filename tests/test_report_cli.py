@@ -9,14 +9,24 @@ import pytest
 
 import involute
 from involute.cli import main
+from involute.errors import SearchBudgetExceededError
 from involute.families import (
     cyclic_group,
+    direct_product_table,
     doubled_semigroup,
     full_transformation_monoid,
     rectangular_band,
     sym_group_table,
 )
-from involute.report import analyze, report_to_json_dict, report_to_text
+from involute.permgroups import closure, group_fingerprint
+from involute.perms import Permutation
+from involute.report import (
+    _catalog_for_order,
+    analyze,
+    identify_group,
+    report_to_json_dict,
+    report_to_text,
+)
 from involute.semigroups import dump_table, load_table, validate
 
 
@@ -40,8 +50,48 @@ def test_analyze_fingerprints_c_once(klein, monkeypatch):
 
     monkeypatch.setattr(report, "group_fingerprint", counting)
     r = report.analyze(klein)
-    # C acts on the 4 elements; the catalog candidates on their 6
+    # once, for C on the 4 elements: catalog candidates are not fingerprinted
     assert degrees.count(4) == 1 and r.c_fingerprint.order == 6
+
+
+def _left_regular_group(table):
+    """The rows of a group table, which form a group isomorphic to it."""
+    return closure([Permutation(row) for row in table.table], degree=table.n)
+
+
+#: catalog entries of one order that name the same group
+_SAME_GROUP = [{"Z_2^2", "Z_2 x Sym(2)"}, {"Sym(3)", "D_3"}, {"Z_2 x Sym(3)", "D_6"}]
+
+
+def test_identify_group_matches_each_catalog_group_to_its_own_class():
+    for m in range(1, 49):
+        for name, cand in _catalog_for_order(m):
+            same = next((names for names in _SAME_GROUP if name in names), {name})
+            verdicts = identify_group(_left_regular_group(cand))
+            assert {n for n, ok in verdicts if ok} == same, (m, name)
+
+
+def _z4_semidirect_z4():
+    """Z_4 x| Z_4, (a, b)(c, d) = (a + (-1)^b c, b + d): non-abelian, with
+    the element orders of Z_4 x Z_4."""
+    elems = [(a, b) for a in range(4) for b in range(4)]
+    prod = {(x, y): ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 4)
+            for x in elems for y in elems}
+    return validate([[elems.index(prod[x, y]) for y in elems] for x in elems])
+
+
+def test_identify_group_decides_equal_element_orders_by_a_budgeted_search(monkeypatch):
+    from involute import report
+
+    c = _left_regular_group(direct_product_table(cyclic_group(4), cyclic_group(4)))
+    cand = _z4_semidirect_z4()
+    fc, fd = group_fingerprint(c), group_fingerprint(_left_regular_group(cand))
+    assert fc.element_order_histogram == fd.element_order_histogram
+    assert fc.abelian and not fd.abelian
+    monkeypatch.setattr(report, "_catalog_for_order", lambda m: [("Z_4 x| Z_4", cand)])
+    assert identify_group(c) == [("Z_4 x| Z_4", False)]
+    with pytest.raises(SearchBudgetExceededError):
+        identify_group(c, budget=1)
 
 
 @pytest.mark.stretch
@@ -125,10 +175,24 @@ def test_cli_construct_frucht(capsys):
         ["dual-inverse", "-1"],
         ["sym", "8"],
         ["product", "sym", "5", "sym", "5"],
+        ["frucht", {"n": 2.9, "edges": [[0, 1]]}],
+        ["frucht", {"n": 2, "edges": [[0.7, 1]]}],
+        ["frucht", {"n": 2, "edges": [["0", "1"]]}],
+        ["frucht", {"n": 2, "edges": [[True, 0]]}],
+        ["frucht", {"n": 3, "edges": [[0, 1, 2]]}],
+        ["frucht", {"n": 3, "edges": [5]}],
+        ["frucht", {"n": 3, "edges": 7}],
     ],
 )
-def test_cli_construct_rejects_bad_arguments_without_a_traceback(spec, capsys):
-    assert main(["construct", *spec]) == 2
+def test_cli_construct_rejects_bad_arguments_without_a_traceback(spec, tmp_path, capsys):
+    argv = ["construct"]
+    for arg in spec:
+        if isinstance(arg, dict):  # the contents of a graph file
+            path = tmp_path / "graph.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        argv.append(arg)
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -186,6 +250,7 @@ def test_cli_rejects_negative_counts(argv):
         {"table": [[0]], "names": 7},
         {"table": [[False]]},
         {"table": [["0"]]},
+        {"table": [[0, 0], [0, 0]], "names": [1, {"x": 2}]},
     ],
 )
 def test_cli_analyze_rejects_non_integer_tables(tmp_path, capsys, doc):
