@@ -34,7 +34,9 @@ from .semigroups import (
     validate,
 )
 from .morphisms import (
+    AutomorphismChain,
     MorphismSet,
+    automorphism_chain,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
     find_anti_isomorphism,

@@ -48,9 +48,9 @@ class NotAnInvolutionError(AlgebraError):
 class BudgetExceededError(AlgebraError):
     """Base class for the configurable resource caps."""
 
-    def __init__(self, limit, what: str):
+    def __init__(self, limit, what: str, message: str | None = None):
         self.limit = limit
-        super().__init__(f"{what} exceeded the configured cap of {limit}")
+        super().__init__(message or f"{what} exceeded the configured cap of {limit}")
 
 
 class SearchBudgetExceededError(BudgetExceededError):
@@ -59,8 +59,13 @@ class SearchBudgetExceededError(BudgetExceededError):
 
 
 class OrderBudgetExceededError(BudgetExceededError):
-    def __init__(self, limit):
-        super().__init__(limit, "group or table size")
+    """Past a size cap; ``layer`` and ``order`` name what was refused, when
+    its order is known before it is built."""
+
+    def __init__(self, limit, *, layer: str | None = None, order: int | None = None):
+        self.order = order
+        message = None if order is None else f"{layer} has order {order}, past the cap of {limit}"
+        super().__init__(limit, "group or table size", message)
 
 
 class LengthBudgetExceededError(BudgetExceededError):

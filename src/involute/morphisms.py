@@ -1,29 +1,40 @@
-"""Backtracking enumeration of bijective (anti-)morphisms between Cayley tables.
+"""Backtracking search for bijective (anti-)morphisms between Cayley tables.
 
-The engine enumerates isomorphisms S -> T by branching over the images of a
+The engine finds isomorphisms S -> T by branching over the images of a
 generating set of S, restricted to fingerprint-compatible targets, and
 extending every partial assignment by product saturation.  An
 anti-isomorphism S -> T is an isomorphism S -> dual(T), so the same engine
 serves both directions; the documented R/L and left/right fingerprint swap
 falls out of computing fingerprints on the dual table.
+
+Aut(S) is not enumerated leaf by leaf.  A generating set of S is a base for
+Aut(S), since an automorphism is fixed by the images of the generators, so
+the levels of the search tree form a stabiliser chain.
+:func:`automorphism_chain` runs one ``limit=1`` search per new orbit point
+(the orbit pruning of Leon's partition backtrack in its simplest form);
+|Aut(S)| is the product of the orbit lengths, and Aut(S) is listed as the
+products of the level transversals.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .errors import (
     DegreeMismatchError,
     NotAnInvolutionError,
+    OrderBudgetExceededError,
     SearchBudgetExceededError,
 )
-from .perms import Permutation, compose
-from .semigroups import FiniteSemigroup, generating_set
+from .perms import Permutation, compose, identity_tuple
+from .semigroups import DEFAULT_ORDER_BUDGET, FiniteSemigroup, generating_set
 
-#: Default cap on nodes for one search (configurable per call).
+#: Default cap on the nodes of one search, or of one automorphism chain
+#: summed over its searches (configurable per call).
 DEFAULT_NODE_BUDGET = 10**8
 
 
@@ -108,8 +119,12 @@ def _generator_certificate(s: FiniteSemigroup, t: FiniteSemigroup, gens, anti: b
     return holds
 
 
-def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit):
-    """Core backtracking loop; returns mapping tuples, lexicographically sorted.
+def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, steps=0):
+    """Core backtracking loop.
+
+    Returns the mapping tuples, lexicographically sorted, and the node count:
+    ``steps`` (the nodes already spent by earlier searches under the same
+    ``budget``) plus the nodes of this search.
 
     Every partial assignment is saturated by products with the placed
     generators on both sides, so each branch dies at its first
@@ -131,7 +146,6 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit):
     known: list[int] = []
     placed: list[tuple[int, int]] = []
     results: list[tuple[int, ...]] = []
-    steps = 0
 
     def rollback(base):
         while len(known) > base:
@@ -215,7 +229,26 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit):
 
     extend(0)
     results.sort()
-    return results
+    return results, steps
+
+
+def _search_plan(s: FiniteSemigroup, t: FiniteSemigroup):
+    """The search's generators, most-constrained first, with their
+    fingerprint-compatible candidate images and the shared fingerprint class
+    ids; None if no isomorphism S -> T can exist."""
+    if s.n != t.n:
+        return None
+    pair = _fingerprint_ids(s, t)
+    if pair is None:
+        return None
+    sid, tid = pair
+    by_class: dict[int, list[int]] = {}
+    for y, c in enumerate(tid):
+        by_class.setdefault(c, []).append(y)
+    gens = generating_set(s)
+    cand = [by_class.get(sid[g], []) for g in gens]
+    order = sorted(range(len(gens)), key=lambda i: (len(cand[i]), gens[i]))
+    return [gens[i] for i in order], [cand[i] for i in order], sid, tid
 
 
 def enumerate_isomorphism_mappings(
@@ -227,22 +260,109 @@ def enumerate_isomorphism_mappings(
 ) -> list[tuple[int, ...]]:
     """All isomorphisms S -> T as mapping tuples (or the first ``limit``)."""
     budget = DEFAULT_NODE_BUDGET if budget is None else budget
-    if s.n != t.n:
+    plan = _search_plan(s, t)
+    if plan is None:
         return []
-    pair = _fingerprint_ids(s, t)
-    if pair is None:
-        return []
-    sid, tid = pair
-    by_class: dict[int, list[int]] = {}
-    for y, c in enumerate(tid):
-        by_class.setdefault(c, []).append(y)
-    gens = generating_set(s)
-    cand = [by_class.get(sid[g], []) for g in gens]
-    # most-constrained generator first
-    order = sorted(range(len(gens)), key=lambda i: (len(cand[i]), gens[i]))
-    gens = [gens[i] for i in order]
-    cand = [cand[i] for i in order]
-    return _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit)
+    return _search_isomorphisms(s, t, *plan, budget, limit)[0]
+
+
+@dataclass(frozen=True)
+class AutomorphismChain:
+    """Aut(S) as a stabiliser chain along the search's generators.
+
+    ``base`` is g_0..g_{k-1}; ``transversals[i]`` maps each point of the
+    orbit of g_i under Aut_{g<i} (the automorphisms fixing g_0..g_{i-1}) to
+    a member of Aut_{g<i} that takes g_i there; ``generators`` are the
+    strong generators the searches found.
+    """
+
+    base: tuple[int, ...]
+    transversals: tuple[dict, ...]
+    generators: tuple[tuple[int, ...], ...]
+
+    @property
+    def order(self) -> int:
+        return prod(len(level) for level in self.transversals)
+
+    def mappings(self) -> list[tuple[int, ...]]:
+        """Every automorphism, sorted: the products u_0 u_1 ... u_{k-1} with
+        u_i in ``transversals[i]``.  a = u_0 a' with u_0 = transversals[0][a(g_0)]
+        and a' in Aut_{g_0}, and so on down the chain, so each automorphism
+        is exactly one such product and the list has no repeats.
+
+        Every level maps its base point to one shared identity tuple; a
+        product with it is the other factor itself, not a copy, so the
+        transversals cost no memory beyond the list."""
+        one = self.transversals[0][self.base[0]]
+        maps = [one]
+        for level in reversed(self.transversals):
+            maps = [
+                u if m is one else m if u is one else compose(u, m)
+                for u in level.values()
+                for m in maps
+            ]
+        maps.sort()
+        return maps
+
+
+def automorphism_chain(s: FiniteSemigroup, *, budget: int | None = None) -> AutomorphismChain:
+    """Aut(S) as a stabiliser chain, one ``limit=1`` search per new orbit point.
+
+    The levels run deepest first, i = k-1 down to 0.  At level i every
+    fingerprint-compatible candidate h for g_i that is not yet in the orbit
+    of g_i is searched for with g_0..g_{i-1} fixed and g_i -> h; a hit is a
+    certified automorphism in Aut_{g<i}, kept as a strong generator, and the
+    orbit and its transversal grow through every generator found at levels
+    >= i.  ``budget`` caps the nodes summed over all the searches.
+
+    Proof that after level i the generators found at levels >= i generate
+    A_i = Aut_{g<i} (so at level 0 they generate Aut(S)), by induction from
+    A_k = 1, the only automorphism fixing a generating set:  let H be the
+    group they generate.  H lies in A_i, and contains A_{i+1} by induction.
+    Every point h of the orbit g_i^{A_i} is either reached from g_i through
+    H already or is searched for; the search is complete, so it finds a
+    member of A_i taking g_i to h, which then joins H.  So g_i^H = g_i^{A_i},
+    and the stabiliser of g_i in H is H ∩ A_{i+1} = A_{i+1}.  By
+    orbit-stabiliser |H| = |g_i^{A_i}| |A_{i+1}| = |A_i|, so H = A_i.  The
+    same count gives |Aut(S)| = the product of the orbit lengths.
+    """
+    budget = DEFAULT_NODE_BUDGET if budget is None else budget
+
+    def build():
+        gens, cand, sid, tid = _search_plan(s, s)
+        one = identity_tuple(s.n)
+        levels: list[dict] = []  # deepest first
+        found: list[tuple[int, ...]] = []  # the generators of levels >= i
+        steps = 0
+        for i in reversed(range(len(gens))):
+            orbit = {gens[i]: one}
+            fixed = [[g] for g in gens[:i]]
+            for h in cand[i]:
+                if h in orbit:
+                    continue
+                hit, steps = _search_isomorphisms(
+                    s, s, gens, fixed + [[h]] + cand[i + 1:], sid, tid, budget, 1, steps
+                )
+                if hit:
+                    found.append(hit[0])
+                    _grow_orbit(orbit, found)
+            levels.append(orbit)
+        return AutomorphismChain(tuple(gens), tuple(reversed(levels)), tuple(found))
+
+    return _memo(s, "chain", build)
+
+
+def _grow_orbit(orbit: dict, gens) -> None:
+    """Close ``orbit`` (point -> a map taking the base point there) under
+    ``gens``: a new point q = g(p) gets the map g o orbit[p]."""
+    work = list(orbit)
+    while work:
+        p = work.pop()
+        for g in gens:
+            q = g[p]
+            if q not in orbit:
+                orbit[q] = compose(g, orbit[p])
+                work.append(q)
 
 
 def _memo(s: FiniteSemigroup, key: str, build):
@@ -257,18 +377,31 @@ def _memo(s: FiniteSemigroup, key: str, build):
     return s.search_cache[key]
 
 
-def enumerate_automorphisms(s: FiniteSemigroup, *, budget: int | None = None) -> MorphismSet:
-    """The complete automorphism group of S, canonically sorted."""
+def enumerate_automorphisms(
+    s: FiniteSemigroup, *, budget: int | None = None, cap: int | None = None
+) -> MorphismSet:
+    """The complete automorphism group of S, canonically sorted.
+
+    Listed from :func:`automorphism_chain`; raises
+    :class:`OrderBudgetExceededError` before any listing if |Aut(S)| is past
+    ``cap`` (default :data:`DEFAULT_ORDER_BUDGET`).  A list already cached is
+    returned whatever the cap.
+    """
 
     def build():
-        maps = enumerate_isomorphism_mappings(s, s, budget=budget)
-        return MorphismSet(tuple(Permutation(m) for m in maps))
+        chain = automorphism_chain(s, budget=budget)
+        limit = DEFAULT_ORDER_BUDGET if cap is None else cap
+        if chain.order > limit:
+            raise OrderBudgetExceededError(limit, layer="Aut(S)", order=chain.order)
+        return MorphismSet(tuple(map(Permutation, chain.mappings())))
 
     return _memo(s, "aut", build)
 
 
-def enumerate_anti_automorphisms(s: FiniteSemigroup, *, budget: int | None = None) -> MorphismSet:
-    """The complete set of anti-automorphisms of S.
+def enumerate_anti_automorphisms(
+    s: FiniteSemigroup, *, budget: int | None = None, cap: int | None = None
+) -> MorphismSet:
+    """The complete set of anti-automorphisms of S; ``cap`` as for Aut(S).
 
     On a commutative S this is Aut(S) itself.  Otherwise one
     anti-automorphism beta is found by searching for an isomorphism onto the
@@ -279,13 +412,13 @@ def enumerate_anti_automorphisms(s: FiniteSemigroup, *, budget: int | None = Non
 
     def build():
         if s.is_commutative:
-            auts = enumerate_automorphisms(s, budget=budget)
+            auts = enumerate_automorphisms(s, budget=budget, cap=cap)
             return MorphismSet(auts.elements)
         first = enumerate_isomorphism_mappings(s, s.dual(), budget=budget, limit=1)
         if not first:
             return MorphismSet(())
         beta = first[0]
-        auts = enumerate_automorphisms(s, budget=budget)
+        auts = enumerate_automorphisms(s, budget=budget, cap=cap)
         composed = sorted(compose(a.mapping, beta) for a in auts)
         anti_certified = _generator_certificate(s, s, generating_set(s), anti=True)
         for m in composed:
@@ -296,15 +429,19 @@ def enumerate_anti_automorphisms(s: FiniteSemigroup, *, budget: int | None = Non
     return _memo(s, "anti", build)
 
 
-def involutions(s: FiniteSemigroup, *, budget: int | None = None) -> MorphismSet:
+def involutions(
+    s: FiniteSemigroup, *, budget: int | None = None, cap: int | None = None
+) -> MorphismSet:
     """Anti-automorphisms of order exactly 2 (the identity never counts)."""
-    anti = enumerate_anti_automorphisms(s, budget=budget)
+    anti = enumerate_anti_automorphisms(s, budget=budget, cap=cap)
     return MorphismSet(tuple(a for a in anti if a.is_involution()))
 
 
-def order_two_automorphisms(s: FiniteSemigroup, *, budget: int | None = None) -> MorphismSet:
+def order_two_automorphisms(
+    s: FiniteSemigroup, *, budget: int | None = None, cap: int | None = None
+) -> MorphismSet:
     """Automorphisms alpha with alpha^2 = 1, identity included."""
-    auts = enumerate_automorphisms(s, budget=budget)
+    auts = enumerate_automorphisms(s, budget=budget, cap=cap)
     return MorphismSet(tuple(a for a in auts if a.is_identity() or a.is_involution()))
 
 

@@ -6,26 +6,31 @@ Every group is materialized element by element with the worklist closure
 built so far, so C(Sym(6)) keeps 7 of its 112 involutions.  The invariants
 are computed from those generators: the centre is the centralizer of the
 generators and the derived subgroup is the normal closure of their
-commutators, so nothing costs O(|G|^2).  Orders and membership still come
-from the element set; there are no stabilizer chains.
+commutators, so nothing costs O(|G|^2).  Element orders come from numpy
+pointer doubling over all elements at once, not from a cycle walk per
+element.  Aut(S) itself is a stabiliser chain
+(:func:`~involute.morphisms.automorphism_chain`), but the groups built here
+are materialized, and their orders and membership come from the element set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
-from math import gcd
+from math import lcm
 
 import numpy as np
 
 from .errors import NotAGroupError, OrderBudgetExceededError
 from .morphisms import involutions, order_two_automorphisms, enumerate_automorphisms, enumerate_anti_automorphisms
 from .perms import Permutation, compose, identity_tuple, invert
-from .semigroups import FiniteSemigroup, close_under, closure_of_subset, validate
-
-#: Default cap on materialized group order.
-DEFAULT_ORDER_BUDGET = 10**6
+from .semigroups import (
+    DEFAULT_ORDER_BUDGET,
+    FiniteSemigroup,
+    close_under,
+    closure_of_subset,
+    validate,
+)
 
 
 class PermGroup:
@@ -126,13 +131,13 @@ def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
 
 def c_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
     """C(S): the subgroup of Sym(S) generated by all involutions of S."""
-    inv = involutions(s, budget=budget)
+    inv = involutions(s, budget=budget, cap=cap)
     return closure(inv.elements, degree=s.n, cap=cap)
 
 
 def g_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
     """G(S): the subgroup generated by the order-at-most-2 automorphisms."""
-    j = order_two_automorphisms(s, budget=budget)
+    j = order_two_automorphisms(s, budget=budget, cap=cap)
     return closure(j.elements, degree=s.n, cap=cap)
 
 
@@ -188,11 +193,10 @@ class GroupFingerprint:
         return dict(self.element_order_histogram)
 
 
-def _center_order(g: PermGroup) -> int:
+def _center_order(g: PermGroup, m: np.ndarray) -> int:
     """|Z(G)| as the number of elements that commute with every generator:
     such an element commutes with every product of generators, which is
-    every element of G."""
-    m = np.asarray([p.mapping for p in g.elements], dtype=np.int32)
+    every element of G.  ``m`` holds the elements, one per row."""
     central = np.ones(len(m), dtype=bool)
     for a in g.generators:
         a = np.asarray(a.mapping, dtype=np.intp)
@@ -200,17 +204,47 @@ def _center_order(g: PermGroup) -> int:
     return int(central.sum())
 
 
+def _element_orders(m: np.ndarray) -> np.ndarray:
+    """The order of each permutation in the rows of ``m``: the lcm of its
+    cycle lengths.  The rows go in blocks of about 2^17 entries, so that the
+    gathers stay in cache."""
+    step = max(1, 2**17 // max(1, m.shape[1]))
+    return np.concatenate([_block_orders(m[i:i + step]) for i in range(0, len(m), step)])
+
+
+def _block_orders(m: np.ndarray) -> np.ndarray:
+    """:func:`_element_orders` on one block.
+
+    Points are numbered row * n + x in the flattened block.  Each is
+    labelled with the least point of its cycle by pointer doubling: after r
+    rounds ``jump`` is p^(2^r) and ``label[x]`` is the least of x, p(x), ...,
+    p^(2^r - 1)(x), since the new label of x is the least of the labels of x
+    and p^(2^r)(x).  Once 2^r reaches the degree it covers every cycle, so a
+    point's cycle length is the number of points with its label.  That is
+    log2(n) rounds, not one per step round the longest cycle.  The orders
+    divide |G|, so the lcm does not overflow.
+    """
+    n = m.shape[1]
+    jump = (m + n * np.arange(len(m))[:, None]).ravel()
+    label = np.arange(m.size)
+    span = 1
+    while span < n:
+        label = np.minimum(label, label[jump])
+        jump = jump[jump]
+        span *= 2
+    lengths = np.bincount(label, minlength=m.size)[label].reshape(m.shape)
+    return np.lcm.reduce(lengths, axis=1, initial=1)
+
+
 def group_fingerprint(g: PermGroup) -> GroupFingerprint:
-    hist: dict[int, int] = {}
-    for p in g.elements:
-        o = p.order()
-        hist[o] = hist.get(o, 0) + 1
-    exponent = reduce(lambda a, b: a * b // gcd(a, b), hist, 1)
-    center = _center_order(g)
+    m = np.asarray([p.mapping for p in g.elements], dtype=np.int32)
+    orders, counts = np.unique(_element_orders(m), return_counts=True)
+    hist = dict(zip(orders.tolist(), counts.tolist()))
+    center = _center_order(g, m)
     return GroupFingerprint(
         order=g.order,
         abelian=center == g.order,
-        exponent=exponent,
+        exponent=lcm(*hist),
         element_order_histogram=tuple(sorted(hist.items())),
         center_order=center,
         derived_order=derived_subgroup(g).order,

@@ -137,10 +137,10 @@ def analyze(
     order_cap: int | None = None,
 ) -> AnalysisReport:
     """Full report for one Cayley table; deterministic across runs."""
-    auts = enumerate_automorphisms(s, budget=budget)
-    antis = enumerate_anti_automorphisms(s, budget=budget)
-    invs = involutions(s, budget=budget)
-    j_set = order_two_automorphisms(s, budget=budget)
+    auts = enumerate_automorphisms(s, budget=budget, cap=order_cap)
+    antis = enumerate_anti_automorphisms(s, budget=budget, cap=order_cap)
+    invs = involutions(s, budget=budget, cap=order_cap)
+    j_set = order_two_automorphisms(s, budget=budget, cap=order_cap)
     c = closure(invs.elements, degree=s.n, cap=order_cap)
     g = closure(j_set.elements, degree=s.n, cap=order_cap)
     signed = signed_aut_group(s, budget=budget)

@@ -25,6 +25,9 @@ from .errors import (
 #: Largest table accepted for full analysis (P_3 has 203 elements, T_4 has 256).
 TABLE_CAP = 1024
 
+#: Default cap on the order of a materialized group or morphism list.
+DEFAULT_ORDER_BUDGET = 10**6
+
 
 class FiniteSemigroup:
     """A semigroup on {0..n-1}; build instances through :func:`validate`."""

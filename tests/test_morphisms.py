@@ -1,4 +1,5 @@
 import random
+from math import factorial, log2, prod
 from pathlib import Path
 
 import pytest
@@ -10,14 +11,19 @@ from involute.errors import DegreeMismatchError, NotAnInvolutionError, SearchBud
 from involute.families import (
     cyclic_group,
     direct_product_table,
+    elementary_abelian_two_group,
     full_transformation_monoid,
     partition_monoid,
     rectangular_band,
     star_map,
     sym_group_table,
+    symmetric_inverse_monoid,
+    zero_semigroup,
 )
 from involute.morphisms import (
     _generator_certificate,
+    _search_plan,
+    automorphism_chain,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
     enumerate_isomorphism_mappings,
@@ -225,16 +231,24 @@ def test_search_budget_counts_dead_branches():
 
 
 def test_every_caller_shares_one_search(monkeypatch):
+    # Aut(S) is one automorphism chain; Aut-(S) adds one limit=1 search of the dual
     s = sym_group_table(4)  # a fresh instance with an empty cache
     calls = []
     search = morphisms.enumerate_isomorphism_mappings
+    chain = morphisms.automorphism_chain
 
     def counted(src, dst, **kwargs):
         if src is s:
-            calls.append("aut" if dst is s else f"dual limit={kwargs.get('limit')}")
+            calls.append(f"dual limit={kwargs.get('limit')}")
         return search(src, dst, **kwargs)
 
+    def counted_chain(src, **kwargs):
+        if src is s:
+            calls.append("aut")
+        return chain(src, **kwargs)
+
     monkeypatch.setattr(morphisms, "enumerate_isomorphism_mappings", counted)
+    monkeypatch.setattr(morphisms, "automorphism_chain", counted_chain)
     enumerate_automorphisms(s)
     c_group(s)
     g_group(s)
@@ -245,13 +259,16 @@ def test_every_caller_shares_one_search(monkeypatch):
 
 def test_a_check_searches_the_same_whatever_ran_before(monkeypatch):
     searches = []
-    search = morphisms.enumerate_isomorphism_mappings
 
-    def counted(*args, **kwargs):
-        searches[-1] += 1
-        return search(*args, **kwargs)
+    def counting(fn):
+        def counted(*args, **kwargs):
+            searches[-1] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(morphisms, "enumerate_isomorphism_mappings", counted)
+        return counted
+
+    for name in ("enumerate_isomorphism_mappings", "automorphism_chain"):
+        monkeypatch.setattr(morphisms, name, counting(getattr(morphisms, name)))
     for name in ("involution_split_laws", "partition_monoids", "involution_split_laws"):
         searches.append(0)
         assert run_battery(only={name})[0].passed
@@ -296,3 +313,100 @@ def test_involutions_are_proper_exactly_on_non_commutative_tables(completeness_t
             assert is_proper_involution(iota, s) == (not s.is_commutative)
             seen[s.is_commutative] += 1
     assert seen[True] and seen[False]
+
+
+def _chain_reference_tables():
+    return _completeness_corpus(random.Random(0xCA11)) + [
+        sym_group_table(3),
+        sym_group_table(4),
+        sym_group_table(5),
+        full_transformation_monoid(3),
+        full_transformation_monoid(4),
+        partition_monoid(2),
+        partition_monoid(3),
+        symmetric_inverse_monoid(3),
+        rectangular_band(3, 3),
+        zero_semigroup(5),
+    ]
+
+
+def test_listed_aut_equals_the_full_enumeration():
+    # the leaf-by-leaf enumeration stays as the reference for the chain
+    for s in _chain_reference_tables():
+        full = enumerate_isomorphism_mappings(s, s)
+        assert [p.mapping for p in enumerate_automorphisms(s)] == full, s.table
+        assert automorphism_chain(s).order == len(full)
+
+
+def test_chain_orders_match_the_closed_forms_without_listing():
+    for k in range(1, 13):
+        for s in (zero_semigroup(k), rectangular_band(1, k)):
+            assert automorphism_chain(s).order == factorial(k)
+            assert "aut" not in s.search_cache
+    for k in range(1, 9):
+        s = elementary_abelian_two_group(k)
+        assert automorphism_chain(s).order == prod(2**k - 2**i for i in range(k))  # |GL(k, 2)|
+
+
+def test_chain_order_matches_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for s in (
+        sym_group_table(5),
+        partition_monoid(3),
+        rectangular_band(3, 3),
+        zero_semigroup(8),
+        elementary_abelian_two_group(5),
+        direct_product_table(cyclic_group(2), sym_group_table(4)),
+    ):
+        chain = automorphism_chain(s)
+        gens = [combinatorics.Permutation(list(g)) for g in chain.generators]
+        assert combinatorics.PermutationGroup(gens).order() == chain.order
+
+
+def test_chain_searches_once_per_new_orbit_point(monkeypatch):
+    searches = []
+    search = morphisms._search_isomorphisms
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(morphisms, "_search_isomorphisms", counted)
+    for s in (zero_semigroup(6), elementary_abelian_two_group(4), sym_group_table(4), partition_monoid(2)):
+        searches.clear()
+        chain = automorphism_chain(s)
+        gens, cand, _, _ = _search_plan(s, s)
+        assert chain.base == tuple(gens)
+        for i, level in enumerate(chain.transversals):
+            for point, u in level.items():
+                assert u[gens[i]] == point and all(u[g] == g for g in gens[:i])
+                assert is_homomorphism(u, s, s)
+        # a candidate is searched unless it is already in its orbit: those
+        # outside the orbit miss, and each hit adds one strong generator
+        missed = sum(len(c) - len(level) for c, level in zip(cand, chain.transversals))
+        assert len(searches) == missed + len(chain.generators)
+        # each hit at least doubles the group found so far
+        assert len(chain.generators) <= log2(chain.order)
+
+
+def test_one_node_budget_bounds_the_whole_chain(monkeypatch):
+    spent = []
+    search = morphisms._search_isomorphisms
+
+    def counted(*args):
+        results, steps = search(*args)
+        spent.append(steps - args[-1])  # args[-1]: the nodes spent before this search
+        return results, steps
+
+    monkeypatch.setattr(morphisms, "_search_isomorphisms", counted)
+    automorphism_chain(sym_group_table(4))
+    monkeypatch.undo()
+    total = sum(spent)
+    assert max(spent) < total
+    for budget in (max(spent), total - 1):  # every search fits, the chain does not
+        s = sym_group_table(4)
+        with pytest.raises(SearchBudgetExceededError):
+            enumerate_automorphisms(s, budget=budget)
+        assert s.search_cache == {}
+    s = sym_group_table(4)
+    assert len(enumerate_automorphisms(s, budget=total)) == 24

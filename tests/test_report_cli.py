@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,27 @@ def test_cli_analyze_json_is_pinned(tmp_path, monkeypatch, capsys, name):
     dump_table(build(), f"{name}.json")
     assert main(["analyze", f"{name}.json", "--json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [
+        (["zero", "12"], 479001600),
+        (["band", "1", "12"], 479001600),
+        (["z2^k", "5"], 9999360),
+        (["z2^k", "6"], 20158709760),
+    ],
+)
+def test_cli_analyze_refuses_a_huge_aut_before_listing_it(tmp_path, capsys, spec, order):
+    path = tmp_path / "s.json"
+    assert main(["construct", *spec, "-o", str(path)]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["analyze", str(path), "--json"]) == 3
+    assert time.perf_counter() - start < 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"budget exceeded: Aut(S) has order {order}, past the cap of 1000000\n"
 
 
 def test_cli_factor(capsys):
