@@ -156,7 +156,9 @@ def _cmd_analyze(args) -> int:
         order_cap=args.budget_order,
     )
     if args.json:
-        print(json.dumps(report_to_json_dict(rep), sort_keys=True, indent=2))
+        # streamed, so the whole document is never held as one string
+        json.dump(report_to_json_dict(rep), sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
     else:
         print(report_to_text(rep), end="")
     return EXIT_OK

@@ -414,12 +414,11 @@ def enumerate_anti_automorphisms(
         if s.is_commutative:
             auts = enumerate_automorphisms(s, budget=budget, cap=cap)
             return MorphismSet(auts.elements)
-        first = enumerate_isomorphism_mappings(s, s.dual(), budget=budget, limit=1)
-        if not first:
+        beta = find_anti_isomorphism(s, s, budget=budget)
+        if beta is None:
             return MorphismSet(())
-        beta = first[0]
         auts = enumerate_automorphisms(s, budget=budget, cap=cap)
-        composed = sorted(compose(a.mapping, beta) for a in auts)
+        composed = sorted(compose(a.mapping, beta.mapping) for a in auts)
         anti_certified = _generator_certificate(s, s, generating_set(s), anti=True)
         for m in composed:
             if not anti_certified(m):
@@ -468,5 +467,4 @@ def find_isomorphism(
 def find_anti_isomorphism(
     s: FiniteSemigroup, t: FiniteSemigroup, *, budget: int | None = None
 ) -> Permutation | None:
-    maps = enumerate_isomorphism_mappings(s, t.dual(), budget=budget, limit=1)
-    return Permutation(maps[0]) if maps else None
+    return find_isomorphism(s, t.dual(), budget=budget)

@@ -1,4 +1,5 @@
-"""Permutation groups from their generators: closures, fingerprints, C(S), G(S), K_G.
+"""Permutation groups from their generators: closures, fingerprints, C(S), G(S),
+the involution laws, K_G.
 
 Every group is materialized element by element with the worklist closure
 :func:`~involute.semigroups.close_under` and carries a generating set.
@@ -22,7 +23,13 @@ from math import lcm
 import numpy as np
 
 from .errors import NotAGroupError, OrderBudgetExceededError
-from .morphisms import involutions, order_two_automorphisms, enumerate_automorphisms, enumerate_anti_automorphisms
+from .morphisms import (
+    automorphism_chain,
+    enumerate_anti_automorphisms,
+    enumerate_automorphisms,
+    involutions,
+    order_two_automorphisms,
+)
 from .perms import Permutation, compose, identity_tuple, invert
 from .semigroups import (
     DEFAULT_ORDER_BUDGET,
@@ -139,6 +146,41 @@ def g_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
     """G(S): the subgroup generated by the order-at-most-2 automorphisms."""
     j = order_two_automorphisms(s, budget=budget, cap=cap)
     return closure(j.elements, degree=s.n, cap=cap)
+
+
+def involution_laws(s: FiniteSemigroup, auts, invs, j_set, c: PermGroup, g: PermGroup):
+    """The paper's laws for C(S) from Aut(S), I(S), J(S), C(S) and G(S), as
+    ``(split, central)``; each is ``None`` where its hypothesis is absent.
+
+    split, when S has a proper involution (one that is not an
+    automorphism): |C| = 2 |C ∩ Aut(S)|.  central, when some proper
+    involution iota commutes with every automorphism: Psi(a) = a o iota
+    maps J(S) onto I(S), and |C| = 2 |G|.
+
+    The involutions are all proper or none is, so no n^2 check is needed:
+    an anti-automorphism alpha that is also a homomorphism gives
+    alpha(x)alpha(y) = alpha(xy) = alpha(y)alpha(x) for all x, y, and alpha
+    is onto, so S is commutative; on a commutative S every
+    anti-automorphism is an automorphism.  Centrality is tested on the
+    strong generators of :func:`~involute.morphisms.automorphism_chain`, a
+    cache hit once Aut(S) is listed: what commutes with a and b commutes
+    with ab, so with every product of generators, which is every
+    automorphism.
+    """
+    if s.is_commutative or not invs:
+        return None, None
+    aut_set = set(auts.elements)
+    split = c.order == 2 * sum(1 for p in c if p in aut_set)
+    gens = automorphism_chain(s).generators
+    central = [
+        i.mapping
+        for i in invs
+        if all(compose(a, i.mapping) == compose(i.mapping, a) for a in gens)
+    ]
+    if not central:
+        return split, None
+    psi = {compose(a.mapping, central[0]) for a in j_set}
+    return split, psi == {p.mapping for p in invs} and c.order == 2 * g.order
 
 
 def signed_aut_group(s: FiniteSemigroup, *, budget=None) -> PermGroup:
@@ -260,12 +302,11 @@ def to_cayley_table(g: PermGroup, *, cap: int | None = None) -> FiniteSemigroup:
         raise OrderBudgetExceededError(cap)
     m = np.asarray([p.mapping for p in g.elements], dtype=np.int32)
     index = {row.tobytes(): i for i, row in enumerate(m)}
-    names = tuple(p.cycle_string() for p in g.elements)
     table = [
         [index[row.tobytes()] for row in m[i][m]]
         for i in range(len(m))
     ]
-    return validate(table, names=names)
+    return validate(table)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ from .morphisms import (
     involutions,
     order_two_automorphisms,
 )
-from .perms import Permutation, compose
 from .permgroups import (
     GroupFingerprint,
     PermGroup,
-    closure,
+    c_group,
+    g_group,
     group_fingerprint,
+    involution_laws,
     signed_aut_group,
     to_cayley_table,
 )
@@ -108,27 +109,6 @@ class AnalysisReport:
     involution_maps: tuple = field(repr=False, default=())
 
 
-def _proper_involutions(invs, s):
-    """The involutions that are not also automorphisms.
-
-    An anti-automorphism alpha that is also a homomorphism gives
-    alpha(x)alpha(y) = alpha(xy) = alpha(y)alpha(x) for all x, y, and alpha
-    is onto, so S is commutative; on a commutative S every anti-automorphism
-    is an automorphism.  So the involutions, already certified by the
-    search, are all proper or none is, and no n^2 check is needed.
-    """
-    return [] if s.is_commutative else list(invs)
-
-
-def _central_proper_involutions(invs, auts, s):
-    out = []
-    for iota in _proper_involutions(invs, s):
-        im = iota.mapping
-        if all(compose(a.mapping, im) == compose(im, a.mapping) for a in auts):
-            out.append(iota)
-    return out
-
-
 def analyze(
     s: FiniteSemigroup,
     *,
@@ -141,23 +121,15 @@ def analyze(
     antis = enumerate_anti_automorphisms(s, budget=budget, cap=order_cap)
     invs = involutions(s, budget=budget, cap=order_cap)
     j_set = order_two_automorphisms(s, budget=budget, cap=order_cap)
-    c = closure(invs.elements, degree=s.n, cap=order_cap)
-    g = closure(j_set.elements, degree=s.n, cap=order_cap)
+    c = c_group(s, budget=budget, cap=order_cap)
+    # On a commutative S every anti-automorphism is an automorphism, so I(S)
+    # is J(S) minus the identity.  J(S) sorted is the identity followed by
+    # I(S) in the same order, and closure skips the identity, so even the
+    # kept generators of G(S) are those of C(S).
+    g = c if s.is_commutative else g_group(s, budget=budget, cap=order_cap)
     signed = signed_aut_group(s, budget=budget)
     c_fingerprint = group_fingerprint(c)
-
-    proper = _proper_involutions(invs, s)
-    split_law = None
-    if proper:
-        aut_set = set(auts.elements)
-        c_in_aut = sum(1 for p in c if p in aut_set)
-        split_law = c.order == 2 * c_in_aut
-    central_law = None
-    central = _central_proper_involutions(invs, auts, s)
-    if central:
-        iota = central[0]
-        psi_image = {Permutation(compose(a.mapping, iota.mapping)) for a in j_set}
-        central_law = psi_image == set(invs.elements) and c.order == 2 * g.order
+    split_law, central_law = involution_laws(s, auts, invs, j_set, c, g)
 
     return AnalysisReport(
         input_name=name,
@@ -172,7 +144,7 @@ def analyze(
         g_order=g.order,
         signed_order=signed.order,
         c_fingerprint=c_fingerprint,
-        proper_involution_exists=bool(proper),
+        proper_involution_exists=split_law is not None,
         split_law_ok=split_law,
         central_law_ok=central_law,
         identifications=tuple(identify_group(c, budget=budget)),
@@ -212,9 +184,9 @@ def report_to_json_dict(r: AnalysisReport) -> dict:
         "checks": {"splitLaw": r.split_law_ok, "centralLaw": r.central_law_ok},
         "identification": {name: ok for name, ok in r.identifications},
         "morphisms": {
-            "automorphisms": [list(m) for m in r.automorphisms],
-            "antiAutomorphisms": [list(m) for m in r.anti_automorphisms],
-            "involutions": [list(m) for m in r.involution_maps],
+            "automorphisms": r.automorphisms,
+            "antiAutomorphisms": r.anti_automorphisms,
+            "involutions": r.involution_maps,
         },
     }
 

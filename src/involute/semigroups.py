@@ -128,7 +128,7 @@ def validate(table, names=None) -> FiniteSemigroup:
     if not in_range:
         raise IndexOutOfRangeError(f"table entries must lie in 0..{n - 1}")
     arr = arr.astype(np.int32)
-    for a in _right_generators(rows, arr):
+    for a in _right_generators(rows, _spread_order(arr)):
         # [x, y] -> (x*a)*y against x*(a*y), in one expression so that
         # neither n x n side outlives the comparison
         bad = arr[arr[:, a]] != arr[:, arr[a]]
@@ -149,27 +149,33 @@ def validate(table, names=None) -> FiniteSemigroup:
     return FiniteSemigroup(rows, names=names, identity=identity, _checked=True)
 
 
-def _right_generators(rows, arr) -> Iterator[int]:
-    """Yield, one at a time, a set A whose right closure under x -> x*a
-    (a in A) is every element.
-
-    Chosen greedily, elements with more distinct row plus column entries
-    first, then by index.  Only table lookups are used, so this holds for
-    any magma and serves :func:`validate` before associativity is known.
-    Each member is yielded before the closure is extended by it, so a
-    failing table stops at its first bad generator.
-    """
-    n = len(rows)
+def _spread_order(arr) -> list[int]:
+    """The elements, most distinct row plus column entries first, then by index."""
+    n = len(arr)
     idx = np.arange(n)
     in_row = np.zeros((n, n), dtype=bool)
     in_row[idx[:, None], arr] = True        # in_row[x, v]: v occurs in row x
     in_col = np.zeros((n, n), dtype=bool)
     in_col[arr, idx] = True                 # in_col[v, y]: v occurs in column y
     spread = (in_row.sum(axis=1) + in_col.sum(axis=0)).tolist()
-    del in_row, in_col  # a generator keeps its locals alive
+    return sorted(range(n), key=lambda x: (-spread[x], x))
+
+
+def _right_generators(rows, order) -> Iterator[int]:
+    """Yield, one at a time, a set A whose right closure under x -> x*a
+    (a in A) is every element.
+
+    Chosen greedily: the next element of ``order`` outside the right
+    closure of those taken so far, until that closure is everything.  Only
+    table lookups are used, so this holds for any magma and serves
+    :func:`validate` before associativity is known.  Each member is yielded
+    before the closure is extended by it, so a failing table stops at its
+    first bad generator.
+    """
+    n = len(rows)
     gens: list[int] = []
     have: set = set()
-    for x in sorted(range(n), key=lambda x: (-spread[x], x)):
+    for x in order:
         if x in have:
             continue
         yield x
@@ -395,31 +401,21 @@ def closure_of_subset(s: FiniteSemigroup, seed) -> frozenset[int]:
 
 
 def generating_set(s: FiniteSemigroup) -> list[int]:
-    """A generating set found greedily; not necessarily minimal.
+    """A generating set found greedily by :func:`_right_generators`; not necessarily minimal.
 
     Preference order for the next generator: largest monogenic subsemigroup,
     then most distinct row/column values, then rarest fingerprint, then
     lowest index.  The ties matter only for search speed downstream.
     """
-    n = s.n
     fps = s.fingerprints
     class_size = Counter(fps)
     orbit = [fp.index + fp.period - 1 for fp in fps]
     spread = [fp.left_mult_rank + fp.right_mult_rank for fp in fps]
     order = sorted(
-        range(n),
+        range(s.n),
         key=lambda x: (-orbit[x], -spread[x], class_size[fps[x]], x),
     )
-    gens: list[int] = []
-    have: frozenset[int] = frozenset()
-    for x in order:
-        if x in have:
-            continue
-        gens.append(x)
-        have = closure_of_subset(s, gens)
-        if len(have) == n:
-            break
-    return gens
+    return list(_right_generators(s.table, order))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from involute.battery import _aut_as_group
+from involute.battery import _aut_as_group, _completeness_corpus, _split_law_corpus
 from involute.errors import NotAGroupError, OrderBudgetExceededError
 from involute.families import (
     alternating_group_table,
@@ -19,8 +19,14 @@ from involute.families import (
     rectangular_band,
     sym_group_table,
 )
-from involute.morphisms import enumerate_automorphisms, find_isomorphism, involutions
-from involute.perms import Permutation
+from involute.morphisms import (
+    enumerate_automorphisms,
+    find_isomorphism,
+    involutions,
+    is_proper_involution,
+    order_two_automorphisms,
+)
+from involute.perms import Permutation, compose
 from involute.permgroups import (
     GroupFingerprint,
     c_group,
@@ -28,6 +34,7 @@ from involute.permgroups import (
     derived_subgroup,
     g_group,
     group_fingerprint,
+    involution_laws,
     k_group,
     signed_aut_group,
     to_cayley_table,
@@ -300,3 +307,52 @@ def test_split_law_on_sym4():
     inside = sum(1 for p in c if p in auts)
     assert c.order == 2 * inside
     assert signed_aut_group(s4).order == 2 * len(auts)
+
+
+def _laws_against_every_automorphism(s):
+    """The reference for :func:`involution_laws`: properness by the n^2
+    check, centrality against every automorphism."""
+    auts = enumerate_automorphisms(s)
+    invs = involutions(s)
+    proper = [p for p in invs if is_proper_involution(p, s)]
+    if not proper:
+        return None, None
+    c = c_group(s)
+    aut_set = set(auts.elements)
+    split = c.order == 2 * sum(1 for p in c if p in aut_set)
+    central = [
+        i.mapping
+        for i in proper
+        if all(compose(a.mapping, i.mapping) == compose(i.mapping, a.mapping) for a in auts)
+    ]
+    if not central:
+        return split, None
+    psi = {compose(a.mapping, central[0]) for a in order_two_automorphisms(s)}
+    return split, psi == {p.mapping for p in invs} and c.order == 2 * g_group(s).order
+
+
+def test_involution_laws_match_the_all_of_aut_reference():
+    corpus = [s for _, s in _split_law_corpus()]
+    corpus += [sym_group_table(n) for n in (3, 4, 5)]
+    corpus += [dihedral_group(6), rectangular_band(3, 3)]
+    # proper involutions, none central, but some commute with a strong
+    # generator of Aut(S): only the whole generating set tells them apart
+    corpus += [
+        direct_product_table(g, rectangular_band(2, 2))
+        for g in (sym_group_table(3), klein_four())
+    ]
+    corpus += _completeness_corpus(random.Random(0xCA11))
+    outcomes = Counter()
+    for s in corpus:
+        got = involution_laws(
+            s,
+            enumerate_automorphisms(s),
+            involutions(s),
+            order_two_automorphisms(s),
+            c_group(s),
+            g_group(s),
+        )
+        assert got == _laws_against_every_automorphism(s)
+        outcomes[got] += 1
+    # both the central and the non-central case, and the commutative one
+    assert outcomes[(True, True)] and outcomes[(True, None)] and outcomes[(None, None)]

@@ -15,11 +15,15 @@ from involute.families import (
     cyclic_group,
     direct_product_table,
     doubled_semigroup,
+    elementary_abelian_two_group,
     full_transformation_monoid,
+    klein_four,
     rectangular_band,
     sym_group_table,
+    zero_semigroup,
 )
-from involute.permgroups import closure, group_fingerprint
+from involute.graphs import frucht_semigroup, path_graph
+from involute.permgroups import closure, g_group, group_fingerprint
 from involute.perms import Permutation
 from involute.report import (
     _catalog_for_order,
@@ -53,6 +57,40 @@ def test_analyze_fingerprints_c_once(klein, monkeypatch):
     r = report.analyze(klein)
     # once, for C on the 4 elements: catalog candidates are not fingerprinted
     assert degrees.count(4) == 1 and r.c_fingerprint.order == 6
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cyclic_group(12),
+        klein_four,
+        lambda: elementary_abelian_two_group(3),
+        lambda: zero_semigroup(5),
+        lambda: frucht_semigroup(path_graph(3)),
+        lambda: sym_group_table(3),
+        lambda: rectangular_band(2, 2),
+        lambda: full_transformation_monoid(3),
+    ],
+)
+def test_analyze_g_is_g_group(build, monkeypatch):
+    """analyze reuses C(S) as G(S) on a commutative S; its G has the
+    elements and the generators of g_group on every table."""
+    from involute import report
+
+    seen = []
+    real = report.involution_laws
+
+    def spying(s, auts, invs, j_set, c, g):
+        seen.append(g)
+        return real(s, auts, invs, j_set, c, g)
+
+    monkeypatch.setattr(report, "involution_laws", spying)
+    r = report.analyze(build())
+    expected = g_group(build())
+    (g,) = seen
+    assert g.elements == expected.elements
+    assert g.generators == expected.generators
+    assert r.g_order == expected.order
 
 
 def _left_regular_group(table):
