@@ -176,8 +176,11 @@ def _cmd_construct(args) -> int:
         raise InputFormatError(f"unused construct arguments: {rest}")
     doc = json.dumps(to_json_dict(s), sort_keys=True)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(doc + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(doc + "\n")
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {args.output}: {exc}") from exc
         print(f"wrote {s.n}x{s.n} table to {args.output}")
     else:
         print(doc)
@@ -185,8 +188,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    only = set(args.only.split(",")) if args.only else None
-    if only:
+    only = None if args.only is None else set(args.only.split(","))
+    if only is not None:
         unknown = only - set(check_names())
         if unknown:
             raise InputFormatError(f"unknown check name(s): {sorted(unknown)}")

@@ -3,13 +3,11 @@ construction whose automorphism group reproduces the graph's."""
 
 from __future__ import annotations
 
-import json
-
 from .errors import InputFormatError, NoEdgesError, SearchBudgetExceededError
 from .morphisms import MorphismSet
 from .perms import Permutation
 from .permgroups import PermGroup, closure
-from .semigroups import FiniteSemigroup, validate
+from .semigroups import FiniteSemigroup, read_json, validate
 
 GRAPH_NODE_BUDGET = 10**7
 
@@ -202,14 +200,7 @@ def graph_from_json_dict(doc) -> SimpleGraph:
 
 
 def load_graph(path) -> SimpleGraph:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return graph_from_json_dict(doc)
+    return graph_from_json_dict(read_json(path))
 
 
 def parse_edge_list(text: str, n: int | None = None) -> SimpleGraph:

@@ -18,7 +18,6 @@ products of the level transversals.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
@@ -31,7 +30,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .perms import Permutation, compose, identity_tuple
-from .semigroups import DEFAULT_ORDER_BUDGET, FiniteSemigroup, generating_set
+from .semigroups import DEFAULT_ORDER_BUDGET, FiniteSemigroup, _row_labels, generating_set
 
 #: Default cap on the nodes of one search, or of one automorphism chain
 #: summed over its searches (configurable per call).
@@ -82,15 +81,13 @@ def is_anti_homomorphism(alpha, s: FiniteSemigroup, t: FiniteSemigroup) -> bool:
 
 
 def _fingerprint_ids(s: FiniteSemigroup, t: FiniteSemigroup):
-    """Shared class ids for the two fingerprint lists, or None if the
-    multisets differ (then no isomorphism exists)."""
-    fps, fpt = s.fingerprints, t.fingerprints
-    if Counter(fps) != Counter(fpt):
+    """Shared class ids for the rows of the two fingerprint arrays, or None
+    if the multisets of rows differ (then no isomorphism exists)."""
+    ids = _row_labels(np.concatenate((s.fingerprint_rows, t.fingerprint_rows)))
+    sid, tid = ids[:s.n], ids[s.n:]
+    if not np.array_equal(np.bincount(sid, minlength=s.n), np.bincount(tid, minlength=s.n)):
         return None
-    ids: dict = {}
-    sid = [ids.setdefault(fp, len(ids)) for fp in fps]
-    tid = [ids[fp] for fp in fpt]
-    return sid, tid
+    return sid.tolist(), tid.tolist()
 
 
 def _generator_certificate(s: FiniteSemigroup, t: FiniteSemigroup, gens, anti: bool):

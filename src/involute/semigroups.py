@@ -8,7 +8,6 @@ construction; what is derived from it is cached on the instance.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,6 +35,7 @@ class FiniteSemigroup:
         if not _checked:
             other = validate(table, names=names)
             table, names, identity = other.table, other.names, other.identity
+            self.np_table = other.np_table
         self.table = table
         self.n = len(table)
         self.names = names
@@ -57,15 +57,26 @@ class FiniteSemigroup:
         return green_relations(self)
 
     @cached_property
-    def fingerprints(self) -> tuple["ElementFingerprint", ...]:
+    def fingerprint_rows(self) -> np.ndarray:
+        """The element fingerprints as an (n, 8) int array, fields in
+        :class:`ElementFingerprint` order."""
         return _compute_fingerprints(self)
+
+    @cached_property
+    def fingerprints(self) -> tuple["ElementFingerprint", ...]:
+        return tuple(
+            ElementFingerprint(bool(row[0]), *row[1:])
+            for row in self.fingerprint_rows.tolist()
+        )
 
     def product(self, i: int, j: int) -> int:
         return self.table[i][j]
 
     def dual(self) -> "FiniteSemigroup":
         """The opposite semigroup: the transposed table, a new instance."""
-        return FiniteSemigroup(tuple(zip(*self.table)), self.names, self.identity, _checked=True)
+        out = FiniteSemigroup(tuple(zip(*self.table)), self.names, self.identity, _checked=True)
+        out.np_table = np.ascontiguousarray(self.np_table.T)
+        return out
 
     def name_of(self, x: int) -> str:
         return self.names[x] if self.names is not None else str(x)
@@ -121,13 +132,13 @@ def validate(table, names=None) -> FiniteSemigroup:
         bad = sorted(k.__name__ for k in kinds - {int})
         raise InputFormatError(f"table entries must be integers, not {', '.join(bad)}")
     try:
-        arr = np.asarray(rows, dtype=np.int64)
+        # numpy >= 2 raises OverflowError for a Python int past int32
+        arr = np.asarray(rows, dtype=np.int32)
         in_range = arr.min() >= 0 and arr.max() < n
     except OverflowError:
         in_range = False
     if not in_range:
         raise IndexOutOfRangeError(f"table entries must lie in 0..{n - 1}")
-    arr = arr.astype(np.int32)
     for a in _right_generators(rows, _spread_order(arr)):
         # [x, y] -> (x*a)*y against x*(a*y), in one expression so that
         # neither n x n side outlives the comparison
@@ -146,19 +157,16 @@ def validate(table, names=None) -> FiniteSemigroup:
     ident = np.arange(n, dtype=np.int32)
     hits = np.flatnonzero((arr == ident).all(axis=1) & (arr.T == ident).all(axis=1))
     identity = int(hits[0]) if hits.size else None
-    return FiniteSemigroup(rows, names=names, identity=identity, _checked=True)
+    s = FiniteSemigroup(rows, names=names, identity=identity, _checked=True)
+    s.np_table = arr  # the instance keeps the array checked here
+    return s
 
 
 def _spread_order(arr) -> list[int]:
     """The elements, most distinct row plus column entries first, then by index."""
-    n = len(arr)
-    idx = np.arange(n)
-    in_row = np.zeros((n, n), dtype=bool)
-    in_row[idx[:, None], arr] = True        # in_row[x, v]: v occurs in row x
-    in_col = np.zeros((n, n), dtype=bool)
-    in_col[arr, idx] = True                 # in_col[v, y]: v occurs in column y
-    spread = (in_row.sum(axis=1) + in_col.sum(axis=0)).tolist()
-    return sorted(range(n), key=lambda x: (-spread[x], x))
+    left, right = _translation_ranks(arr)
+    spread = (left + right).tolist()
+    return sorted(range(len(arr)), key=lambda x: (-spread[x], x))
 
 
 def _right_generators(rows, order) -> Iterator[int]:
@@ -211,73 +219,100 @@ class GreenStructure:
     j_classes: tuple
 
 
-def _canonical_partition(class_of: dict) -> tuple:
-    groups: dict = {}
-    for x, key in class_of.items():
-        groups.setdefault(key, []).append(x)
-    return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+def _occurrence_masks(arr) -> tuple[np.ndarray, np.ndarray]:
+    """Which values occur in each row and in each column of an (n, n) table.
+
+    ``in_row[x, v]`` iff v occurs in row x (v in xS), and ``in_col[y, v]``
+    iff v occurs in column y (v in Sy).  Each is one broadcast scatter, which
+    numpy buffers; a flat scatter is faster but needs an n x n offset array,
+    which raised the peak RSS of a Z_840 analysis by 1.5 MB.
+    """
+    n = len(arr)
+    idx = np.arange(n)
+    in_row = np.zeros((n, n), dtype=bool)
+    in_row[idx[:, None], arr] = True
+    in_col = np.zeros((n, n), dtype=bool)
+    in_col[idx, arr] = True
+    return in_row, in_col
+
+
+def _translation_ranks(arr) -> tuple[np.ndarray, np.ndarray]:
+    """(|Sx|, |xS|) for every x: the number of distinct values in x's column
+    and in x's row."""
+    in_row, in_col = _occurrence_masks(arr)
+    return in_col.sum(axis=1), in_row.sum(axis=1)
+
+
+def _row_labels(a) -> np.ndarray:
+    """Labels 0..k-1 of the rows of a 2-d array, equal rows alike, numbered
+    in order of first appearance.  Each row is hashed as one byte string: a
+    dict is as fast as ``np.unique`` at n = 1024 and four times faster on
+    the tiny tables that are most of the battery."""
+    a = np.ascontiguousarray(a)
+    keys = a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().tolist()
+    first: dict = {}
+    return np.array([first.setdefault(k, len(first)) for k in keys])
+
+
+def _partition(labels) -> tuple:
+    """The classes of a labelling, as frozensets sorted by least member."""
+    classes: dict = {}
+    for x, key in enumerate(labels.tolist()):
+        classes.setdefault(key, []).append(x)
+    # each class was opened by its least member, in increasing order
+    return tuple(map(frozenset, classes.values()))
+
+
+def _join(r, l) -> np.ndarray:
+    """Labels of the join of two labelled partitions, the least partition
+    that both refine: union-find over the labels of ``r``, merging the
+    r-classes that meet a common l-class."""
+    root = list(range(int(r.max()) + 1))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
+
+    met: dict = {}                          # l label -> an r label met in that l-class
+    for a, b in zip(r.tolist(), l.tolist()):
+        root[find(a)] = find(met.setdefault(b, a))
+    return np.array([find(a) for a in r.tolist()])
 
 
 def green_relations(s: FiniteSemigroup) -> GreenStructure:
-    """Green's relations from principal-ideal equalities.
+    """Green's relations from principal-ideal equalities, as whole-table kernels.
 
-    The identity of S^1 is adjoined virtually: each ideal mask always
-    contains the element itself.  On a finite semigroup the computed D and J
-    partitions must agree, which is asserted here.
+    The identity of S^1 is adjoined virtually: the masks R[x] = xS^1 and
+    L[y] = S^1y are the row and column occurrence masks with the element
+    itself added.  R and L label equal bit-packed masks; H is the pair of
+    the two labels.
+
+    J is computed on its own, not from D: J(x) = S^1xS^1 is the union of
+    the right ideals yS^1 over y in S^1x.  Proof: every element of S^1xS^1
+    is u(xv) = (ux)v with u, v in S^1, and ux lies in S^1x; conversely
+    y = ux in S^1x gives yS^1 = uxS^1, inside S^1xS^1.  The union depends
+    on x only through the set S^1x, that is through x's L mask, so it is
+    formed once per distinct L mask, as the OR of the packed R masks of its
+    members, and shared by the whole L class.
+
+    D is the join of R and L, from a union-find over the R labels.  On a
+    finite semigroup D and J must agree, which is asserted here.
     """
-    n, t = s.n, s.table
-    rmask = [0] * n
-    lmask = [0] * n
-    for x in range(n):
-        m = 1 << x
-        row = t[x]
-        for j in range(n):
-            m |= 1 << row[j]
-        rmask[x] = m
-    for y in range(n):
-        m = 1 << y
-        for i in range(n):
-            m |= 1 << t[i][y]
-        lmask[y] = m
-
-    jcache: dict = {}
-    jmask = [0] * n
-    for x in range(n):
-        lm = lmask[x]
-        got = jcache.get(lm)
-        if got is None:
-            m = 0
-            probe = lm
-            while probe:
-                low = probe & -probe
-                m |= rmask[low.bit_length() - 1]
-                probe ^= low
-            jcache[lm] = got = m
-        jmask[x] = got
-
-    r_part = _canonical_partition({x: rmask[x] for x in range(n)})
-    l_part = _canonical_partition({x: lmask[x] for x in range(n)})
-    h_part = _canonical_partition({x: (rmask[x], lmask[x]) for x in range(n)})
-    j_part = _canonical_partition({x: jmask[x] for x in range(n)})
-
-    # D = R v L via union-find over the two partitions
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for part in (r_part, l_part):
-        for cls in part:
-            it = iter(cls)
-            root = find(next(it))
-            for other in it:
-                parent[find(other)] = root
-    d_part = _canonical_partition({x: find(x) for x in range(n)})
+    n = s.n
+    in_row, in_col = _occurrence_masks(s.np_table)
+    diag = np.arange(n)
+    in_row[diag, diag] = True
+    in_col[diag, diag] = True
+    r_bits = np.packbits(in_row, axis=1)
+    r, l = _row_labels(r_bits), _row_labels(np.packbits(in_col, axis=1))
+    l_reps = np.empty(l.max() + 1, dtype=np.intp)
+    l_reps[l] = np.arange(n)                # one member of each L class
+    j_bits = np.array([np.bitwise_or.reduce(r_bits[in_col[y]]) for y in l_reps.tolist()])
+    j = _row_labels(j_bits)[l]
+    d_part, j_part = _partition(_join(r, l)), _partition(j)
     assert d_part == j_part, "D != J on a finite semigroup: computation bug"
-    return GreenStructure(r_part, l_part, h_part, d_part, j_part)
+    return GreenStructure(_partition(r), _partition(l), _partition(r * n + l), d_part, j_part)
 
 
 @dataclass(frozen=True)
@@ -326,33 +361,65 @@ def index_and_period(s: FiniteSemigroup, x: int) -> tuple[int, int]:
     raise AssertionError("power sequence failed to cycle within n steps")
 
 
-def _compute_fingerprints(s: FiniteSemigroup) -> tuple[ElementFingerprint, ...]:
-    n, t = s.n, s.table
+def _indices_and_periods(arr) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`index_and_period` of every element at once.
+
+    All elements step through their powers together, one n-vector gather
+    per power: x^(k+1) = x^k * x.  ``seen[v * n + x]`` is the least k with
+    x^k = v, or 0.  The first power of x met a second time is x^(i+p), and
+    it was first met as x^i, which gives both numbers; the element then
+    drops out.  So the loop runs max(i+p) <= n+1 times, with n^2 int16 of
+    memory, and stops after a few steps on tables whose elements all have
+    short power sequences.
+    """
+    n = len(arr)
+    flat = arr.ravel()
+    seen = np.zeros(n * n, dtype=np.int16)
+    index = np.empty(n, dtype=np.int64)
+    period = np.empty(n, dtype=np.int64)
+    cols = cur = np.arange(n)               # the elements left, and their k-th powers
+    k = 1
+    while cols.size:
+        key = cur * n + cols
+        first = seen[key]
+        if first.any():
+            done = first > 0
+            index[cols[done]] = first[done]
+            period[cols[done]] = k - first[done]
+            cols, key = cols[~done], key[~done]
+        seen[key] = k
+        cur = flat[key]
+        k += 1
+    return index, period
+
+
+def _class_sizes(partition, n) -> list[int]:
+    size = [0] * n
+    for cls in partition:
+        k = len(cls)
+        for x in cls:
+            size[x] = k
+    return size
+
+
+def _compute_fingerprints(s: FiniteSemigroup) -> np.ndarray:
+    """The element fingerprints as an (n, 8) integer array, one row per
+    element and one column per :class:`ElementFingerprint` field, in field
+    order.  The class sizes are read off ``s.green``."""
+    n, arr = s.n, s.np_table
     green = s.green
-    size_of = {}
-    for attr, slot in (("r_classes", 0), ("l_classes", 1), ("d_classes", 2)):
-        for cls in getattr(green, attr):
-            for x in cls:
-                size_of.setdefault(x, [0, 0, 0])[slot] = len(cls)
-    out = []
-    for x in range(n):
-        rcs, lcs, dcs = size_of[x]
-        row = t[x]
-        col_rank = len({t[i][x] for i in range(n)})
-        idx, per = index_and_period(s, x)
-        out.append(
-            ElementFingerprint(
-                is_idempotent=t[x][x] == x,
-                index=idx,
-                period=per,
-                r_class_size=rcs,
-                l_class_size=lcs,
-                d_class_size=dcs,
-                left_mult_rank=col_rank,
-                right_mult_rank=len(set(row)),
-            )
-        )
-    return tuple(out)
+    left_rank, right_rank = _translation_ranks(arr)
+    index, period = _indices_and_periods(arr)
+    return np.column_stack((
+        np.diagonal(arr) == np.arange(n),
+        index,
+        period,
+        _class_sizes(green.r_classes, n),
+        _class_sizes(green.l_classes, n),
+        _class_sizes(green.d_classes, n),
+        left_rank,
+        right_rank,
+    )).astype(np.int64)
 
 
 def close_under(seeds, gens, product, *, cap: int | None = None, members: set | None = None) -> set:
@@ -407,14 +474,12 @@ def generating_set(s: FiniteSemigroup) -> list[int]:
     then most distinct row/column values, then rarest fingerprint, then
     lowest index.  The ties matter only for search speed downstream.
     """
-    fps = s.fingerprints
-    class_size = Counter(fps)
-    orbit = [fp.index + fp.period - 1 for fp in fps]
-    spread = [fp.left_mult_rank + fp.right_mult_rank for fp in fps]
-    order = sorted(
-        range(s.n),
-        key=lambda x: (-orbit[x], -spread[x], class_size[fps[x]], x),
-    )
+    fps = s.fingerprint_rows
+    cls = _row_labels(fps)
+    class_size = np.bincount(cls)[cls].tolist()
+    orbit = (fps[:, 1] + fps[:, 2] - 1).tolist()    # index + period - 1
+    spread = (fps[:, 6] + fps[:, 7]).tolist()       # left + right translation rank
+    order = sorted(range(s.n), key=lambda x: (-orbit[x], -spread[x], class_size[x], x))
     return list(_right_generators(s.table, order))
 
 
@@ -446,15 +511,23 @@ def from_json_dict(doc) -> FiniteSemigroup:
     return s
 
 
-def load_table(path) -> FiniteSemigroup:
+def read_json(path):
+    """The JSON document in a UTF-8 file; every way to fail is an
+    :class:`InputFormatError`."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # bad JSON, bytes that are not UTF-8 and over-long integers alike
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return from_json_dict(doc)
+    except RecursionError as exc:
+        raise InputFormatError(f"{path} is nested too deeply to read") from exc
+
+
+def load_table(path) -> FiniteSemigroup:
+    return from_json_dict(read_json(path))
 
 
 def dump_table(s: FiniteSemigroup, path) -> None:

@@ -1,0 +1,196 @@
+"""The numpy Green's relations and fingerprint kernels against pure-Python
+references: principal ideals as sets, the element-by-element fingerprints
+the kernels replaced (which take each element's index and period from
+``index_and_period``), and the generator order built from them."""
+
+import random
+from collections import Counter
+
+import pytest
+
+from involute.battery import _completeness_corpus
+from involute.families import (
+    cyclic_group,
+    direct_product_table,
+    doubled_semigroup,
+    full_transformation_monoid,
+    partition_monoid,
+    rectangular_band,
+    sym_group_table,
+    symmetric_inverse_monoid,
+    zero_semigroup,
+)
+from involute.perms import compose
+from involute.semigroups import (
+    ElementFingerprint,
+    GreenStructure,
+    _right_generators,
+    close_under,
+    generating_set,
+    green_relations,
+    index_and_period,
+    validate,
+)
+
+
+def _canonical_partition(class_of: dict) -> tuple:
+    groups: dict = {}
+    for x, key in class_of.items():
+        groups.setdefault(key, []).append(x)
+    return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+
+
+def reference_green(s) -> GreenStructure:
+    """Principal ideals as Python sets, J as the union of the R ideals over
+    each L ideal, D by union-find over elements."""
+    n, t = s.n, s.table
+    rideal = [frozenset(row) | {x} for x, row in enumerate(t)]
+    lideal = [frozenset(col) | {y} for y, col in enumerate(zip(*t))]
+    jcache: dict = {}
+    jideal = [
+        jcache.get(lm) or jcache.setdefault(lm, frozenset().union(*(rideal[y] for y in lm)))
+        for lm in lideal
+    ]
+    r_part = _canonical_partition(dict(enumerate(rideal)))
+    l_part = _canonical_partition(dict(enumerate(lideal)))
+    h_part = _canonical_partition({x: (rideal[x], lideal[x]) for x in range(n)})
+    j_part = _canonical_partition(dict(enumerate(jideal)))
+
+    # D = R v L via union-find over the two partitions
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for part in (r_part, l_part):
+        for cls in part:
+            it = iter(cls)
+            root = find(next(it))
+            for other in it:
+                parent[find(other)] = root
+    d_part = _canonical_partition({x: find(x) for x in range(n)})
+    assert d_part == j_part, "D != J on a finite semigroup: computation bug"
+    return GreenStructure(r_part, l_part, h_part, d_part, j_part)
+
+
+def reference_fingerprints(s, green) -> tuple:
+    n, t = s.n, s.table
+    cols = list(zip(*t))
+    size_of = {}
+    for attr, slot in (("r_classes", 0), ("l_classes", 1), ("d_classes", 2)):
+        for cls in getattr(green, attr):
+            for x in cls:
+                size_of.setdefault(x, [0, 0, 0])[slot] = len(cls)
+    out = []
+    for x in range(n):
+        rcs, lcs, dcs = size_of[x]
+        idx, per = index_and_period(s, x)
+        out.append(
+            ElementFingerprint(
+                is_idempotent=t[x][x] == x,
+                index=idx,
+                period=per,
+                r_class_size=rcs,
+                l_class_size=lcs,
+                d_class_size=dcs,
+                left_mult_rank=len(set(cols[x])),
+                right_mult_rank=len(set(t[x])),
+            )
+        )
+    return tuple(out)
+
+
+def _random_transformation_semigroups(seed, count, cap=120):
+    """Seeded subsemigroups of T_m, m <= 5, of 4..cap elements, each
+    generated by one to three random maps."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(2, 5)
+        maps = [tuple(rng.randrange(m) for _ in range(m)) for _ in range(rng.randint(1, 3))]
+        elems = close_under(maps, maps, compose)
+        if not 4 <= len(elems) <= cap:
+            continue
+        order = sorted(elems)
+        index = {f: i for i, f in enumerate(order)}
+        out.append(validate([[index[compose(f, g)] for g in order] for f in order]))
+    return out
+
+
+NAMED_TABLES = {
+    **{f"sym{k}": (sym_group_table, k) for k in range(3, 7)},
+    "t3": (full_transformation_monoid, 3),
+    "t4": (full_transformation_monoid, 4),
+    "p2": (partition_monoid, 2),
+    "p3": (partition_monoid, 3),
+    "i3": (symmetric_inverse_monoid, 3),
+    "i4": (symmetric_inverse_monoid, 4),
+    "band3x3": (rectangular_band, 3, 3),
+    "zero5": (zero_semigroup, 5),
+    "doubled_t3": (lambda: doubled_semigroup(full_transformation_monoid(3)),),
+    "z2_x_sym4": (lambda: direct_product_table(cyclic_group(2), sym_group_table(4)),),
+    "z840": (cyclic_group, 840),
+}
+
+
+def reference_generating_set(s, fps) -> list[int]:
+    class_size = Counter(fps)
+    orbit = [fp.index + fp.period - 1 for fp in fps]
+    spread = [fp.left_mult_rank + fp.right_mult_rank for fp in fps]
+    order = sorted(range(s.n), key=lambda x: (-orbit[x], -spread[x], class_size[fps[x]], x))
+    return list(_right_generators(s.table, order))
+
+
+def _assert_matches_reference(s):
+    green = reference_green(s)
+    assert green_relations(s) == green
+    fps = reference_fingerprints(s, green)
+    assert s.fingerprints == fps
+    assert generating_set(s) == reference_generating_set(s, fps)
+
+
+def test_kernels_match_the_reference_on_the_completeness_corpus():
+    for s in _completeness_corpus(random.Random(0xCA11)):
+        _assert_matches_reference(s)
+
+
+def test_kernels_match_the_reference_on_cyclic_groups():
+    for k in range(1, 200):
+        _assert_matches_reference(cyclic_group(k))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_TABLES))
+def test_kernels_match_the_reference_on_named_tables(name):
+    build, *args = NAMED_TABLES[name]
+    s = build(*args)
+    _assert_matches_reference(s)
+    if not s.is_commutative:
+        _assert_matches_reference(s.dual())
+
+
+def _monogenic(index, period):
+    """<x | x^(index+period) = x^index> on x^1..x^(index+period-1), x^k at k-1."""
+    m = index + period - 1
+
+    def power(k):
+        return k if k <= m else index + (k - index) % period
+
+    return validate([[power(a + b) - 1 for b in range(1, m + 1)] for a in range(1, m + 1)])
+
+
+def test_kernels_match_the_reference_on_monogenic_semigroups():
+    for index in range(1, 9):
+        for period in range(1, 9):
+            s = _monogenic(index, period)
+            assert index_and_period(s, 0) == (index, period)
+            _assert_matches_reference(s)
+
+
+def test_kernels_match_the_reference_on_random_transformation_semigroups():
+    tables = _random_transformation_semigroups(seed=11, count=40)
+    assert sum(s.identity is None for s in tables) >= 20  # most have no identity
+    for s in tables:
+        _assert_matches_reference(s)

@@ -180,6 +180,35 @@ def test_cli_analyze_bad_input(tmp_path, capsys):
     assert main(["analyze", str(missing)]) == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe",                                       # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,                   # nested past the recursion limit
+        b'{"table": [[' + b"1" * 5000 + b"]]}",             # an integer too long to convert
+    ],
+    ids=["not-utf8", "deep", "long-int"],
+)
+def test_cli_analyze_rejects_unreadable_json_without_a_traceback(content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["construct", "frucht", str(path)]) == 2
+
+
+def test_cli_construct_reports_an_unwritable_output(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["construct", "cyclic", "1", "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+
+
+@pytest.mark.parametrize("only", ["", ",", "klein,"])
+def test_cli_verify_rejects_an_empty_check_name(only, capsys):
+    assert main(["verify", "--only", only]) == 2
+    assert "unknown check name" in capsys.readouterr().err
+
+
 def test_cli_construct(tmp_path, capsys):
     out = tmp_path / "z6.json"
     assert main(["construct", "cyclic", "6", "-o", str(out)]) == 0

@@ -137,6 +137,9 @@ def test_validate_rejects_non_integer_input(table):
 def test_validate_rejects_huge_entries_and_bad_names():
     with pytest.raises(IndexOutOfRangeError):
         validate([[2**70]])
+    for past_int32 in (2**31, 2**32, -(2**31) - 1):  # none may wrap into range
+        with pytest.raises(IndexOutOfRangeError):
+            validate([[0, past_int32], [1, 0]])
     with pytest.raises(InputFormatError):
         validate([[0]], names=7)
     with pytest.raises(InputFormatError):
