@@ -30,11 +30,23 @@ EXIT_BUDGET = 3
 
 # --- construct: a tiny recursive grammar over the argv tail ----------------
 
-_ARITIES = {
-    "cyclic": 1, "zn": 1, "klein": 0, "sym": 1, "alt": 1,
-    "transformation": 1, "tn": 1, "inverse": 1, "dual-inverse": 1,
-    "partition": 1, "band": 2, "zero": 1, "dihedral": 1, "quaternion": 0,
-    "z2^k": 1,
+#: family name -> (builder, number of integer arguments)
+_FAMILIES = {
+    "cyclic": (families.cyclic_group, 1),
+    "zn": (families.cyclic_group, 1),
+    "klein": (families.klein_four, 0),
+    "sym": (families.sym_group_table, 1),
+    "alt": (families.alternating_group_table, 1),
+    "transformation": (families.full_transformation_monoid, 1),
+    "tn": (families.full_transformation_monoid, 1),
+    "inverse": (families.symmetric_inverse_monoid, 1),
+    "dual-inverse": (families.dual_symmetric_inverse_monoid, 1),
+    "partition": (families.partition_monoid, 1),
+    "band": (families.rectangular_band, 2),
+    "zero": (families.zero_semigroup, 1),
+    "dihedral": (families.dihedral_group, 1),
+    "quaternion": (families.quaternion_group, 0),
+    "z2^k": (families.elementary_abelian_two_group, 1),
 }
 
 
@@ -68,9 +80,9 @@ def _parse_construct(tokens: list[str]) -> tuple[FiniteSemigroup, list[str]]:
         if not rest:
             raise InputFormatError("file needs a path")
         return load_table(rest[0]), rest[1:]
-    if head not in _ARITIES:
+    if head not in _FAMILIES:
         raise InputFormatError(f"unknown family {head!r} (see --help)")
-    arity = _ARITIES[head]
+    build, arity = _FAMILIES[head]
     if len(rest) < arity:
         raise InputFormatError(f"{head} needs {arity} integer argument(s)")
     try:
@@ -78,25 +90,8 @@ def _parse_construct(tokens: list[str]) -> tuple[FiniteSemigroup, list[str]]:
     except ValueError as exc:
         raise InputFormatError(f"{head} arguments must be integers") from exc
     rest = rest[arity:]
-    builders = {
-        "cyclic": families.cyclic_group,
-        "zn": families.cyclic_group,
-        "klein": families.klein_four,
-        "sym": families.sym_group_table,
-        "alt": families.alternating_group_table,
-        "transformation": families.full_transformation_monoid,
-        "tn": families.full_transformation_monoid,
-        "inverse": families.symmetric_inverse_monoid,
-        "dual-inverse": families.dual_symmetric_inverse_monoid,
-        "partition": families.partition_monoid,
-        "band": families.rectangular_band,
-        "zero": families.zero_semigroup,
-        "dihedral": families.dihedral_group,
-        "quaternion": families.quaternion_group,
-        "z2^k": families.elementary_abelian_two_group,
-    }
     try:
-        return builders[head](*args), rest
+        return build(*args), rest
     except ValueError as exc:
         raise InputFormatError(f"{head}: {exc}") from exc
 

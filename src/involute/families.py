@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from .errors import OrderBudgetExceededError
-from .perms import Permutation, compose
+from .perms import Permutation, compose, cycle_string
 from .semigroups import FiniteSemigroup, TABLE_CAP, validate
 
 
@@ -77,7 +77,7 @@ def sym_group_table(n: int) -> FiniteSemigroup:
     if n > 7:
         raise OrderBudgetExceededError(5040)
     elems = sorted(permutations(range(n)))
-    return _cayley_table(elems, compose, [Permutation(p).cycle_string() for p in elems])
+    return _cayley_table(elems, compose, [cycle_string(p) for p in elems])
 
 
 def full_transformation_monoid(n: int) -> FiniteSemigroup:
@@ -360,4 +360,4 @@ def alternating_group_table(n: int) -> FiniteSemigroup:
     if n > 6:
         raise OrderBudgetExceededError(360)
     elems = [p for p in sorted(permutations(range(n))) if Permutation(p).parity() == 0]
-    return _cayley_table(elems, compose, [Permutation(p).cycle_string() for p in elems])
+    return _cayley_table(elems, compose, [cycle_string(p) for p in elems])

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .errors import InputFormatError, NoEdgesError, SearchBudgetExceededError
 from .morphisms import MorphismSet
-from .perms import Permutation
+from .perms import as_mapping, compose, identity_tuple
 from .permgroups import PermGroup, closure
 from .semigroups import FiniteSemigroup, read_json, validate
 
@@ -47,7 +47,8 @@ class SimpleGraph:
         return v in self.adj[u]
 
     def is_automorphism(self, perm) -> bool:
-        m = perm.mapping if isinstance(perm, Permutation) else tuple(perm)
+        """Whether ``perm`` (see :func:`~involute.perms.as_mapping`) keeps the edges."""
+        m = as_mapping(perm)
         if len(m) != self.n:
             return False
         return all((min(m[u], m[v]), max(m[u], m[v])) in self.edges for u, v in self.edges)
@@ -153,16 +154,17 @@ def graph_automorphisms(g: SimpleGraph, *, budget: int | None = None) -> Morphis
                 used[w] = False
 
     extend(0)
-    perms = tuple(sorted(Permutation(m) for m in results))
-    for p in perms:
-        assert g.is_automorphism(p)
-    return MorphismSet(perms)
+    results.sort()
+    for m in results:
+        assert g.is_automorphism(m)
+    return MorphismSet(tuple(results))
 
 
 def graph_involution_group(g: SimpleGraph, *, budget=None, cap=None) -> PermGroup:
     """C(Gamma): the subgroup generated by order-2 graph automorphisms."""
     auts = graph_automorphisms(g, budget=budget)
-    invs = [p for p in auts if p.is_involution()]
+    one = identity_tuple(g.n)
+    invs = [p for p in auts if p != one and compose(p, p) == one]
     return closure(invs, degree=g.n, cap=cap)
 
 

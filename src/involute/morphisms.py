@@ -29,7 +29,7 @@ from .errors import (
     OrderBudgetExceededError,
     SearchBudgetExceededError,
 )
-from .perms import Permutation, compose, identity_tuple
+from .perms import Permutation, as_mapping, compose, identity_tuple
 from .semigroups import DEFAULT_ORDER_BUDGET, FiniteSemigroup, _row_labels, generating_set
 
 #: Default cap on the nodes of one search, or of one automorphism chain
@@ -39,10 +39,11 @@ DEFAULT_NODE_BUDGET = 10**8
 
 @dataclass(frozen=True)
 class MorphismSet:
-    """A sorted tuple of (anti-)automorphisms; a class, not a bare tuple, so
-    that callers can hold weak references to the cached sets."""
+    """A sorted tuple of (anti-)automorphisms as mapping tuples; a class, not
+    a bare tuple, so that callers can hold weak references to the cached
+    sets."""
 
-    elements: tuple[Permutation, ...]
+    elements: tuple[tuple[int, ...], ...]
 
     def __iter__(self):
         return iter(self.elements)
@@ -50,16 +51,9 @@ class MorphismSet:
     def __len__(self):
         return len(self.elements)
 
-    def __contains__(self, perm):
-        return perm in self.elements
-
-
-def _as_mapping(alpha) -> tuple[int, ...]:
-    return alpha.mapping if isinstance(alpha, Permutation) else tuple(alpha)
-
 
 def _preserves_products(alpha, s: FiniteSemigroup, t: FiniteSemigroup, anti: bool) -> bool:
-    m = _as_mapping(alpha)
+    m = as_mapping(alpha)
     if len(m) != s.n or s.n != t.n:
         raise DegreeMismatchError(
             f"degree {len(m)} against tables of sizes {s.n} and {t.n}"
@@ -71,12 +65,12 @@ def _preserves_products(alpha, s: FiniteSemigroup, t: FiniteSemigroup, anti: boo
 
 
 def is_homomorphism(alpha, s: FiniteSemigroup, t: FiniteSemigroup) -> bool:
-    """True iff alpha(xy) = alpha(x)alpha(y) on all pairs."""
+    """True iff the permutation alpha has alpha(xy) = alpha(x)alpha(y) on all pairs."""
     return _preserves_products(alpha, s, t, anti=False)
 
 
 def is_anti_homomorphism(alpha, s: FiniteSemigroup, t: FiniteSemigroup) -> bool:
-    """True iff alpha(xy) = alpha(y)alpha(x) on all pairs."""
+    """True iff the permutation alpha has alpha(xy) = alpha(y)alpha(x) on all pairs."""
     return _preserves_products(alpha, s, t, anti=True)
 
 
@@ -281,7 +275,7 @@ class AutomorphismChain:
     def order(self) -> int:
         return prod(len(level) for level in self.transversals)
 
-    def mappings(self) -> list[tuple[int, ...]]:
+    def elements(self) -> list[tuple[int, ...]]:
         """Every automorphism, sorted: the products u_0 u_1 ... u_{k-1} with
         u_i in ``transversals[i]``.  a = u_0 a' with u_0 = transversals[0][a(g_0)]
         and a' in Aut_{g_0}, and so on down the chain, so each automorphism
@@ -390,7 +384,7 @@ def enumerate_automorphisms(
         limit = DEFAULT_ORDER_BUDGET if cap is None else cap
         if chain.order > limit:
             raise OrderBudgetExceededError(limit, layer="Aut(S)", order=chain.order)
-        return MorphismSet(tuple(map(Permutation, chain.mappings())))
+        return MorphismSet(tuple(chain.elements()))
 
     return _memo(s, "aut", build)
 
@@ -411,16 +405,17 @@ def enumerate_anti_automorphisms(
         if s.is_commutative:
             auts = enumerate_automorphisms(s, budget=budget, cap=cap)
             return MorphismSet(auts.elements)
-        beta = find_anti_isomorphism(s, s, budget=budget)
-        if beta is None:
+        found = enumerate_isomorphism_mappings(s, s.dual(), budget=budget, limit=1)
+        if not found:
             return MorphismSet(())
+        beta = found[0]
         auts = enumerate_automorphisms(s, budget=budget, cap=cap)
-        composed = sorted(compose(a.mapping, beta.mapping) for a in auts)
+        composed = sorted(compose(a, beta) for a in auts)
         anti_certified = _generator_certificate(s, s, generating_set(s), anti=True)
         for m in composed:
             if not anti_certified(m):
                 raise AssertionError("composition trick produced a non-anti-morphism")
-        return MorphismSet(tuple(Permutation(m) for m in composed))
+        return MorphismSet(tuple(composed))
 
     return _memo(s, "anti", build)
 
@@ -430,7 +425,8 @@ def involutions(
 ) -> MorphismSet:
     """Anti-automorphisms of order exactly 2 (the identity never counts)."""
     anti = enumerate_anti_automorphisms(s, budget=budget, cap=cap)
-    return MorphismSet(tuple(a for a in anti if a.is_involution()))
+    one = identity_tuple(s.n)
+    return MorphismSet(tuple(a for a in anti if a != one and compose(a, a) == one))
 
 
 def order_two_automorphisms(
@@ -438,7 +434,8 @@ def order_two_automorphisms(
 ) -> MorphismSet:
     """Automorphisms alpha with alpha^2 = 1, identity included."""
     auts = enumerate_automorphisms(s, budget=budget, cap=cap)
-    return MorphismSet(tuple(a for a in auts if a.is_identity() or a.is_involution()))
+    one = identity_tuple(s.n)
+    return MorphismSet(tuple(a for a in auts if compose(a, a) == one))
 
 
 def is_proper_involution(alpha, s: FiniteSemigroup) -> bool:
@@ -447,8 +444,7 @@ def is_proper_involution(alpha, s: FiniteSemigroup) -> bool:
     Raises :class:`NotAnInvolutionError` unless alpha really is an
     involution of S.
     """
-    m = _as_mapping(alpha)
-    p = Permutation(m)
+    p = Permutation(alpha)
     if not (p.is_involution() and is_anti_homomorphism(p, s, s)):
         raise NotAnInvolutionError(f"{p!r} is not an involution of this semigroup")
     return not is_homomorphism(p, s, s)

@@ -30,7 +30,7 @@ from .morphisms import (
     involutions,
     order_two_automorphisms,
 )
-from .perms import Permutation, compose, identity_tuple, invert
+from .perms import Permutation, as_mapping, compose, identity_tuple, invert
 from .semigroups import (
     DEFAULT_ORDER_BUDGET,
     FiniteSemigroup,
@@ -41,7 +41,8 @@ from .semigroups import (
 
 
 class PermGroup:
-    """A permutation group with its element set materialized.
+    """A permutation group with its element set materialized, every element
+    and generator a mapping tuple.
 
     Invariant: ``generators`` generate ``elements``.  The invariants in
     :func:`group_fingerprint` rely on it.
@@ -109,13 +110,12 @@ class _Growing:
         return True
 
     def group(self) -> PermGroup:
-        return PermGroup(
-            self.degree, map(Permutation, self.gens), map(Permutation, self.members)
-        )
+        return PermGroup(self.degree, self.gens, self.members)
 
 
 def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
-    """The subgroup generated by the given permutations.
+    """The subgroup generated by the given permutations (mapping tuples or
+    :class:`~involute.perms.Permutation` objects).
 
     The result's ``generators`` are the non-redundant ones: each given
     permutation is kept only if it lies outside the group generated by
@@ -123,16 +123,16 @@ def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
     (the degree must then be supplied).  Raises
     :class:`OrderBudgetExceededError` past ``cap``.
     """
-    gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
+    gens = [as_mapping(g) for g in generators]
     if degree is None:
         if not gens:
             raise ValueError("degree is required for an empty generating set")
-        degree = gens[0].degree
-    if any(g.degree != degree for g in gens):
+        degree = len(gens[0])
+    if any(len(g) != degree for g in gens):
         raise ValueError("generators act on different degrees")
     grown = _Growing(degree, cap)
     for g in gens:
-        grown.adjoin(g.mapping)
+        grown.adjoin(g)
     return grown.group()
 
 
@@ -172,28 +172,29 @@ def involution_laws(s: FiniteSemigroup, auts, invs, j_set, c: PermGroup, g: Perm
     aut_set = set(auts.elements)
     split = c.order == 2 * sum(1 for p in c if p in aut_set)
     gens = automorphism_chain(s).generators
-    central = [
-        i.mapping
-        for i in invs
-        if all(compose(a, i.mapping) == compose(i.mapping, a) for a in gens)
-    ]
+    central = [i for i in invs if all(compose(a, i) == compose(i, a) for a in gens)]
     if not central:
         return split, None
-    psi = {compose(a.mapping, central[0]) for a in j_set}
-    return split, psi == {p.mapping for p in invs} and c.order == 2 * g.order
+    psi = {compose(a, central[0]) for a in j_set}
+    return split, psi == set(invs) and c.order == 2 * g.order
 
 
-def signed_aut_group(s: FiniteSemigroup, *, budget=None) -> PermGroup:
+def signed_aut_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
     """Aut(S) together with all anti-automorphisms, as one group.
 
     On a commutative semigroup the two sets coincide, so the order is
     |Aut(S)|; otherwise they are disjoint and the order is their sum.  The
     anti-automorphisms, if any, are one coset alpha*Aut(S) (alpha^-1 beta
     preserves products), so Aut(S) and any one of them generate the group.
+    Raises :class:`OrderBudgetExceededError` before building the group if
+    that order is past ``cap`` (default :data:`DEFAULT_ORDER_BUDGET`).
     """
-    auts = enumerate_automorphisms(s, budget=budget)
-    antis = enumerate_anti_automorphisms(s, budget=budget)
-    members = set(auts.elements) | set(antis.elements)
+    auts = enumerate_automorphisms(s, budget=budget, cap=cap)
+    antis = enumerate_anti_automorphisms(s, budget=budget, cap=cap)
+    members = auts.elements if s.is_commutative else auts.elements + antis.elements
+    limit = DEFAULT_ORDER_BUDGET if cap is None else cap
+    if len(members) > limit:
+        raise OrderBudgetExceededError(limit, layer="Aut±(S)", order=len(members))
     return PermGroup(s.n, auts.elements + antis.elements[:1], members)
 
 
@@ -209,11 +210,10 @@ def derived_subgroup(g: PermGroup, *, cap=None) -> PermGroup:
     generated by those images; it lies in K and has the order of K, so it
     is K.  Every element of G is a product of the x, so K is normal.
     """
-    gens = [p.mapping for p in g.generators]
     grown = _Growing(g.degree, cap)
-    for a, b in combinations(gens, 2):
+    for a, b in combinations(g.generators, 2):
         grown.adjoin(compose(compose(a, b), invert(compose(b, a))))
-    conjugators = [(x, invert(x)) for x in gens]
+    conjugators = [(x, invert(x)) for x in g.generators]
     for k in grown.gens:  # grows while it is walked
         for x, x_inv in conjugators:
             grown.adjoin(compose(compose(x, k), x_inv))
@@ -231,9 +231,6 @@ class GroupFingerprint:
     center_order: int
     derived_order: int
 
-    def histogram_dict(self) -> dict:
-        return dict(self.element_order_histogram)
-
 
 def _center_order(g: PermGroup, m: np.ndarray) -> int:
     """|Z(G)| as the number of elements that commute with every generator:
@@ -241,7 +238,7 @@ def _center_order(g: PermGroup, m: np.ndarray) -> int:
     every element of G.  ``m`` holds the elements, one per row."""
     central = np.ones(len(m), dtype=bool)
     for a in g.generators:
-        a = np.asarray(a.mapping, dtype=np.intp)
+        a = np.asarray(a, dtype=np.intp)
         central &= (a[m] == m[:, a]).all(axis=1)  # row j: a g_j == g_j a
     return int(central.sum())
 
@@ -279,7 +276,7 @@ def _block_orders(m: np.ndarray) -> np.ndarray:
 
 
 def group_fingerprint(g: PermGroup) -> GroupFingerprint:
-    m = np.asarray([p.mapping for p in g.elements], dtype=np.int32)
+    m = np.asarray(g.elements, dtype=np.int32)
     orders, counts = np.unique(_element_orders(m), return_counts=True)
     hist = dict(zip(orders.tolist(), counts.tolist()))
     center = _center_order(g, m)
@@ -300,7 +297,7 @@ def to_cayley_table(g: PermGroup, *, cap: int | None = None) -> FiniteSemigroup:
     cap = TABLE_CAP if cap is None else cap
     if g.order > cap:
         raise OrderBudgetExceededError(cap)
-    m = np.asarray([p.mapping for p in g.elements], dtype=np.int32)
+    m = np.asarray(g.elements, dtype=np.int32)
     index = {row.tobytes(): i for i, row in enumerate(m)}
     table = [
         [index[row.tobytes()] for row in m[i][m]]

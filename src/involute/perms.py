@@ -8,8 +8,7 @@ quoted from the literature are re-derived under this convention in the tests.
 from __future__ import annotations
 
 import re
-from functools import reduce
-from math import gcd
+from math import lcm
 
 from .errors import InputFormatError
 
@@ -30,16 +29,52 @@ def identity_tuple(n):
     return tuple(range(n))
 
 
+def as_mapping(p) -> tuple[int, ...]:
+    """The mapping tuple of a :class:`Permutation` or of a sequence of images,
+    the one form the library holds a map in; ValueError unless a bijection."""
+    if isinstance(p, Permutation):
+        return p.mapping
+    m = tuple(p)
+    if sorted(m) != list(range(len(m))):
+        raise ValueError(f"not a permutation of 0..{len(m) - 1}: {m}")
+    return m
+
+
+def cycles(m):
+    """The non-trivial cycles of a mapping tuple, each rotated to start at
+    its least point."""
+    seen = [False] * len(m)
+    out = []
+    for start in range(len(m)):
+        if seen[start] or m[start] == start:
+            seen[start] = True
+            continue
+        cyc = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x)
+            x = m[x]
+        out.append(tuple(cyc))
+    return out
+
+
+def cycle_string(m, names=None) -> str:
+    """A mapping tuple in cycle notation, ``()`` for the identity."""
+    label = (lambda x: names[x]) if names is not None else str
+    cycs = cycles(m)
+    if not cycs:
+        return "()"
+    return "".join("(" + " ".join(label(x) for x in c) + ")" for c in cycs)
+
+
 class Permutation:
     """An immutable bijection of {0..n-1}, stored as its mapping tuple."""
 
     __slots__ = ("mapping",)
 
     def __init__(self, mapping):
-        m = tuple(mapping)
-        if sorted(m) != list(range(len(m))):
-            raise ValueError(f"not a permutation of 0..{len(m) - 1}: {m}")
-        object.__setattr__(self, "mapping", m)
+        object.__setattr__(self, "mapping", as_mapping(mapping))
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -71,18 +106,6 @@ class Permutation:
         # self * other applies other first
         return Permutation(compose(self.mapping, other.mapping))
 
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = identity_tuple(self.degree)
-        base = self.mapping
-        while k:
-            if k & 1:
-                out = compose(base, out)
-            base = compose(base, base)
-            k >>= 1
-        return Permutation(out)
-
     def inverse(self) -> "Permutation":
         return Permutation(invert(self.mapping))
 
@@ -95,41 +118,20 @@ class Permutation:
         return any(v != i for i, v in enumerate(m)) and all(m[v] == i for i, v in enumerate(m))
 
     def order(self) -> int:
-        return reduce(lambda a, b: a * b // gcd(a, b), (len(c) for c in self.cycles()), 1)
+        return lcm(*(len(c) for c in self.cycles()))
 
     def parity(self) -> int:
         """0 for even, 1 for odd."""
         return sum(len(c) - 1 for c in self.cycles()) % 2
 
     def cycles(self):
-        """Non-trivial cycles, each rotated to start at its least point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start] or self.mapping[start] == start:
-                seen[start] = True
-                continue
-            cyc = []
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                cyc.append(x)
-                x = self.mapping[x]
-            out.append(tuple(cyc))
-        return out
+        return cycles(self.mapping)
 
     def cycle_string(self, names=None) -> str:
-        label = (lambda x: names[x]) if names is not None else str
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(label(x) for x in c) + ")" for c in cycs)
+        return cycle_string(self.mapping, names)
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.mapping == other.mapping
-
-    def __lt__(self, other):
-        return self.mapping < other.mapping
 
     def __hash__(self):
         return hash(self.mapping)

@@ -9,7 +9,7 @@ from . import families
 from .morphisms import (
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
-    find_isomorphism,
+    enumerate_isomorphism_mappings,
     involutions,
     order_two_automorphisms,
 )
@@ -81,7 +81,7 @@ def identify_group(g: PermGroup, *, budget=None) -> list[tuple[str, bool]]:
         return []
     table = to_cayley_table(g)
     return [
-        (name, find_isomorphism(table, cand, budget=budget) is not None)
+        (name, bool(enumerate_isomorphism_mappings(table, cand, budget=budget, limit=1)))
         for name, cand in _catalog_for_order(g.order)
     ]
 
@@ -127,7 +127,7 @@ def analyze(
     # I(S) in the same order, and closure skips the identity, so even the
     # kept generators of G(S) are those of C(S).
     g = c if s.is_commutative else g_group(s, budget=budget, cap=order_cap)
-    signed = signed_aut_group(s, budget=budget)
+    signed = signed_aut_group(s, budget=budget, cap=order_cap)
     c_fingerprint = group_fingerprint(c)
     split_law, central_law = involution_laws(s, auts, invs, j_set, c, g)
 
@@ -148,9 +148,9 @@ def analyze(
         split_law_ok=split_law,
         central_law_ok=central_law,
         identifications=tuple(identify_group(c, budget=budget)),
-        automorphisms=tuple(tuple(p.mapping) for p in auts),
-        anti_automorphisms=tuple(tuple(p.mapping) for p in antis),
-        involution_maps=tuple(tuple(p.mapping) for p in invs),
+        automorphisms=auts.elements,
+        anti_automorphisms=antis.elements,
+        involution_maps=invs.elements,
     )
 
 

@@ -18,7 +18,7 @@ from .errors import (
     NotGraphAutomorphismError,
 )
 from .graphs import SimpleGraph
-from .perms import Permutation
+from .perms import as_mapping
 
 DEFAULT_LENGTH_BOUND = 16
 
@@ -130,27 +130,27 @@ def trace_equal(u: TraceWord, w: TraceWord, *, bound: int = DEFAULT_LENGTH_BOUND
     return normal_form(u, bound=bound).letters == normal_form(w, bound=bound).letters
 
 
-def _as_alphabet_permutation(pi, ctx: TraceContext) -> Permutation:
-    p = pi if isinstance(pi, Permutation) else Permutation(pi)
-    if p.degree != ctx.m or not ctx.graph.is_automorphism(p):
+def _letter_map(pi, ctx: TraceContext) -> tuple[int, ...]:
+    m = as_mapping(pi)
+    if not ctx.graph.is_automorphism(m):  # False for a map of another degree
         raise NotGraphAutomorphismError(
             "the map must be an automorphism of the commutation graph"
         )
-    return p
+    return m
 
 
 def gamma_map(pi, w: TraceWord) -> TraceWord:
-    """Letterwise image of the word; a trace automorphism when pi is one
-    of the commutation graph."""
-    p = _as_alphabet_permutation(pi, w.context)
-    return TraceWord(w.context, tuple(p.mapping[x] for x in w.letters))
+    """Letterwise image of the word; a trace automorphism when pi (a mapping
+    tuple or a Permutation) is an automorphism of the commutation graph."""
+    m = _letter_map(pi, w.context)
+    return TraceWord(w.context, tuple(m[x] for x in w.letters))
 
 
 def delta_map(pi, w: TraceWord) -> TraceWord:
     """Reversed letterwise image; a trace anti-automorphism.  With the
     identity permutation this is plain word reversal."""
-    p = _as_alphabet_permutation(pi, w.context)
-    return TraceWord(w.context, tuple(p.mapping[x] for x in reversed(w.letters)))
+    m = _letter_map(pi, w.context)
+    return TraceWord(w.context, tuple(m[x] for x in reversed(w.letters)))
 
 
 def bfs_trace_class(w: TraceWord, *, bound: int = DEFAULT_LENGTH_BOUND) -> frozenset:

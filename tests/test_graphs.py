@@ -45,7 +45,14 @@ def test_graph_automorphism_counts():
 def test_graph_automorphisms_match_brute_force():
     for g in (path_graph(4), cycle_graph(6), star_graph(5)):
         brute = sorted(p for p in permutations(range(g.n)) if g.is_automorphism(p))
-        assert [p.mapping for p in graph_automorphisms(g)] == brute
+        assert list(graph_automorphisms(g)) == brute
+
+
+def test_is_automorphism_rejects_a_map_that_is_not_a_permutation():
+    g = path_graph(3)
+    assert g.is_automorphism((2, 1, 0))
+    with pytest.raises(ValueError):
+        g.is_automorphism((0, 1, 0))  # keeps both edges as (0, 1), but is not a bijection
 
 
 def test_graph_involution_group():
@@ -82,9 +89,9 @@ def test_frucht_automorphism_correspondence():
         # every semigroup automorphism fixes Y and N and restricts to a graph one
         restricted = set()
         for p in semi_auts:
-            assert p.mapping[g.n] == g.n and p.mapping[g.n + 1] == g.n + 1
-            restricted.add(p.mapping[: g.n])
-        assert restricted == {p.mapping for p in graph_auts}
+            assert p[g.n] == g.n and p[g.n + 1] == g.n + 1
+            restricted.add(p[: g.n])
+        assert restricted == set(graph_auts)
 
 
 def test_frucht_c_group_matches_graph_side():

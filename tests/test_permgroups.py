@@ -76,7 +76,7 @@ def test_closure_order_matches_sympy():
 
 def test_closure_keeps_only_generators_outside_the_group_so_far():
     tables = (sym_group_table(4), alternating_group_table(4), dihedral_group(6))
-    cases = [[Permutation(g) for g in gens] for gens in _random_generator_sets(0x9E7)]
+    cases = [[tuple(g) for g in gens] for gens in _random_generator_sets(0x9E7)]
     cases += [list(involutions(t).elements) for t in tables]
     for gens in cases:
         g = closure(gens)
@@ -120,7 +120,7 @@ def test_generators_generate_the_elements(source, table):
 def _reference_fingerprint(g):
     """The O(|G|^2) reference: the centre and abelianness from all pairs,
     [G, G] as the closure of all |G|^2 commutators."""
-    m = np.asarray([p.mapping for p in g.elements], dtype=np.int32)
+    m = np.asarray(g.elements, dtype=np.int32)
     invm = np.argsort(m, axis=1)
     center = 0
     comms = set()
@@ -131,20 +131,20 @@ def _reference_fingerprint(g):
         conj = left[:, invm[i]]                        # g_i o g_j o g_i^-1
         full = np.take_along_axis(conj, invm, axis=1)  # ... o g_j^-1
         comms.update(map(tuple, full.tolist()))
-    hist = Counter(p.order() for p in g.elements)
+    hist = Counter(Permutation(p).order() for p in g.elements)
     return GroupFingerprint(
         order=len(m),
         abelian=center == len(m),
         exponent=lcm(*hist),
         element_order_histogram=tuple(sorted(hist.items())),
         center_order=center,
-        derived_order=closure([Permutation(c) for c in comms], degree=g.degree).order,
+        derived_order=closure(comms, degree=g.degree).order,
     )
 
 
 def _fingerprint_cases(max_degree):
     for gens in _random_generator_sets(0xF1A7, max_degree=max_degree):
-        yield [Permutation(g) for g in gens], len(gens[0])
+        yield [tuple(g) for g in gens], len(gens[0])
     for t in (
         sym_group_table(4),
         alternating_group_table(4),
@@ -168,7 +168,7 @@ def test_group_fingerprint_matches_sympy():
     for gens, degree in _fingerprint_cases(max_degree=7):
         fp = group_fingerprint(closure(gens, degree=degree))
         sg = combinatorics.PermutationGroup(
-            [combinatorics.Permutation(list(p.mapping)) for p in gens]
+            [combinatorics.Permutation(list(p)) for p in gens]
             or [combinatorics.Permutation(list(range(degree)))]
         )
         assert fp.center_order == sg.center().order()
@@ -202,6 +202,15 @@ def test_signed_aut_group_orders(klein):
     assert signed_aut_group(klein).order == 6
 
 
+def test_signed_aut_group_obeys_the_order_cap():
+    # commutative: Aut-(S) is Aut(S), so the order |Aut| fits a cap of |Aut|
+    assert signed_aut_group(cyclic_group(12), cap=4).order == 4
+    assert signed_aut_group(rectangular_band(2, 2), cap=8).order == 8
+    with pytest.raises(OrderBudgetExceededError) as exc:
+        signed_aut_group(rectangular_band(2, 2), cap=4)  # |Aut| = |Aut-| = 4 fit, 8 does not
+    assert str(exc.value) == "Aut±(S) has order 8, past the cap of 4"
+
+
 def test_derived_subgroup_examples():
     s3 = closure([Permutation((1, 0, 2)), Permutation((1, 2, 0))])
     assert derived_subgroup(s3).order == 3
@@ -210,7 +219,7 @@ def test_derived_subgroup_examples():
     s4 = closure([Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))])
     der = derived_subgroup(s4)
     assert der.order == 12
-    assert all(p.parity() == 0 for p in der)  # exactly the even permutations
+    assert all(Permutation(p).parity() == 0 for p in der)  # exactly the even permutations
 
 
 def test_lagrange_style_invariants():
@@ -320,15 +329,11 @@ def _laws_against_every_automorphism(s):
     c = c_group(s)
     aut_set = set(auts.elements)
     split = c.order == 2 * sum(1 for p in c if p in aut_set)
-    central = [
-        i.mapping
-        for i in proper
-        if all(compose(a.mapping, i.mapping) == compose(i.mapping, a.mapping) for a in auts)
-    ]
+    central = [i for i in proper if all(compose(a, i) == compose(i, a) for a in auts)]
     if not central:
         return split, None
-    psi = {compose(a.mapping, central[0]) for a in order_two_automorphisms(s)}
-    return split, psi == {p.mapping for p in invs} and c.order == 2 * g_group(s).order
+    psi = {compose(a, central[0]) for a in order_two_automorphisms(s)}
+    return split, psi == set(invs) and c.order == 2 * g_group(s).order
 
 
 def test_involution_laws_match_the_all_of_aut_reference():

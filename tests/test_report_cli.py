@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import involute
-from involute.cli import main
+from involute.cli import _FAMILIES, main
 from involute.errors import SearchBudgetExceededError
 from involute.families import (
     cyclic_group,
@@ -221,6 +221,26 @@ def test_cli_construct(tmp_path, capsys):
     assert main(["construct", "band", "2"]) == 2
 
 
+#: every family ``construct`` knows, with its smallest valid arguments
+_SMALLEST_FAMILY_ARGS = {
+    "cyclic": ["1"], "zn": ["1"], "klein": [], "sym": ["1"], "alt": ["1"],
+    "transformation": ["1"], "tn": ["1"], "inverse": ["1"], "dual-inverse": ["1"],
+    "partition": ["1"], "band": ["1", "1"], "zero": ["1"], "dihedral": ["1"],
+    "quaternion": [], "z2^k": ["0"],
+}
+
+
+def test_cli_construct_cases_cover_every_family():
+    assert set(_SMALLEST_FAMILY_ARGS) == set(_FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(_SMALLEST_FAMILY_ARGS))
+def test_cli_construct_builds_each_family(family, capsys):
+    assert main(["construct", family, *_SMALLEST_FAMILY_ARGS[family]]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n"] == len(doc["table"]) >= 1
+
+
 def test_cli_construct_frucht(capsys):
     assert main(["construct", "frucht", "3", "0-1,1-2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -382,6 +402,50 @@ def test_cli_analyze_refuses_a_huge_aut_before_listing_it(tmp_path, capsys, spec
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"budget exceeded: Aut(S) has order {order}, past the cap of 1000000\n"
+
+
+def test_cli_analyze_caps_the_signed_group(tmp_path, capsys):
+    # band 3x3: |Aut| = |Aut-| = |C| = 36 fit a cap of 36, |Aut+-| = 72 does not
+    path = tmp_path / "band.json"
+    assert main(["construct", "band", "3", "3", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--budget-order", "36"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "budget exceeded: Aut±(S) has order 72, past the cap of 36\n"
+    assert main(["analyze", str(path), "--budget-order", "72"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in lines if line.startswith("|Aut+-(S)|:")] == ["72"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: zero_semigroup(8),
+        lambda: rectangular_band(3, 3),
+        lambda: full_transformation_monoid(3),
+        lambda: cyclic_group(12),
+        klein_four,  # C is matched against the catalog's Sym(3)
+    ],
+    ids=["zero8", "band3x3", "t3", "z12", "klein"],
+)
+def test_cli_analyze_json_builds_no_permutation(build, tmp_path, monkeypatch, capsys):
+    """Inside the library a map is its mapping tuple: ``analyze`` makes no
+    Permutation."""
+    s = build()
+    path = tmp_path / "s.json"
+    dump_table(s, path)
+    made = []
+    init = Permutation.__init__
+
+    def counting(self, mapping):
+        made.append(mapping)
+        init(self, mapping)
+
+    monkeypatch.setattr(Permutation, "__init__", counting)
+    assert main(["analyze", str(path), "--json"]) == 0
+    assert capsys.readouterr().out.endswith(f'\n  "size": {s.n}\n}}\n')
+    assert len(made) == 0
 
 
 def test_cli_factor(capsys):
