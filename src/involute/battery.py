@@ -44,7 +44,7 @@ from .permgroups import (
     to_cayley_table,
     two_involution_factorization,
 )
-from .semigroups import FiniteSemigroup, close_under, validate
+from .semigroups import FiniteSemigroup, cayley_table, close_under, validate
 from .traces import TraceContext, bfs_trace_class, delta_map, gamma_map, normal_form, trace_equal
 
 
@@ -520,9 +520,7 @@ def _random_transformation_semigroup(rng):
             elems = close_under(maps, maps, compose, cap=6)
         except OrderBudgetExceededError:
             continue
-        order = sorted(elems)
-        index = {f: i for i, f in enumerate(order)}
-        return validate([[index[compose(f, g)] for g in order] for f in order])
+        return cayley_table(sorted(elems), compose)
     return families.cyclic_group(rng.randint(2, 6))
 
 

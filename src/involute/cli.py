@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from . import families
 from .battery import check_names, run_battery
 from .errors import AlgebraError, BudgetExceededError, InputFormatError, OrderBudgetExceededError
 from .graphs import frucht_semigroup, load_graph, parse_edge_list
-from .perms import Permutation, parse_cycles
+from .perms import _CYCLE_RE, Permutation, parse_cycles
 from .permgroups import two_involution_factorization
 from .report import analyze, report_to_json_dict, report_to_text
 from .semigroups import FiniteSemigroup, load_table, to_json_dict
@@ -111,6 +110,8 @@ def _trace_context(args) -> TraceContext:
             letters.update(pair)
     if args.alphabet:
         alphabet = args.alphabet
+        if len(set(alphabet)) != len(alphabet):
+            raise InputFormatError(f"--alphabet {alphabet!r} repeats a letter")
         missing = letters - set(alphabet)
         if missing:
             raise InputFormatError(f"letters {sorted(missing)} outside --alphabet")
@@ -125,15 +126,17 @@ def _trace_context(args) -> TraceContext:
 
 def _letter_permutation(text: str, ctx: TraceContext) -> Permutation:
     text = text.strip()
-    if text in ("id", "()", ""):
+    if text == "id":
         return Permutation.identity(ctx.m)
-    body = re.sub(r"[()]", " ", text)
+    if _CYCLE_RE.sub("", text).strip():
+        raise InputFormatError(f"cannot parse letter cycles {text!r}")
     cycles = []
-    for chunk in body.split():
+    for body in _CYCLE_RE.findall(text):
         try:
-            cycles.append([ctx.letters.index(ch) for ch in chunk])
+            # spaces inside a cycle separate letters: "(a b)" is (ab)
+            cycles.append([ctx.letters.index(ch) for ch in "".join(body.split())])
         except ValueError as exc:
-            raise InputFormatError(f"letter in {chunk!r} outside alphabet {ctx.letters!r}") from exc
+            raise InputFormatError(f"letter in {body!r} outside alphabet {ctx.letters!r}") from exc
     try:
         return Permutation.from_cycles(cycles, ctx.m)
     except ValueError as exc:
@@ -167,6 +170,8 @@ def _cmd_construct(args) -> int:
         raise InputFormatError(
             f"the requested table exceeds the limit of {exc.limit} elements"
         ) from exc
+    except RecursionError as exc:
+        raise InputFormatError("the construct spec is nested too deeply") from exc
     if rest:
         raise InputFormatError(f"unused construct arguments: {rest}")
     doc = json.dumps(to_json_dict(s), sort_keys=True)

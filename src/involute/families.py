@@ -14,20 +14,18 @@ are reproducible:
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from operator import xor
 
 from .errors import OrderBudgetExceededError
 from .perms import Permutation, compose, cycle_string
-from .semigroups import FiniteSemigroup, TABLE_CAP, validate
+from .semigroups import FiniteSemigroup, TABLE_CAP, cayley_table
 
 
 def cyclic_group(n: int) -> FiniteSemigroup:
     """Z_n, the additive group of integers modulo n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return validate(
-        [[(i + j) % n for j in range(n)] for i in range(n)],
-        names=[str(i) for i in range(n)],
-    )
+    return cayley_table(range(n), lambda i, j: (i + j) % n, map(str, range(n)))
 
 
 def r_of_n(n: int) -> int:
@@ -60,16 +58,6 @@ def klein_four() -> FiniteSemigroup:
     return direct_product_table(cyclic_group(2), cyclic_group(2))
 
 
-def _cayley_table(elems, mult, names) -> FiniteSemigroup:
-    """The table of ``mult`` on ``elems``, element i being ``elems[i]``."""
-    index = {x: i for i, x in enumerate(elems)}
-    try:
-        table = [[index[mult(a, b)] for b in elems] for a in elems]
-    except KeyError:
-        raise AssertionError("the elements are not closed under the product") from None
-    return validate(table, names=names)
-
-
 def sym_group_table(n: int) -> FiniteSemigroup:
     """Sym(n) as a Cayley table over the lexicographically sorted permutations."""
     if n < 1:
@@ -77,7 +65,7 @@ def sym_group_table(n: int) -> FiniteSemigroup:
     if n > 7:
         raise OrderBudgetExceededError(5040)
     elems = sorted(permutations(range(n)))
-    return _cayley_table(elems, compose, [cycle_string(p) for p in elems])
+    return cayley_table(elems, compose, [cycle_string(p) for p in elems])
 
 
 def full_transformation_monoid(n: int) -> FiniteSemigroup:
@@ -87,7 +75,7 @@ def full_transformation_monoid(n: int) -> FiniteSemigroup:
     if n > 4:
         raise OrderBudgetExceededError(4**4)
     elems = list(product(range(n), repeat=n))
-    return _cayley_table(elems, compose, ["[" + " ".join(map(str, f)) + "]" for f in elems])
+    return cayley_table(elems, compose, ["[" + " ".join(map(str, f)) + "]" for f in elems])
 
 
 def symmetric_inverse_monoid(n: int) -> FiniteSemigroup:
@@ -105,23 +93,15 @@ def symmetric_inverse_monoid(n: int) -> FiniteSemigroup:
 
     def compose_partial(f, g):
         # (f o g)(x) = f(g(x)) wherever defined
-        fdom, fimg = f
-        gdom, gimg = g
-        fmap = dict(zip(fdom, fimg))
-        pairs = [
-            (x, fmap[y])
-            for x, y in zip(gdom, gimg)
-            if y in fmap
-        ]
-        dom = tuple(x for x, _ in pairs)
-        img = tuple(y for _, y in pairs)
-        return dom, img
+        fmap = dict(zip(*f))
+        pairs = [(x, fmap[y]) for x, y in zip(*g) if y in fmap]
+        return tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
 
     names = [
         "{" + ", ".join(f"{x}>{y}" for x, y in zip(dom, img)) + "}"
         for dom, img in elems
     ]
-    return _cayley_table(elems, compose_partial, names)
+    return cayley_table(elems, compose_partial, names)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +186,7 @@ def partition_monoid(n: int) -> FiniteSemigroup:
     if n > 3:
         raise OrderBudgetExceededError(TABLE_CAP)
     elems = sorted(_all_rgs(2 * n))
-    return _cayley_table(
+    return cayley_table(
         elems, lambda p, q: compose_partitions(p, q, n), [_partition_name(p, n) for p in elems]
     )
 
@@ -232,7 +212,7 @@ def dual_symmetric_inverse_monoid(n: int) -> FiniteSemigroup:
         return tops == bots == set(p)
 
     elems = sorted(p for p in _all_rgs(2 * n) if both_rows(p))
-    return _cayley_table(
+    return cayley_table(
         elems, lambda p, q: compose_partitions(p, q, n), [_partition_name(p, n) for p in elems]
     )
 
@@ -241,22 +221,16 @@ def rectangular_band(p: int, q: int) -> FiniteSemigroup:
     """X x Y with (x1,y1)(x2,y2) = (x1,y2); row-major element order."""
     if p < 1 or q < 1:
         raise ValueError("both sides must be at least 1")
-    table = [
-        [(i // q) * q + (j % q) for j in range(p * q)]
-        for i in range(p * q)
-    ]
-    names = [f"({i // q},{i % q})" for i in range(p * q)]
-    return validate(table, names=names)
+    names = (f"({i // q},{i % q})" for i in range(p * q))
+    return cayley_table(range(p * q), lambda i, j: (i // q) * q + j % q, names)
 
 
 def zero_semigroup(k: int) -> FiniteSemigroup:
     """X u {0} with every product equal to 0; the zero is the last element."""
     if k < 1:
         raise ValueError("need at least one non-zero element")
-    size = k + 1
-    table = [[k] * size for _ in range(size)]
-    names = [f"x{i}" for i in range(k)] + ["0"]
-    return validate(table, names=names)
+    names = (f"x{i}" if i < k else "0" for i in range(k + 1))
+    return cayley_table(range(k + 1), lambda i, j: k, names)
 
 
 def doubled_semigroup(s: FiniteSemigroup) -> FiniteSemigroup:
@@ -267,41 +241,33 @@ def doubled_semigroup(s: FiniteSemigroup) -> FiniteSemigroup:
     assume S has no anti-automorphisms; the construction itself is valid
     regardless.
     """
-    n = s.n
-    zero = 2 * n
-    size = 2 * n + 1
-    table = [[zero] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = s.table[i][j]
-            table[n + i][n + j] = n + s.table[j][i]
-    names = None
-    if s.names is not None:
-        names = list(s.names) + [f"{x}*" for x in s.names] + ["0"]
-    else:
-        names = [str(i) for i in range(n)] + [f"{i}*" for i in range(n)] + ["0"]
-    return validate(table, names=names)
+    n, t = s.n, s.table
+
+    def mult(i, j):
+        if i < n and j < n:
+            return t[i][j]
+        if n <= i < 2 * n and n <= j < 2 * n:
+            return n + t[j - n][i - n]
+        return 2 * n
+
+    names = [s.name_of(x) for x in range(n)]
+    return cayley_table(range(2 * n + 1), mult, names + [f"{x}*" for x in names] + ["0"])
 
 
 def direct_product_table(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteSemigroup:
     """Componentwise product on pairs, indexed by i*|T| + j."""
-    if s.n * t.n > TABLE_CAP:
-        raise OrderBudgetExceededError(TABLE_CAP)
-    nt = t.n
-    table = [
-        [s.table[a // nt][b // nt] * nt + t.table[a % nt][b % nt]
-         for b in range(s.n * nt)]
-        for a in range(s.n * nt)
-    ]
-    names = [f"({s.name_of(a // nt)},{t.name_of(a % nt)})" for a in range(s.n * nt)]
-    return validate(table, names=names)
+    nt, elems = t.n, range(s.n * t.n)
+    return cayley_table(
+        elems,
+        lambda a, b: s.table[a // nt][b // nt] * nt + t.table[a % nt][b % nt],
+        (f"({s.name_of(a // nt)},{t.name_of(a % nt)})" for a in elems),
+    )
 
 
 def dihedral_group(k: int) -> FiniteSemigroup:
     """The dihedral group of order 2k (rotations first, then reflections)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    size = 2 * k
 
     def mult(a, b):
         ia, ja = a % k, a // k
@@ -309,48 +275,30 @@ def dihedral_group(k: int) -> FiniteSemigroup:
         i = (ia + ib) % k if ja == 0 else (ia - ib) % k
         return i + k * (ja ^ jb)
 
-    table = [[mult(a, b) for b in range(size)] for a in range(size)]
-    return validate(table)
+    return cayley_table(range(2 * k), mult)
 
 
 def quaternion_group() -> FiniteSemigroup:
     """Q_8 with elements 1, -1, i, -i, j, -j, k, -k."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-    def neg(s):
-        return s[1:] if s.startswith("-") else "-" + s
-
-    base = {
-        ("1", "1"): "1", ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-        ("1", "i"): "i", ("i", "1"): "i",
-        ("1", "j"): "j", ("j", "1"): "j",
-        ("1", "k"): "k", ("k", "1"): "k",
-    }
 
     def mult(a, b):
-        sign = 0
-        if a.startswith("-"):
-            sign ^= 1
-            a = a[1:]
-        if b.startswith("-"):
-            sign ^= 1
-            b = b[1:]
-        out = base[(a, b)]
-        return neg(out) if sign else out
+        # element 2u + s is the unit "1ijk"[u] with the sign (-1)^s
+        (u, s), (v, t) = divmod(a, 2), divmod(b, 2)
+        if u == 0 or v == 0:
+            return 2 * (u + v) + (s ^ t)
+        if u == v:
+            return 1 ^ s ^ t
+        # ij = k, jk = i, ki = j, and the reverse orders negate
+        return 2 * (6 - u - v) + (s ^ t ^ ((v - u) % 3 == 2))
 
-    return _cayley_table(names, mult, names)
+    return cayley_table(range(8), mult, ["1", "-1", "i", "-i", "j", "-j", "k", "-k"])
 
 
 def elementary_abelian_two_group(k: int) -> FiniteSemigroup:
     """Z_2^k; element i is the bit vector of i, product is xor."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if 2**k > TABLE_CAP:
-        raise OrderBudgetExceededError(TABLE_CAP)
-    size = 2**k
-    return validate([[i ^ j for j in range(size)] for i in range(size)])
+    return cayley_table(range(2**k), xor)
 
 
 def alternating_group_table(n: int) -> FiniteSemigroup:
@@ -360,4 +308,4 @@ def alternating_group_table(n: int) -> FiniteSemigroup:
     if n > 6:
         raise OrderBudgetExceededError(360)
     elems = [p for p in sorted(permutations(range(n))) if Permutation(p).parity() == 0]
-    return _cayley_table(elems, compose, [cycle_string(p) for p in elems])
+    return cayley_table(elems, compose, [cycle_string(p) for p in elems])

@@ -7,7 +7,7 @@ from .errors import InputFormatError, NoEdgesError, SearchBudgetExceededError
 from .morphisms import MorphismSet
 from .perms import as_mapping, compose, identity_tuple
 from .permgroups import PermGroup, closure
-from .semigroups import FiniteSemigroup, read_json, validate
+from .semigroups import FiniteSemigroup, cayley_table, read_json
 
 GRAPH_NODE_BUDGET = 10**7
 
@@ -178,14 +178,10 @@ def frucht_semigroup(g: SimpleGraph) -> FiniteSemigroup:
     if not g.edges:
         raise NoEdgesError("the construction needs a graph with at least one edge")
     n = g.n
-    y, z = n, n + 1
-    size = n + 2
-    table = [[z] * size for _ in range(size)]
-    for u, v in g.edges:
-        table[u][v] = y
-        table[v][u] = y
-    names = tuple(str(v) for v in range(n)) + ("Y", "N")
-    return validate(table, names=names)
+    names = [str(v) for v in range(n)] + ["Y", "N"]
+    return cayley_table(
+        range(n + 2), lambda u, v: n if (min(u, v), max(u, v)) in g.edges else n + 1, names
+    )
 
 
 # ---------------------------------------------------------------------------

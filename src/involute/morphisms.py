@@ -424,18 +424,26 @@ def involutions(
     s: FiniteSemigroup, *, budget: int | None = None, cap: int | None = None
 ) -> MorphismSet:
     """Anti-automorphisms of order exactly 2 (the identity never counts)."""
-    anti = enumerate_anti_automorphisms(s, budget=budget, cap=cap)
-    one = identity_tuple(s.n)
-    return MorphismSet(tuple(a for a in anti if a != one and compose(a, a) == one))
+
+    def build():
+        anti = enumerate_anti_automorphisms(s, budget=budget, cap=cap)
+        one = identity_tuple(s.n)
+        return MorphismSet(tuple(a for a in anti if a != one and compose(a, a) == one))
+
+    return _memo(s, "involutions", build)
 
 
 def order_two_automorphisms(
     s: FiniteSemigroup, *, budget: int | None = None, cap: int | None = None
 ) -> MorphismSet:
     """Automorphisms alpha with alpha^2 = 1, identity included."""
-    auts = enumerate_automorphisms(s, budget=budget, cap=cap)
-    one = identity_tuple(s.n)
-    return MorphismSet(tuple(a for a in auts if compose(a, a) == one))
+
+    def build():
+        auts = enumerate_automorphisms(s, budget=budget, cap=cap)
+        one = identity_tuple(s.n)
+        return MorphismSet(tuple(a for a in auts if compose(a, a) == one))
+
+    return _memo(s, "order_two", build)
 
 
 def is_proper_involution(alpha, s: FiniteSemigroup) -> bool:

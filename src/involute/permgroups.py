@@ -34,9 +34,9 @@ from .perms import Permutation, as_mapping, compose, identity_tuple, invert
 from .semigroups import (
     DEFAULT_ORDER_BUDGET,
     FiniteSemigroup,
+    cayley_table,
     close_under,
     closure_of_subset,
-    validate,
 )
 
 
@@ -291,19 +291,11 @@ def group_fingerprint(g: PermGroup) -> GroupFingerprint:
 
 
 def to_cayley_table(g: PermGroup, *, cap: int | None = None) -> FiniteSemigroup:
-    """The group as a Cayley table over its sorted element list."""
-    from .semigroups import TABLE_CAP
-
-    cap = TABLE_CAP if cap is None else cap
-    if g.order > cap:
+    """The group as a Cayley table over its sorted element list; ``cap``
+    lowers the size limit of :func:`cayley_table`."""
+    if cap is not None and g.order > cap:
         raise OrderBudgetExceededError(cap)
-    m = np.asarray(g.elements, dtype=np.int32)
-    index = {row.tobytes(): i for i, row in enumerate(m)}
-    table = [
-        [index[row.tobytes()] for row in m[i][m]]
-        for i in range(len(m))
-    ]
-    return validate(table)
+    return cayley_table(g.elements, compose)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,53 @@ def validate(table, names=None) -> FiniteSemigroup:
     return s
 
 
+def cayley_table(elems, mult, names=None) -> FiniteSemigroup:
+    """The table of ``mult`` on the distinct ``elems``, element i being
+    ``elems[i]``, checked by :func:`validate`.  ``names`` may be any
+    iterable; it is read once the size is accepted.
+
+    After Froidure and Pin, "Algorithms for computing finite semigroups"
+    (1997), ``mult`` computes only the columns x -> x*a of generators a.
+    An element becomes a generator if it is not yet a product of the
+    generators before it.  Every other y is met while closing under them as
+    y = y'*a, and its column is column a gathered by column y', since
+    x*y = (x*y')*a.  That is associativity: the table is the product table
+    only for an associative ``mult``, and ``tests/test_cayley_table.py``
+    checks it against every product on each family.  Raises
+    :class:`OrderBudgetExceededError` past :data:`TABLE_CAP` before any
+    product, and ``ValueError`` if a product falls outside ``elems``.
+    """
+    # sliced first, so that a range too long for len() is refused as well
+    if len(elems[:TABLE_CAP + 1]) > TABLE_CAP:
+        raise OrderBudgetExceededError(TABLE_CAP)
+    n = len(elems)
+    index = {x: i for i, x in enumerate(elems)}
+    if len(index) != n:
+        raise ValueError("the elements are not distinct")
+    # column y is the list x -> x*y; a gather keeps its entries the ints
+    # of ``index``, shared, rather than one new int object per entry
+    cols: dict = {}
+
+    def step(x, a):
+        y = cols[a][x]
+        if y not in cols:
+            cols[y] = list(map(cols[a].__getitem__, cols[x]))
+        return y
+
+    gens: list = []
+    members: set = set()
+    for a, g in enumerate(elems):
+        if a not in members:
+            try:
+                cols[a] = [index[mult(x, g)] for x in elems]
+            except KeyError:
+                raise ValueError("the elements are not closed under the product") from None
+            gens.append(a)
+            close_under([a] + [step(x, a) for x in members], gens, step, members=members)
+    rows = list(zip(*map(cols.__getitem__, range(n))))
+    return validate(rows, names=None if names is None else list(names))
+
+
 def _spread_order(arr) -> list[int]:
     """The elements, most distinct row plus column entries first, then by index."""
     left, right = _translation_ranks(arr)

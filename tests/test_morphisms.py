@@ -410,3 +410,14 @@ def test_one_node_budget_bounds_the_whole_chain(monkeypatch):
         assert s.search_cache == {}
     s = sym_group_table(4)
     assert len(enumerate_automorphisms(s, budget=total)) == 24
+
+
+def test_involutions_and_j_are_kept_like_aut(monkeypatch):
+    # analyze asks for I(S) and J(S) twice each: directly, then through C(S)
+    # and G(S); the second call must not filter the lists again
+    s = sym_group_table(3)
+    invs, j_set = involutions(s), order_two_automorphisms(s)
+    assert involutions(s) is invs and order_two_automorphisms(s) is j_set
+    c_group(s), g_group(s)
+    assert s.search_cache["involutions"] is invs and s.search_cache["order_two"] is j_set
+    assert len(invs) == len(j_set) == 4

@@ -270,6 +270,9 @@ def test_cli_construct_frucht(capsys):
         ["frucht", {"n": 3, "edges": [[0, 1, 2]]}],
         ["frucht", {"n": 3, "edges": [5]}],
         ["frucht", {"n": 3, "edges": 7}],
+        ["dual"] * 1200 + ["cyclic", "2"],
+        ["zero", "100000000"],
+        ["band", "10000", "10000"],
     ],
 )
 def test_cli_construct_rejects_bad_arguments_without_a_traceback(spec, tmp_path, capsys):
@@ -467,6 +470,30 @@ def test_cli_trace(capsys):
     assert capsys.readouterr().out.strip() == "ba"
     assert main(["trace", "nf", "a" * 20, "--edges", ""]) == 3  # length budget
     assert main(["trace", "map", "gamma", "(ab)", "abc", "--edges", "bc"]) == 2  # breaks an edge
+
+
+@pytest.mark.parametrize(
+    "perm, out",
+    [("(ab)", "bac"), ("(a b)", "bac"), (" ( a b ) ", "bac"), ("(ab)()", "bac"),
+     ("(ab)(c)", "bac"), ("id", "abc"), ("()", "abc"), ("", "abc")],
+)
+def test_cli_trace_map_reads_letter_cycles(perm, out, capsys):
+    assert main(["trace", "map", "gamma", perm, "abc"]) == 0
+    assert capsys.readouterr().out == out + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eq", "ab", "ba", "--alphabet", "abb", "--edges", "ab"],
+        ["map", "gamma", "(ab", "ab"],
+        ["map", "gamma", "a)b(", "ab"],
+        ["map", "delta", "(ab)c", "abc"],
+    ],
+)
+def test_cli_trace_rejects_a_repeated_letter_and_broken_cycles(argv, capsys):
+    assert main(["trace", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_verify_single_check(capsys):
