@@ -298,6 +298,8 @@ def elementary_abelian_two_group(k: int) -> FiniteSemigroup:
     """Z_2^k; element i is the bit vector of i, product is xor."""
     if k < 0:
         raise ValueError("k must be non-negative")
+    if k >= TABLE_CAP.bit_length():  # 2**k > TABLE_CAP, decided without the power
+        raise OrderBudgetExceededError(TABLE_CAP)
     return cayley_table(range(2**k), xor)
 
 

@@ -3,11 +3,11 @@ construction whose automorphism group reproduces the graph's."""
 
 from __future__ import annotations
 
-from .errors import InputFormatError, NoEdgesError, SearchBudgetExceededError
+from .errors import InputFormatError, NoEdgesError, OrderBudgetExceededError, SearchBudgetExceededError
 from .morphisms import MorphismSet
 from .perms import as_mapping, compose, identity_tuple
 from .permgroups import PermGroup, closure
-from .semigroups import FiniteSemigroup, cayley_table, read_json
+from .semigroups import TABLE_CAP, FiniteSemigroup, cayley_table, read_json
 
 GRAPH_NODE_BUDGET = 10**7
 
@@ -194,7 +194,7 @@ def graph_to_json_dict(g: SimpleGraph) -> dict:
 def graph_from_json_dict(doc) -> SimpleGraph:
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise InputFormatError("expected an object with 'n' and 'edges'")
-    return SimpleGraph(doc["n"], doc["edges"])
+    return _input_graph(doc["n"], doc["edges"])
 
 
 def load_graph(path) -> SimpleGraph:
@@ -214,4 +214,12 @@ def parse_edge_list(text: str, n: int | None = None) -> SimpleGraph:
                 raise InputFormatError(f"bad edge {part!r}; expected like 0-1") from exc
             edges.append((u, v))
     top = max((max(e) for e in edges), default=-1) + 1
-    return SimpleGraph(n if n is not None else top, edges)
+    return _input_graph(n if n is not None else top, edges)
+
+
+def _input_graph(n, edges) -> SimpleGraph:
+    """A graph read as input to :func:`frucht_semigroup`; a vertex count past
+    its :data:`TABLE_CAP` is refused before anything is built per vertex."""
+    if type(n) is int and n + 2 > TABLE_CAP:
+        raise OrderBudgetExceededError(TABLE_CAP)
+    return SimpleGraph(n, edges)

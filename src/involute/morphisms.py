@@ -30,7 +30,13 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .perms import Permutation, as_mapping, compose, identity_tuple
-from .semigroups import DEFAULT_ORDER_BUDGET, FiniteSemigroup, _row_labels, generating_set
+from .semigroups import (
+    DEFAULT_ORDER_BUDGET,
+    FiniteSemigroup,
+    _row_labels,
+    close_under,
+    generating_set,
+)
 
 #: Default cap on the nodes of one search, or of one automorphism chain
 #: summed over its searches (configurable per call).
@@ -326,34 +332,28 @@ def automorphism_chain(s: FiniteSemigroup, *, budget: int | None = None) -> Auto
         found: list[tuple[int, ...]] = []  # the generators of levels >= i
         steps = 0
         for i in reversed(range(len(gens))):
-            orbit = {gens[i]: one}
+            orbit, points = {gens[i]: one}, {gens[i]}
+
+            def step(p, a):  # a new point q = a(p) gets the map a o orbit[p]
+                q = a[p]
+                if q not in orbit:
+                    orbit[q] = compose(a, orbit[p])
+                return q
+
             fixed = [[g] for g in gens[:i]]
             for h in cand[i]:
-                if h in orbit:
+                if h in points:
                     continue
                 hit, steps = _search_isomorphisms(
                     s, s, gens, fixed + [[h]] + cand[i + 1:], sid, tid, budget, 1, steps
                 )
                 if hit:
                     found.append(hit[0])
-                    _grow_orbit(orbit, found)
+                    close_under([step(p, hit[0]) for p in points], found, step, members=points)
             levels.append(orbit)
         return AutomorphismChain(tuple(gens), tuple(reversed(levels)), tuple(found))
 
     return _memo(s, "chain", build)
-
-
-def _grow_orbit(orbit: dict, gens) -> None:
-    """Close ``orbit`` (point -> a map taking the base point there) under
-    ``gens``: a new point q = g(p) gets the map g o orbit[p]."""
-    work = list(orbit)
-    while work:
-        p = work.pop()
-        for g in gens:
-            q = g[p]
-            if q not in orbit:
-                orbit[q] = compose(g, orbit[p])
-                work.append(q)
 
 
 def _memo(s: FiniteSemigroup, key: str, build):

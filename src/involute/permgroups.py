@@ -1,10 +1,10 @@
 """Permutation groups from their generators: closures, fingerprints, C(S), G(S),
 the involution laws, K_G.
 
-Every group is materialized element by element with the worklist closure
-:func:`~involute.semigroups.close_under` and carries a generating set.
-:func:`closure` keeps a generator only if it is not already in the group
-built so far, so C(Sym(6)) keeps 7 of its 112 involutions.  The invariants
+Every group is materialized element by element by the greedy closure
+:func:`~involute.semigroups.greedy_generators` and carries a generating set:
+a generator is kept only if it is not already in the group built so far,
+so C(Sym(6)) keeps 7 of its 112 involutions.  The invariants
 are computed from those generators: the centre is the centralizer of the
 generators and the derived subgroup is the normal closure of their
 commutators, so nothing costs O(|G|^2).  Element orders come from numpy
@@ -37,6 +37,7 @@ from .semigroups import (
     cayley_table,
     close_under,
     closure_of_subset,
+    greedy_generators,
 )
 
 
@@ -80,37 +81,15 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-class _Growing:
-    """A group <gens> as mapping tuples, grown one generator at a time."""
-
-    def __init__(self, degree, cap):
-        self.cap = DEFAULT_ORDER_BUDGET if cap is None else cap
-        self.degree = degree
-        # through close_under, so that the cap counts the identity too
-        self.members = close_under([identity_tuple(degree)], [], compose, cap=self.cap)
-        self.gens: list[tuple] = []
-
-    def adjoin(self, g) -> bool:
-        """Grow to <gens, g>; False, with nothing kept, if g is already a member.
-
-        ``members`` is closed under right multiplication by the old
-        generators.  The products h*g of the old members are the seeds, and
-        every element the worklist adds is multiplied by all generators, so
-        the result is closed under right multiplication by each of them.  A
-        finite set holding the identity and closed that way is the group
-        they generate, since every g^-1 is a positive power of g.  Each
-        member is multiplied by each kept generator once, as in one closure
-        over the kept generators.
-        """
-        if g in self.members:
-            return False
-        self.gens.append(g)
-        seeds = [compose(h, g) for h in self.members]
-        close_under(seeds, self.gens, compose, cap=self.cap, members=self.members)
-        return True
-
-    def group(self) -> PermGroup:
-        return PermGroup(self.degree, self.gens, self.members)
+def _generated(degree, candidates, cap, kept: list) -> PermGroup:
+    """The group the candidates generate, ``kept`` getting those kept.  The
+    identity goes through ``close_under``, so that the cap counts it; closed
+    under the kept generators, it is the group, as g^-1 is a power of g."""
+    cap = DEFAULT_ORDER_BUDGET if cap is None else cap
+    members = close_under([identity_tuple(degree)], [], compose, cap=cap)
+    for a in greedy_generators(candidates, compose, members, cap=cap):
+        kept.append(a)
+    return PermGroup(degree, kept, members)
 
 
 def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
@@ -130,10 +109,7 @@ def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
         degree = len(gens[0])
     if any(len(g) != degree for g in gens):
         raise ValueError("generators act on different degrees")
-    grown = _Growing(degree, cap)
-    for g in gens:
-        grown.adjoin(g)
-    return grown.group()
+    return _generated(degree, gens, cap, [])
 
 
 def c_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
@@ -210,14 +186,17 @@ def derived_subgroup(g: PermGroup, *, cap=None) -> PermGroup:
     generated by those images; it lies in K and has the order of K, so it
     is K.  Every element of G is a product of the x, so K is normal.
     """
-    grown = _Growing(g.degree, cap)
-    for a, b in combinations(g.generators, 2):
-        grown.adjoin(compose(compose(a, b), invert(compose(b, a))))
+    kept: list = []
     conjugators = [(x, invert(x)) for x in g.generators]
-    for k in grown.gens:  # grows while it is walked
-        for x, x_inv in conjugators:
-            grown.adjoin(compose(compose(x, k), x_inv))
-    return grown.group()
+
+    def candidates():
+        for a, b in combinations(g.generators, 2):
+            yield compose(compose(a, b), invert(compose(b, a)))
+        for k in kept:  # grows while it is walked
+            for x, x_inv in conjugators:
+                yield compose(compose(x, k), x_inv)
+
+    return _generated(g.degree, candidates(), cap, kept)
 
 
 @dataclass(frozen=True)

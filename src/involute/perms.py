@@ -143,29 +143,36 @@ class Permutation:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+#: Largest degree :func:`parse_cycles` accepts, checked before a mapping of
+#: that length is made (``involute factor`` prints every point).
+MAX_PARSED_DEGREE = 10**5
+
+
 def parse_cycles(text: str, degree: int | None = None) -> Permutation:
     """Parse cycle notation like ``(0 1 2)(3 4)``; ``()`` or ``id`` is the identity.
 
     Points may be separated by spaces or commas.  The degree defaults to one
-    more than the largest point mentioned.
+    more than the largest point mentioned.  A degree past
+    :data:`MAX_PARSED_DEGREE` raises :class:`InputFormatError`.
     """
     text = text.strip()
-    if text in ("id", ""):
-        return Permutation.identity(degree or 0)
-    stripped = _CYCLE_RE.sub("", text)
-    if stripped.strip():
-        raise InputFormatError(f"cannot parse permutation literal {text!r}")
     cycles = []
-    for body in _CYCLE_RE.findall(text):
-        points = [p for p in re.split(r"[,\s]+", body.strip()) if p]
-        try:
-            cyc = [int(p) for p in points]
-        except ValueError as exc:
-            raise InputFormatError(f"bad cycle point in {text!r}") from exc
-        if cyc:
-            cycles.append(cyc)
+    if text not in ("id", ""):
+        stripped = _CYCLE_RE.sub("", text)
+        if stripped.strip():
+            raise InputFormatError(f"cannot parse permutation literal {text!r}")
+        for body in _CYCLE_RE.findall(text):
+            points = [p for p in re.split(r"[,\s]+", body.strip()) if p]
+            try:
+                cyc = [int(p) for p in points]
+            except ValueError as exc:
+                raise InputFormatError(f"bad cycle point in {text!r}") from exc
+            if cyc:
+                cycles.append(cyc)
     top = max((max(c) for c in cycles), default=-1) + 1
     deg = degree if degree is not None else top
+    if deg > MAX_PARSED_DEGREE:
+        raise InputFormatError(f"degree {deg} exceeds the limit of {MAX_PARSED_DEGREE}")
     if top > deg:
         raise InputFormatError(f"cycle point {top - 1} outside degree {deg}")
     try:

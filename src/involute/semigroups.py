@@ -102,9 +102,10 @@ def validate(table, names=None) -> FiniteSemigroup:
 
     Associativity is checked by Light's test in O(n^2 |A|) rather than
     O(n^3): ``A`` is a set whose right closure (close A under x -> x*a for
-    a in A, as in :func:`closure_of_subset`) is all of the table.  That
+    a in A) is all of the table, picked by :func:`greedy_generators`.  That
     closure is plain table lookups, so it is sound before associativity is
-    known.  Then (x*a)*y = x*(a*y) is checked for every a in A and all x, y.
+    known.  Then (x*a)*y = x*(a*y) is checked for every a in A and all x, y,
+    each a as soon as it is picked.
     Proof that this suffices: let B = {b : (xb)y = x(by) for all x, y}.  If
     b, c are in B then for all x, y
     (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y),
@@ -139,7 +140,7 @@ def validate(table, names=None) -> FiniteSemigroup:
         in_range = False
     if not in_range:
         raise IndexOutOfRangeError(f"table entries must lie in 0..{n - 1}")
-    for a in _right_generators(rows, _spread_order(arr)):
+    for a in greedy_generators(_spread_order(arr), lambda x, g: rows[x][g]):
         # [x, y] -> (x*a)*y against x*(a*y), in one expression so that
         # neither n x n side outlives the comparison
         bad = arr[arr[:, a]] != arr[:, arr[a]]
@@ -168,15 +169,16 @@ def cayley_table(elems, mult, names=None) -> FiniteSemigroup:
     iterable; it is read once the size is accepted.
 
     After Froidure and Pin, "Algorithms for computing finite semigroups"
-    (1997), ``mult`` computes only the columns x -> x*a of generators a.
-    An element becomes a generator if it is not yet a product of the
-    generators before it.  Every other y is met while closing under them as
-    y = y'*a, and its column is column a gathered by column y', since
-    x*y = (x*y')*a.  That is associativity: the table is the product table
-    only for an associative ``mult``, and ``tests/test_cayley_table.py``
-    checks it against every product on each family.  Raises
-    :class:`OrderBudgetExceededError` past :data:`TABLE_CAP` before any
-    product, and ``ValueError`` if a product falls outside ``elems``.
+    (1997), ``mult`` computes only the columns x -> x*a of generators a,
+    picked by :func:`greedy_generators` in index order; a column is filled
+    when its generator is yielded.  Every other y is met while closing
+    under them as y = y'*a, and its column is column a gathered by column
+    y', since x*y = (x*y')*a.  That is associativity: the table is the
+    product table only for an associative ``mult``, and
+    ``tests/test_cayley_table.py`` checks it against every product on each
+    family.  Raises :class:`OrderBudgetExceededError` past
+    :data:`TABLE_CAP` before any product, and ``ValueError`` if a product
+    falls outside ``elems``.
     """
     # sliced first, so that a range too long for len() is refused as well
     if len(elems[:TABLE_CAP + 1]) > TABLE_CAP:
@@ -195,16 +197,12 @@ def cayley_table(elems, mult, names=None) -> FiniteSemigroup:
             cols[y] = list(map(cols[a].__getitem__, cols[x]))
         return y
 
-    gens: list = []
-    members: set = set()
-    for a, g in enumerate(elems):
-        if a not in members:
-            try:
-                cols[a] = [index[mult(x, g)] for x in elems]
-            except KeyError:
-                raise ValueError("the elements are not closed under the product") from None
-            gens.append(a)
-            close_under([a] + [step(x, a) for x in members], gens, step, members=members)
+    for a in greedy_generators(range(n), step):
+        g = elems[a]
+        try:
+            cols[a] = [index[mult(x, g)] for x in elems]
+        except KeyError:
+            raise ValueError("the elements are not closed under the product") from None
     rows = list(zip(*map(cols.__getitem__, range(n))))
     return validate(rows, names=None if names is None else list(names))
 
@@ -214,30 +212,6 @@ def _spread_order(arr) -> list[int]:
     left, right = _translation_ranks(arr)
     spread = (left + right).tolist()
     return sorted(range(len(arr)), key=lambda x: (-spread[x], x))
-
-
-def _right_generators(rows, order) -> Iterator[int]:
-    """Yield, one at a time, a set A whose right closure under x -> x*a
-    (a in A) is every element.
-
-    Chosen greedily: the next element of ``order`` outside the right
-    closure of those taken so far, until that closure is everything.  Only
-    table lookups are used, so this holds for any magma and serves
-    :func:`validate` before associativity is known.  Each member is yielded
-    before the closure is extended by it, so a failing table stops at its
-    first bad generator.
-    """
-    n = len(rows)
-    gens: list[int] = []
-    have: set = set()
-    for x in order:
-        if x in have:
-            continue
-        yield x
-        gens.append(x)
-        have = close_under(gens, gens, lambda u, g: rows[u][g])
-        if len(have) == n:
-            return
 
 
 def atoms(s: FiniteSemigroup) -> frozenset[int]:
@@ -500,6 +474,34 @@ def close_under(seeds, gens, product, *, cap: int | None = None, members: set | 
         batch = [product(x, g) for g in gens]
 
 
+def greedy_generators(candidates, product, members: set | None = None, *,
+                      cap: int | None = None) -> Iterator:
+    """Yield each candidate that is not in the closure of those yielded
+    before it, and grow that closure in ``members`` after each yield.
+
+    For generators A, R(A) is the smallest set holding A and the start
+    members E (none, or a group's identity) that is closed under
+    ``x -> product(x, g)`` for g in A; ``members`` holds R(A) between
+    yields.  A new generator a is yielded before any product by it, so
+    :func:`validate` checks it there; then :func:`close_under` grows
+    ``members`` from the seeds a and x*a for x in R(A).  The result M is
+    R(A u {a}), by lookups alone, without associativity: the seeds lie in
+    R(A u {a}), which holds R(A) and is closed under the products taken,
+    so M lies in it; M holds E, A and a and is closed under A u {a}, as an
+    old member x has x*g in R(A) for g in A and x*a among the seeds, and a
+    new member meets every generator.  So each member meets each generator
+    once, |R| |A| products in all, as in one closure over the final A.
+    """
+    members = set() if members is None else members
+    gens: list = []
+    for a in candidates:
+        if a not in members:
+            yield a
+            gens.append(a)
+            seeds = [a] + [product(x, a) for x in members]
+            close_under(seeds, gens, product, cap=cap, members=members)
+
+
 def closure_of_subset(s: FiniteSemigroup, seed) -> frozenset[int]:
     """Smallest subsemigroup containing ``seed``.
 
@@ -515,7 +517,7 @@ def closure_of_subset(s: FiniteSemigroup, seed) -> frozenset[int]:
 
 
 def generating_set(s: FiniteSemigroup) -> list[int]:
-    """A generating set found greedily by :func:`_right_generators`; not necessarily minimal.
+    """A generating set found by :func:`greedy_generators`; not necessarily minimal.
 
     Preference order for the next generator: largest monogenic subsemigroup,
     then most distinct row/column values, then rarest fingerprint, then
@@ -527,7 +529,8 @@ def generating_set(s: FiniteSemigroup) -> list[int]:
     orbit = (fps[:, 1] + fps[:, 2] - 1).tolist()    # index + period - 1
     spread = (fps[:, 6] + fps[:, 7]).tolist()       # left + right translation rank
     order = sorted(range(s.n), key=lambda x: (-orbit[x], -spread[x], class_size[x], x))
-    return list(_right_generators(s.table, order))
+    t = s.table
+    return list(greedy_generators(order, lambda x, g: t[x][g]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
-"""``involute analyze`` on arbitrary files: every input ends in exit 0, 2 or
-3 with a one-line message, never in an exception."""
+"""``involute analyze`` on arbitrary files, and ``construct`` and ``factor``
+on arbitrary sizes: every input ends in exit 0, 2 or 3 with a one-line
+message, never in an exception, and a size far past a limit is refused
+before anything of that size is built."""
 
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from involute.cli import main
+from involute.cli import _FAMILIES, main
 
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -55,3 +58,57 @@ def test_analyze_survives_random_bytes(input_path, content):
 @given(doc=_json_values | _table_docs)
 def test_analyze_survives_random_json_documents(input_path, doc):
     _assert_analyze_is_clean(input_path, json.dumps(doc).encode())
+
+
+def _run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean(argv):
+    code, err = _run(argv)
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in err
+    assert (code == 0) == (err == ""), argv
+    assert err.count("\n") == (code != 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "z2^k", "100000000"],
+        ["construct", "frucht", "100000000", "0-1"],
+        ["construct", "frucht", "GRAPH_FILE"],
+        ["factor", "(0 1000000000)"],
+        ["factor", "(0 1)", "--degree", "1000000000"],
+    ],
+)
+def test_huge_sizes_are_refused_at_once(argv, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"n": 10**8, "edges": [[0, 1]]}))
+    argv = [str(graph) if a == "GRAPH_FILE" else a for a in argv]
+    start = time.perf_counter()
+    code, err = _run(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "construct":
+        assert err == "error: the requested table exceeds the limit of 1024 elements\n"
+
+
+_sizes = st.integers(min_value=0, max_value=12) | st.integers(min_value=10**6, max_value=10**12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(sorted(_FAMILIES) + ["frucht"]), sizes=st.lists(_sizes, max_size=3))
+def test_construct_survives_random_sizes(family, sizes):
+    _assert_clean(["construct", family, *map(str, sizes)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=st.lists(_sizes, max_size=3), degree=st.none() | _sizes)
+def test_factor_survives_random_sizes(points, degree):
+    argv = ["factor", "(" + " ".join(map(str, points)) + ")"]
+    _assert_clean(argv + ([] if degree is None else ["--degree", str(degree)]))

@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from involute.errors import InputFormatError, NoEdgesError
+from involute.errors import InputFormatError, NoEdgesError, OrderBudgetExceededError
 from involute.graphs import (
     SimpleGraph,
     complete_graph,
@@ -30,6 +30,15 @@ def test_graph_validation():
         SimpleGraph(3, [(0, 3)])
     g = SimpleGraph(3, [(0, 1), (1, 0)])
     assert len(g.edges) == 1
+
+
+def test_graph_readers_refuse_a_graph_too_large_for_its_frucht_table():
+    # the table has n + 2 elements: 1022 vertices fill the 1024-element limit
+    assert parse_edge_list("0-1", n=1022).n == 1022
+    for read in (lambda: parse_edge_list("0-1", n=1023), lambda: parse_edge_list("0-1023"),
+                 lambda: graph_from_json_dict({"n": 10**8, "edges": [[0, 1]]})):
+        with pytest.raises(OrderBudgetExceededError):
+            read()
 
 
 def test_graph_automorphism_counts():

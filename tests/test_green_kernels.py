@@ -24,9 +24,9 @@ from involute.perms import compose
 from involute.semigroups import (
     ElementFingerprint,
     GreenStructure,
-    _right_generators,
     close_under,
     generating_set,
+    greedy_generators,
     green_relations,
     index_and_period,
     validate,
@@ -141,7 +141,7 @@ def reference_generating_set(s, fps) -> list[int]:
     orbit = [fp.index + fp.period - 1 for fp in fps]
     spread = [fp.left_mult_rank + fp.right_mult_rank for fp in fps]
     order = sorted(range(s.n), key=lambda x: (-orbit[x], -spread[x], class_size[fps[x]], x))
-    return list(_right_generators(s.table, order))
+    return list(greedy_generators(order, lambda x, g: s.table[x][g]))
 
 
 def _assert_matches_reference(s):
