@@ -77,7 +77,7 @@ from .traces import (
     normal_form,
     trace_equal,
 )
-from .report import AnalysisReport, analyze, report_to_json_dict, report_to_text
+from .report import analyze, report_to_text
 from .battery import CheckResult, run_battery
 
 __version__ = "0.1.0"

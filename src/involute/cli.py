@@ -17,7 +17,7 @@ from .errors import AlgebraError, BudgetExceededError, InputFormatError, OrderBu
 from .graphs import frucht_semigroup, load_graph, parse_edge_list
 from .perms import _CYCLE_RE, Permutation, parse_cycles
 from .permgroups import two_involution_factorization
-from .report import analyze, report_to_json_dict, report_to_text
+from .report import analyze, report_to_text
 from .semigroups import FiniteSemigroup, load_table, to_json_dict
 from .traces import TraceContext, delta_map, gamma_map, normal_form, trace_equal
 
@@ -146,19 +146,18 @@ def _letter_permutation(text: str, ctx: TraceContext) -> Permutation:
 # --- subcommand implementations ---------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    s = load_table(args.file)
-    rep = analyze(
-        s,
+    doc = analyze(
+        load_table(args.file),
         name=args.file,
         budget=args.budget_nodes,
         order_cap=args.budget_order,
     )
     if args.json:
         # streamed, so the whole document is never held as one string
-        json.dump(report_to_json_dict(rep), sys.stdout, sort_keys=True, indent=2)
+        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")
     else:
-        print(report_to_text(rep), end="")
+        print(report_to_text(doc), end="")
     return EXIT_OK
 
 
@@ -319,9 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
         tp.add_argument("word")
         if action == "eq":
             tp.add_argument("word2")
+        if action != "map":  # gamma_map and delta_map are linear in the word
+            tp.add_argument("--bound", type=_int_at_least(0), default=16, help="word length cap")
         tp.add_argument("--edges", default="", help="commuting pairs, e.g. ab,bc")
         tp.add_argument("--alphabet", default=None)
-        tp.add_argument("--bound", type=_int_at_least(0), default=16, help="word length cap")
         tp.set_defaults(fn=_cmd_trace)
 
     return parser

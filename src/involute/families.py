@@ -63,7 +63,7 @@ def sym_group_table(n: int) -> FiniteSemigroup:
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > 7:
-        raise OrderBudgetExceededError(5040)
+        raise OrderBudgetExceededError(TABLE_CAP)
     elems = sorted(permutations(range(n)))
     return cayley_table(elems, compose, [cycle_string(p) for p in elems])
 
@@ -73,7 +73,7 @@ def full_transformation_monoid(n: int) -> FiniteSemigroup:
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > 4:
-        raise OrderBudgetExceededError(4**4)
+        raise OrderBudgetExceededError(TABLE_CAP)
     elems = list(product(range(n), repeat=n))
     return cayley_table(elems, compose, ["[" + " ".join(map(str, f)) + "]" for f in elems])
 
@@ -308,6 +308,6 @@ def alternating_group_table(n: int) -> FiniteSemigroup:
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > 6:
-        raise OrderBudgetExceededError(360)
+        raise OrderBudgetExceededError(TABLE_CAP)
     elems = [p for p in sorted(permutations(range(n))) if Permutation(p).parity() == 0]
     return cayley_table(elems, compose, [cycle_string(p) for p in elems])

@@ -174,7 +174,7 @@ def signed_aut_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
     return PermGroup(s.n, auts.elements + antis.elements[:1], members)
 
 
-def derived_subgroup(g: PermGroup, *, cap=None) -> PermGroup:
+def derived_subgroup(g: PermGroup) -> PermGroup:
     """The commutator subgroup [G, G], from the generators X of G.
 
     It is the normal closure N of {[a, b] : a, b in X}.  N lies in [G, G],
@@ -185,6 +185,7 @@ def derived_subgroup(g: PermGroup, *, cap=None) -> PermGroup:
     new appears.  Conjugation by x is an automorphism, so x K x^-1 is
     generated by those images; it lies in K and has the order of K, so it
     is K.  Every element of G is a product of the x, so K is normal.
+    It takes no cap: [G, G] lies in G, which is already materialized.
     """
     kept: list = []
     conjugators = [(x, invert(x)) for x in g.generators]
@@ -196,7 +197,7 @@ def derived_subgroup(g: PermGroup, *, cap=None) -> PermGroup:
             for x, x_inv in conjugators:
                 yield compose(compose(x, k), x_inv)
 
-    return _generated(g.degree, candidates(), cap, kept)
+    return _generated(g.degree, candidates(), None, kept)
 
 
 @dataclass(frozen=True)
@@ -269,11 +270,10 @@ def group_fingerprint(g: PermGroup) -> GroupFingerprint:
     )
 
 
-def to_cayley_table(g: PermGroup, *, cap: int | None = None) -> FiniteSemigroup:
-    """The group as a Cayley table over its sorted element list; ``cap``
-    lowers the size limit of :func:`cayley_table`."""
-    if cap is not None and g.order > cap:
-        raise OrderBudgetExceededError(cap)
+def to_cayley_table(g: PermGroup) -> FiniteSemigroup:
+    """The group as a Cayley table over its sorted element list; past
+    :data:`~involute.semigroups.TABLE_CAP` elements :func:`cayley_table`
+    raises :class:`OrderBudgetExceededError`."""
     return cayley_table(g.elements, compose)
 
 

@@ -1,9 +1,13 @@
 """Whole-semigroup analysis: morphism counts, generated groups, and
-identification of C(S) against a small catalog of named groups."""
+identification of C(S) against a small catalog of named groups.
+
+The report is one document, the one ``analyze --json`` prints;
+:func:`report_to_text` renders the same document as text.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from math import factorial
 
 from . import families
 from .morphisms import (
@@ -14,7 +18,6 @@ from .morphisms import (
     order_two_automorphisms,
 )
 from .permgroups import (
-    GroupFingerprint,
     PermGroup,
     c_group,
     g_group,
@@ -23,44 +26,23 @@ from .permgroups import (
     signed_aut_group,
     to_cayley_table,
 )
-from .semigroups import FiniteSemigroup
+from .semigroups import TABLE_CAP, FiniteSemigroup
 
 
 def _catalog_for_order(m: int):
-    """Named candidate groups of order m the report tries to match."""
-    from .semigroups import TABLE_CAP
-
-    out = []
+    """Named candidate groups of order m (at most TABLE_CAP) the report
+    tries to match, in the order the text report prints them."""
     if m == 1:
-        out.append(("trivial", families.cyclic_group(1)))
-        return out
-    if m > TABLE_CAP:
-        return out
-    out.append((f"Z_{m}", families.cyclic_group(m)))
-    k = 0
-    while 2**k < m:
-        k += 1
-    if 2**k == m and k >= 2:
+        return [("trivial", families.cyclic_group(1))]
+    k = m.bit_length() - 1
+    out = [(f"Z_{m}", families.cyclic_group(m))]
+    if m == 1 << k and k >= 2:
         out.append((f"Z_2^{k}", families.elementary_abelian_two_group(k)))
-    fact, bang = 2, 2
-    while bang < m:
-        fact += 1
-        bang *= fact
-    if bang == m and fact >= 3:
-        out.append((f"Sym({fact})", families.sym_group_table(fact)))
-    fact, bang = 2, 2
-    while 2 * bang < m:
-        fact += 1
-        bang *= fact
-    if 2 * bang == m and fact >= 2:
-        out.append(
-            (
-                f"Z_2 x Sym({fact})",
-                families.direct_product_table(
-                    families.cyclic_group(2), families.sym_group_table(fact)
-                ),
-            )
-        )
+    out += [(f"Sym({k})", families.sym_group_table(k))
+            for k in range(3, 7) if factorial(k) == m]
+    out += [(f"Z_2 x Sym({k})", families.direct_product_table(
+                families.cyclic_group(2), families.sym_group_table(k)))
+            for k in range(2, 6) if 2 * factorial(k) == m]
     if m % 2 == 0 and m >= 6:
         out.append((f"D_{m // 2}", families.dihedral_group(m // 2)))
     return out
@@ -75,8 +57,6 @@ def identify_group(g: PermGroup, *, budget=None) -> list[tuple[str, bool]]:
     differ, which on a group means the element orders.  Groups too large to
     tabulate get no verdicts.
     """
-    from .semigroups import TABLE_CAP
-
     if g.order > TABLE_CAP:
         return []
     table = to_cayley_table(g)
@@ -86,37 +66,20 @@ def identify_group(g: PermGroup, *, budget=None) -> list[tuple[str, bool]]:
     ]
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    input_name: str
-    size: int
-    commutative: bool
-    identity: int | None
-    n_automorphisms: int
-    n_anti_automorphisms: int
-    n_involutions: int
-    n_order_two_automorphisms: int
-    c_order: int
-    g_order: int
-    signed_order: int
-    c_fingerprint: GroupFingerprint
-    proper_involution_exists: bool
-    split_law_ok: bool | None
-    central_law_ok: bool | None
-    identifications: tuple
-    automorphisms: tuple = field(repr=False, default=())
-    anti_automorphisms: tuple = field(repr=False, default=())
-    involution_maps: tuple = field(repr=False, default=())
-
-
 def analyze(
     s: FiniteSemigroup,
     *,
     name: str = "semigroup",
     budget: int | None = None,
     order_cap: int | None = None,
-) -> AnalysisReport:
-    """Full report for one Cayley table; deterministic across runs."""
+) -> dict:
+    """The report for one Cayley table, as the document ``analyze --json``
+    prints (morphisms as mapping tuples); deterministic across runs.
+
+    The parts are computed in the order Aut, Aut⁻, I, J, C, G, Aut±, the
+    fingerprint of C, the laws and the identification of C, so a budget
+    error names the first of them past its limit.
+    """
     auts = enumerate_automorphisms(s, budget=budget, cap=order_cap)
     antis = enumerate_anti_automorphisms(s, budget=budget, cap=order_cap)
     invs = involutions(s, budget=budget, cap=order_cap)
@@ -128,94 +91,70 @@ def analyze(
     # kept generators of G(S) are those of C(S).
     g = c if s.is_commutative else g_group(s, budget=budget, cap=order_cap)
     signed = signed_aut_group(s, budget=budget, cap=order_cap)
-    c_fingerprint = group_fingerprint(c)
+    fp = group_fingerprint(c)
     split_law, central_law = involution_laws(s, auts, invs, j_set, c, g)
-
-    return AnalysisReport(
-        input_name=name,
-        size=s.n,
-        commutative=s.is_commutative,
-        identity=s.identity,
-        n_automorphisms=len(auts),
-        n_anti_automorphisms=len(antis),
-        n_involutions=len(invs),
-        n_order_two_automorphisms=len(j_set),
-        c_order=c.order,
-        g_order=g.order,
-        signed_order=signed.order,
-        c_fingerprint=c_fingerprint,
-        proper_involution_exists=split_law is not None,
-        split_law_ok=split_law,
-        central_law_ok=central_law,
-        identifications=tuple(identify_group(c, budget=budget)),
-        automorphisms=auts.elements,
-        anti_automorphisms=antis.elements,
-        involution_maps=invs.elements,
-    )
-
-
-def report_to_json_dict(r: AnalysisReport) -> dict:
     return {
-        "input": r.input_name,
-        "size": r.size,
-        "commutative": r.commutative,
-        "identity": r.identity,
+        "input": name,
+        "size": s.n,
+        "commutative": s.is_commutative,
+        "identity": s.identity,
         "counts": {
-            "automorphisms": r.n_automorphisms,
-            "antiAutomorphisms": r.n_anti_automorphisms,
-            "involutions": r.n_involutions,
-            "orderTwoAutomorphisms": r.n_order_two_automorphisms,
+            "automorphisms": len(auts),
+            "antiAutomorphisms": len(antis),
+            "involutions": len(invs),
+            "orderTwoAutomorphisms": len(j_set),
         },
         "groups": {
             "C": {
-                "order": r.c_order,
-                "abelian": r.c_fingerprint.abelian,
-                "exponent": r.c_fingerprint.exponent,
-                "elementOrderHistogram": {
-                    str(k): v for k, v in r.c_fingerprint.element_order_histogram
-                },
-                "centerOrder": r.c_fingerprint.center_order,
-                "derivedOrder": r.c_fingerprint.derived_order,
+                "order": c.order,
+                "abelian": fp.abelian,
+                "exponent": fp.exponent,
+                "elementOrderHistogram": {str(k): v for k, v in fp.element_order_histogram},
+                "centerOrder": fp.center_order,
+                "derivedOrder": fp.derived_order,
             },
-            "G": {"order": r.g_order},
-            "signedAut": {"order": r.signed_order},
+            "G": {"order": g.order},
+            "signedAut": {"order": signed.order},
         },
-        "properInvolutionExists": r.proper_involution_exists,
-        "checks": {"splitLaw": r.split_law_ok, "centralLaw": r.central_law_ok},
-        "identification": {name: ok for name, ok in r.identifications},
+        "properInvolutionExists": split_law is not None,
+        "checks": {"splitLaw": split_law, "centralLaw": central_law},
+        "identification": dict(identify_group(c, budget=budget)),
         "morphisms": {
-            "automorphisms": r.automorphisms,
-            "antiAutomorphisms": r.anti_automorphisms,
-            "involutions": r.involution_maps,
+            "automorphisms": auts.elements,
+            "antiAutomorphisms": antis.elements,
+            "involutions": invs.elements,
         },
     }
 
 
-def report_to_text(r: AnalysisReport) -> str:
+def report_to_text(doc: dict) -> str:
+    """The :func:`analyze` document as aligned ``label: value`` lines."""
+
     def law(value):
         return "-" if value is None else "pass" if value else "FAIL"
 
+    counts, groups, c = doc["counts"], doc["groups"], doc["groups"]["C"]
     rows = [
-        ("input", r.input_name),
-        ("size", r.size),
-        ("commutative", r.commutative),
-        ("identity", r.identity if r.identity is not None else "-"),
-        ("|Aut(S)|", r.n_automorphisms),
-        ("|Aut-(S)|", r.n_anti_automorphisms),
-        ("|I(S)|", r.n_involutions),
-        ("|J(S)|", r.n_order_two_automorphisms),
-        ("|C(S)|", r.c_order),
-        ("|G(S)|", r.g_order),
-        ("|Aut+-(S)|", r.signed_order),
-        ("C exponent", r.c_fingerprint.exponent),
-        ("C abelian", r.c_fingerprint.abelian),
-        ("C center order", r.c_fingerprint.center_order),
-        ("C derived order", r.c_fingerprint.derived_order),
-        ("proper involution", r.proper_involution_exists),
-        ("split law |C|=2|C^Aut|", law(r.split_law_ok)),
-        ("central law |C|=2|G|", law(r.central_law_ok)),
+        ("input", doc["input"]),
+        ("size", doc["size"]),
+        ("commutative", doc["commutative"]),
+        ("identity", "-" if doc["identity"] is None else doc["identity"]),
+        ("|Aut(S)|", counts["automorphisms"]),
+        ("|Aut-(S)|", counts["antiAutomorphisms"]),
+        ("|I(S)|", counts["involutions"]),
+        ("|J(S)|", counts["orderTwoAutomorphisms"]),
+        ("|C(S)|", c["order"]),
+        ("|G(S)|", groups["G"]["order"]),
+        ("|Aut+-(S)|", groups["signedAut"]["order"]),
+        ("C exponent", c["exponent"]),
+        ("C abelian", c["abelian"]),
+        ("C center order", c["centerOrder"]),
+        ("C derived order", c["derivedOrder"]),
+        ("proper involution", doc["properInvolutionExists"]),
+        ("split law |C|=2|C^Aut|", law(doc["checks"]["splitLaw"])),
+        ("central law |C|=2|G|", law(doc["checks"]["centralLaw"])),
     ]
     lines = [f"{label + ':':<24}{value}" for label, value in rows]
-    for name, ok in r.identifications:
+    for name, ok in doc["identification"].items():
         lines.append(f"C(S) =? {name:<15}{'yes' if ok else 'no'}")
     return "\n".join(lines) + "\n"

@@ -29,23 +29,20 @@ DEFAULT_ORDER_BUDGET = 10**6
 
 
 class FiniteSemigroup:
-    """A semigroup on {0..n-1}; build instances through :func:`validate`."""
+    """A semigroup on {0..n-1}; build instances through :func:`validate`.
 
-    def __init__(self, table, names=None, identity=None, _checked=False):
-        if not _checked:
-            other = validate(table, names=names)
-            table, names, identity = other.table, other.names, other.identity
-            self.np_table = other.np_table
+    ``table`` is a tuple of row tuples and ``np_table`` the same table as
+    an int32 array; the constructor trusts both.
+    """
+
+    def __init__(self, table, np_table, names, identity):
         self.table = table
+        self.np_table = np_table
         self.n = len(table)
         self.names = names
         self.identity = identity
         #: results of searches on this table, filled by :mod:`involute.morphisms`
         self.search_cache: dict = {}
-
-    @cached_property
-    def np_table(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.int32)
 
     @cached_property
     def is_commutative(self) -> bool:
@@ -69,14 +66,10 @@ class FiniteSemigroup:
             for row in self.fingerprint_rows.tolist()
         )
 
-    def product(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def dual(self) -> "FiniteSemigroup":
         """The opposite semigroup: the transposed table, a new instance."""
-        out = FiniteSemigroup(tuple(zip(*self.table)), self.names, self.identity, _checked=True)
-        out.np_table = np.ascontiguousarray(self.np_table.T)
-        return out
+        return FiniteSemigroup(tuple(zip(*self.table)), np.ascontiguousarray(self.np_table.T),
+                               self.names, self.identity)
 
     def name_of(self, x: int) -> str:
         return self.names[x] if self.names is not None else str(x)
@@ -158,9 +151,7 @@ def validate(table, names=None) -> FiniteSemigroup:
     ident = np.arange(n, dtype=np.int32)
     hits = np.flatnonzero((arr == ident).all(axis=1) & (arr.T == ident).all(axis=1))
     identity = int(hits[0]) if hits.size else None
-    s = FiniteSemigroup(rows, names=names, identity=identity, _checked=True)
-    s.np_table = arr  # the instance keeps the array checked here
-    return s
+    return FiniteSemigroup(rows, arr, names, identity)
 
 
 def cayley_table(elems, mult, names=None) -> FiniteSemigroup:

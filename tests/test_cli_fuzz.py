@@ -79,6 +79,9 @@ def _assert_clean(argv):
     "argv",
     [
         ["construct", "z2^k", "100000000"],
+        ["construct", "sym", "8"],
+        ["construct", "alt", "7"],
+        ["construct", "transformation", "5"],
         ["construct", "frucht", "100000000", "0-1"],
         ["construct", "frucht", "GRAPH_FILE"],
         ["factor", "(0 1000000000)"],

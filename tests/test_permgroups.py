@@ -40,7 +40,7 @@ from involute.permgroups import (
     to_cayley_table,
     two_involution_factorization,
 )
-from involute.semigroups import validate
+from involute.semigroups import TABLE_CAP, validate
 
 
 def _random_generator_sets(seed, count=40, max_degree=7):
@@ -304,9 +304,12 @@ def test_to_cayley_table_examples():
 
 
 def test_to_cayley_table_budget():
-    g = closure([Permutation((1, 2, 0, 4, 3))])
-    with pytest.raises(OrderBudgetExceededError):
-        to_cayley_table(g, cap=5)
+    """A group past TABLE_CAP elements is refused."""
+    sym7 = closure([Permutation((1, 0, 2, 3, 4, 5, 6)), Permutation((1, 2, 3, 4, 5, 6, 0))])
+    assert sym7.order == 5040
+    with pytest.raises(OrderBudgetExceededError) as exc:
+        to_cayley_table(sym7)
+    assert exc.value.limit == TABLE_CAP
 
 
 def test_split_law_on_sym4():

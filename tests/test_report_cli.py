@@ -25,22 +25,18 @@ from involute.families import (
 from involute.graphs import frucht_semigroup, path_graph
 from involute.permgroups import closure, g_group, group_fingerprint
 from involute.perms import Permutation
-from involute.report import (
-    _catalog_for_order,
-    analyze,
-    identify_group,
-    report_to_json_dict,
-    report_to_text,
-)
+from involute.report import _catalog_for_order, analyze, identify_group, report_to_text
 from involute.semigroups import dump_table, load_table, validate
 
 
 def test_analyze_klein_report(klein):
     r = analyze(klein, name="klein")
-    assert (r.n_automorphisms, r.n_involutions, r.c_order) == (6, 3, 6)
-    assert dict(r.identifications)["Sym(3)"] is True
-    assert r.signed_order == r.n_automorphisms  # commutative: the sets coincide
-    assert not r.proper_involution_exists
+    counts, groups = r["counts"], r["groups"]
+    assert (counts["automorphisms"], counts["involutions"], groups["C"]["order"]) == (6, 3, 6)
+    assert r["identification"]["Sym(3)"] is True
+    # commutative: the sets coincide
+    assert groups["signedAut"]["order"] == counts["automorphisms"]
+    assert not r["properInvolutionExists"]
 
 
 def test_analyze_fingerprints_c_once(klein, monkeypatch):
@@ -56,7 +52,7 @@ def test_analyze_fingerprints_c_once(klein, monkeypatch):
     monkeypatch.setattr(report, "group_fingerprint", counting)
     r = report.analyze(klein)
     # once, for C on the 4 elements: catalog candidates are not fingerprinted
-    assert degrees.count(4) == 1 and r.c_fingerprint.order == 6
+    assert degrees.count(4) == 1 and r["groups"]["C"]["order"] == 6
 
 
 @pytest.mark.parametrize(
@@ -90,7 +86,7 @@ def test_analyze_g_is_g_group(build, monkeypatch):
     (g,) = seen
     assert g.elements == expected.elements
     assert g.generators == expected.generators
-    assert r.g_order == expected.order
+    assert r["groups"]["G"]["order"] == expected.order
 
 
 def _left_regular_group(table):
@@ -135,28 +131,30 @@ def test_identify_group_decides_equal_element_orders_by_a_budgeted_search(monkey
 
 @pytest.mark.stretch
 def test_analyze_sym6_c_invariants():
-    r = analyze(sym_group_table(6), name="Sym6")
-    fp = r.c_fingerprint
-    assert (r.c_order, fp.center_order, fp.derived_order, fp.exponent) == (2880, 2, 360, 120)
+    c = analyze(sym_group_table(6), name="Sym6")["groups"]["C"]
+    assert (c["order"], c["centerOrder"], c["derivedOrder"], c["exponent"]) == (2880, 2, 360, 120)
 
 
 def test_analyze_t3_report():
     r = analyze(full_transformation_monoid(3), name="T3")
-    assert (r.n_automorphisms, r.n_anti_automorphisms, r.c_order) == (6, 0, 1)
-    assert dict(r.identifications)["trivial"] is True
+    counts = r["counts"]
+    assert (counts["automorphisms"], counts["antiAutomorphisms"], r["groups"]["C"]["order"]) == (6, 0, 1)
+    assert r["identification"]["trivial"] is True
 
 
 def test_analyze_square_band_report():
     r = analyze(rectangular_band(3, 3), name="B3")
-    assert (r.n_automorphisms, r.signed_order, r.c_order) == (36, 72, 36)
-    assert r.proper_involution_exists
-    assert r.split_law_ok is True
+    groups = r["groups"]
+    assert (r["counts"]["automorphisms"], groups["signedAut"]["order"], groups["C"]["order"]) == (
+        36, 72, 36)
+    assert r["properInvolutionExists"]
+    assert r["checks"]["splitLaw"] is True
 
 
 def test_report_serialization_is_deterministic(klein):
     r = analyze(klein, name="klein")
-    d1 = json.dumps(report_to_json_dict(r), sort_keys=True)
-    d2 = json.dumps(report_to_json_dict(analyze(klein, name="klein")), sort_keys=True)
+    d1 = json.dumps(r, sort_keys=True)
+    d2 = json.dumps(analyze(klein, name="klein"), sort_keys=True)
     assert d1 == d2
     text = report_to_text(r)
     assert "|C(S)|:" in text and "6" in text
@@ -305,6 +303,7 @@ def test_cli_construct_dual_output_is_unchanged(capsys):
         ["verify", "--scale", "full"],
         ["analyze", "x.json", "--jobs", "2"],
         ["verify", "--jobs", "2"],
+        ["trace", "map", "gamma", "(ab)", "abab", "--bound", "1"],
     ],
 )
 def test_cli_rejects_removed_flags(argv):
@@ -384,6 +383,48 @@ def test_cli_analyze_json_is_pinned(tmp_path, monkeypatch, capsys, name):
     dump_table(build(), f"{name}.json")
     assert main(["analyze", f"{name}.json", "--json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+#: sha256 of ``analyze NAME.json``, the text report, on the same tables.
+GOLDEN_TEXT = {
+    "z12": "6bc8244a2d049422f17c25d94ab7ab129b467bbd5c78bdefa0398b6fbd637c13",
+    "band2x3": "a15f6db68341e9fd1cc19992818f0d0e311f229e52a715875a24d2ecbe89b034",
+    "t3": "c96eb4c3b6d8343fc2590595d9cfa5016cc93653f40fc10f14b3e0a0adb8aba7",
+    "doubled_lz2": "458dc651d0d8066b8c8ca974226e6c69c85a8f30a9b97b8eaabe5f2d6e658f2c",
+    "sym3": "b0af4bb123dea72edfdd4bae4097254a582968f910dd5500ee6e6837d7104845",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TEXT))
+def test_cli_analyze_text_is_pinned(tmp_path, monkeypatch, capsys, name):
+    build, _ = GOLDEN_ANALYZE[name]
+    monkeypatch.chdir(tmp_path)
+    dump_table(build(), f"{name}.json")
+    assert main(["analyze", f"{name}.json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_TEXT[name]
+
+
+@pytest.mark.parametrize(
+    "m, names",
+    [
+        (1, ["trivial"]),
+        (2, ["Z_2"]),
+        (4, ["Z_4", "Z_2^2", "Z_2 x Sym(2)"]),
+        (6, ["Z_6", "Sym(3)", "D_3"]),
+        (8, ["Z_8", "Z_2^3", "D_4"]),
+        (12, ["Z_12", "Z_2 x Sym(3)", "D_6"]),
+        (24, ["Z_24", "Sym(4)", "D_12"]),
+        (48, ["Z_48", "Z_2 x Sym(4)", "D_24"]),
+        (120, ["Z_120", "Sym(5)", "D_60"]),
+        (240, ["Z_240", "Z_2 x Sym(5)", "D_120"]),
+        (720, ["Z_720", "Sym(6)", "D_360"]),
+        (1024, ["Z_1024", "Z_2^10", "D_512"]),
+    ],
+)
+def test_catalog_names_and_their_order(m, names):
+    catalog = _catalog_for_order(m)
+    assert [name for name, _ in catalog] == names
+    assert all(cand.n == m for _, cand in catalog)
 
 
 @pytest.mark.parametrize(
@@ -469,6 +510,8 @@ def test_cli_trace(capsys):
     assert main(["trace", "map", "gamma", "(ab)", "ab", "--edges", "ab"]) == 0
     assert capsys.readouterr().out.strip() == "ba"
     assert main(["trace", "nf", "a" * 20, "--edges", ""]) == 3  # length budget
+    assert main(["trace", "nf", "abab", "--bound", "1"]) == 3
+    assert main(["trace", "eq", "ab", "ba", "--bound", "1"]) == 3
     assert main(["trace", "map", "gamma", "(ab)", "abc", "--edges", "bc"]) == 2  # breaks an edge
 
 
