@@ -17,7 +17,7 @@ from .errors import (
     OrderBudgetExceededError,
     SearchBudgetExceededError,
 )
-from .perms import Permutation, parse_cycles
+from .perms import parse_cycles
 from .semigroups import (
     ElementFingerprint,
     FiniteSemigroup,

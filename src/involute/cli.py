@@ -15,7 +15,7 @@ from . import families
 from .battery import check_names, run_battery
 from .errors import AlgebraError, BudgetExceededError, InputFormatError, OrderBudgetExceededError
 from .graphs import frucht_semigroup, load_graph, parse_edge_list
-from .perms import _CYCLE_RE, Permutation, parse_cycles
+from .perms import _CYCLE_RE, compose, cycle_string, from_cycles, identity_tuple, parse_cycles
 from .permgroups import two_involution_factorization
 from .report import analyze, report_to_text
 from .semigroups import FiniteSemigroup, load_table, to_json_dict
@@ -108,26 +108,26 @@ def _trace_context(args) -> TraceContext:
                 raise InputFormatError(f"edge {pair!r} must be two letters, like ab")
             edge_pairs.append(pair)
             letters.update(pair)
-    if args.alphabet:
+    if args.alphabet is None:
+        alphabet = "".join(sorted(letters))
+    else:
         alphabet = args.alphabet
+        if not alphabet:
+            raise InputFormatError("--alphabet is empty")
         if len(set(alphabet)) != len(alphabet):
             raise InputFormatError(f"--alphabet {alphabet!r} repeats a letter")
         missing = letters - set(alphabet)
         if missing:
             raise InputFormatError(f"letters {sorted(missing)} outside --alphabet")
-    else:
-        alphabet = "".join(sorted(letters))
-    if not alphabet:
-        raise InputFormatError("empty alphabet")
     pos = {ch: i for i, ch in enumerate(alphabet)}
     edges = [(pos[a], pos[b]) for a, b in edge_pairs]
     return TraceContext.from_edges(len(alphabet), edges, letters=alphabet)
 
 
-def _letter_permutation(text: str, ctx: TraceContext) -> Permutation:
+def _letter_permutation(text: str, ctx: TraceContext) -> tuple[int, ...]:
     text = text.strip()
     if text == "id":
-        return Permutation.identity(ctx.m)
+        return identity_tuple(ctx.m)
     if _CYCLE_RE.sub("", text).strip():
         raise InputFormatError(f"cannot parse letter cycles {text!r}")
     cycles = []
@@ -138,7 +138,7 @@ def _letter_permutation(text: str, ctx: TraceContext) -> Permutation:
         except ValueError as exc:
             raise InputFormatError(f"letter in {body!r} outside alphabet {ctx.letters!r}") from exc
     try:
-        return Permutation.from_cycles(cycles, ctx.m)
+        return from_cycles(cycles, ctx.m)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 
@@ -226,10 +226,11 @@ def _cmd_verify(args) -> int:
 def _cmd_factor(args) -> int:
     pi = parse_cycles(args.perm, degree=args.degree)
     sigma, tau = two_involution_factorization(pi)
-    print(f"pi    = {pi.cycle_string()}")
-    print(f"sigma = {sigma.cycle_string()}")
-    print(f"tau   = {tau.cycle_string()}")
-    ok = (sigma * tau) == pi and (sigma * sigma).is_identity() and (tau * tau).is_identity()
+    print(f"pi    = {cycle_string(pi)}")
+    print(f"sigma = {cycle_string(sigma)}")
+    print(f"tau   = {cycle_string(tau)}")
+    one = identity_tuple(len(pi))
+    ok = compose(sigma, tau) == pi and compose(sigma, sigma) == one == compose(tau, tau)
     print(f"check: sigma^2 = tau^2 = id and sigma∘tau = pi: {'OK' if ok else 'FAILED'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

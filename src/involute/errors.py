@@ -59,12 +59,13 @@ class SearchBudgetExceededError(BudgetExceededError):
 
 
 class OrderBudgetExceededError(BudgetExceededError):
-    """Past a size cap; ``layer`` and ``order`` name what was refused, when
-    its order is known before it is built."""
+    """Past a size cap; ``layer`` names what was refused, and ``order`` its
+    order when that is known before it is built."""
 
     def __init__(self, limit, *, layer: str | None = None, order: int | None = None):
         self.order = order
-        message = None if order is None else f"{layer} has order {order}, past the cap of {limit}"
+        size = "grew" if order is None else f"has order {order},"
+        message = None if layer is None else f"{layer} {size} past the cap of {limit}"
         super().__init__(limit, "group or table size", message)
 
 

@@ -17,7 +17,7 @@ from itertools import combinations, permutations, product
 from operator import xor
 
 from .errors import OrderBudgetExceededError
-from .perms import Permutation, compose, cycle_string
+from .perms import compose, cycle_string, parity
 from .semigroups import FiniteSemigroup, TABLE_CAP, cayley_table
 
 
@@ -179,39 +179,42 @@ def _partition_name(p: tuple, n: int) -> str:
     )
 
 
-def partition_monoid(n: int) -> FiniteSemigroup:
-    """P_n: all partitions of the 2n points, under diagram stacking."""
+def _partitions(n: int) -> list[tuple]:
+    """The partitions of the 2n points in element order.  An n outside 1..3
+    is refused before any is listed: P_4 has 4140 elements."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > 3:
         raise OrderBudgetExceededError(TABLE_CAP)
-    elems = sorted(_all_rgs(2 * n))
+    return sorted(_all_rgs(2 * n))
+
+
+def partition_monoid(n: int) -> FiniteSemigroup:
+    """P_n: all partitions of the 2n points, under diagram stacking."""
+    elems = _partitions(n)
     return cayley_table(
         elems, lambda p, q: compose_partitions(p, q, n), [_partition_name(p, n) for p in elems]
     )
 
 
-def star_map(n: int) -> Permutation:
-    """The permutation of P_n induced by the * (vertical flip) involution."""
-    elems = sorted(_all_rgs(2 * n))
+def star_map(n: int) -> tuple[int, ...]:
+    """The mapping tuple on P_n of the * (vertical flip) involution; n is
+    refused as by :func:`partition_monoid`."""
+    elems = _partitions(n)
     index = {p: i for i, p in enumerate(elems)}
-    return Permutation(index[flip_partition(p, n)] for p in elems)
+    return tuple(index[flip_partition(p, n)] for p in elems)
 
 
 def dual_symmetric_inverse_monoid(n: int) -> FiniteSemigroup:
     """I*_n: block bijections, realized inside the partition monoid as the
     partitions whose every block meets both rows."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > 3:
-        raise OrderBudgetExceededError(TABLE_CAP)
 
     def both_rows(p):
         tops = {b for v, b in enumerate(p) if v < n}
         bots = {b for v, b in enumerate(p) if v >= n}
         return tops == bots == set(p)
 
-    elems = sorted(p for p in _all_rgs(2 * n) if both_rows(p))
+    elems = [p for p in _partitions(n) if both_rows(p)]
     return cayley_table(
         elems, lambda p, q: compose_partitions(p, q, n), [_partition_name(p, n) for p in elems]
     )
@@ -309,5 +312,5 @@ def alternating_group_table(n: int) -> FiniteSemigroup:
         raise ValueError("n must be at least 1")
     if n > 6:
         raise OrderBudgetExceededError(TABLE_CAP)
-    elems = [p for p in sorted(permutations(range(n))) if Permutation(p).parity() == 0]
+    elems = [p for p in sorted(permutations(range(n))) if parity(p) == 0]
     return cayley_table(elems, compose, [cycle_string(p) for p in elems])

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .errors import InputFormatError, NoEdgesError, OrderBudgetExceededError, SearchBudgetExceededError
 from .morphisms import MorphismSet
-from .perms import as_mapping, compose, identity_tuple
+from .perms import as_mapping, is_involution
 from .permgroups import PermGroup, closure
 from .semigroups import TABLE_CAP, FiniteSemigroup, cayley_table, read_json
 
@@ -162,9 +162,7 @@ def graph_automorphisms(g: SimpleGraph, *, budget: int | None = None) -> Morphis
 
 def graph_involution_group(g: SimpleGraph, *, budget=None, cap=None) -> PermGroup:
     """C(Gamma): the subgroup generated by order-2 graph automorphisms."""
-    auts = graph_automorphisms(g, budget=budget)
-    one = identity_tuple(g.n)
-    invs = [p for p in auts if p != one and compose(p, p) == one]
+    invs = filter(is_involution, graph_automorphisms(g, budget=budget))
     return closure(invs, degree=g.n, cap=cap)
 
 

@@ -29,7 +29,7 @@ from .errors import (
     OrderBudgetExceededError,
     SearchBudgetExceededError,
 )
-from .perms import Permutation, as_mapping, compose, identity_tuple
+from .perms import as_mapping, compose, cycle_string, identity_tuple, is_involution
 from .semigroups import (
     DEFAULT_ORDER_BUDGET,
     FiniteSemigroup,
@@ -427,8 +427,7 @@ def involutions(
 
     def build():
         anti = enumerate_anti_automorphisms(s, budget=budget, cap=cap)
-        one = identity_tuple(s.n)
-        return MorphismSet(tuple(a for a in anti if a != one and compose(a, a) == one))
+        return MorphismSet(tuple(filter(is_involution, anti)))
 
     return _memo(s, "involutions", build)
 
@@ -452,20 +451,21 @@ def is_proper_involution(alpha, s: FiniteSemigroup) -> bool:
     Raises :class:`NotAnInvolutionError` unless alpha really is an
     involution of S.
     """
-    p = Permutation(alpha)
-    if not (p.is_involution() and is_anti_homomorphism(p, s, s)):
-        raise NotAnInvolutionError(f"{p!r} is not an involution of this semigroup")
-    return not is_homomorphism(p, s, s)
+    m = as_mapping(alpha)
+    if not (is_involution(m) and is_anti_homomorphism(m, s, s)):
+        raise NotAnInvolutionError(f"{cycle_string(m)} is not an involution of this semigroup")
+    return not is_homomorphism(m, s, s)
 
 
 def find_isomorphism(
     s: FiniteSemigroup, t: FiniteSemigroup, *, budget: int | None = None
-) -> Permutation | None:
+) -> tuple[int, ...] | None:
+    """One isomorphism S -> T as a mapping tuple, or None if there is none."""
     maps = enumerate_isomorphism_mappings(s, t, budget=budget, limit=1)
-    return Permutation(maps[0]) if maps else None
+    return maps[0] if maps else None
 
 
 def find_anti_isomorphism(
     s: FiniteSemigroup, t: FiniteSemigroup, *, budget: int | None = None
-) -> Permutation | None:
+) -> tuple[int, ...] | None:
     return find_isomorphism(s, t.dual(), budget=budget)

@@ -30,7 +30,7 @@ from .morphisms import (
     involutions,
     order_two_automorphisms,
 )
-from .perms import Permutation, as_mapping, compose, identity_tuple, invert
+from .perms import as_mapping, compose, cycles, identity_tuple, invert
 from .semigroups import (
     DEFAULT_ORDER_BUDGET,
     FiniteSemigroup,
@@ -93,8 +93,8 @@ def _generated(degree, candidates, cap, kept: list) -> PermGroup:
 
 
 def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
-    """The subgroup generated by the given permutations (mapping tuples or
-    :class:`~involute.perms.Permutation` objects).
+    """The subgroup generated by the given permutations, each a sequence of
+    images (see :func:`~involute.perms.as_mapping`).
 
     The result's ``generators`` are the non-redundant ones: each given
     permutation is kept only if it lies outside the group generated by
@@ -112,16 +112,24 @@ def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
     return _generated(degree, gens, cap, [])
 
 
+def _layer_closure(layer: str, maps, degree, cap) -> PermGroup:
+    """:func:`closure`, its order error naming ``layer``."""
+    try:
+        return closure(maps, degree=degree, cap=cap)
+    except OrderBudgetExceededError as exc:
+        raise OrderBudgetExceededError(exc.limit, layer=layer) from exc
+
+
 def c_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
     """C(S): the subgroup of Sym(S) generated by all involutions of S."""
     inv = involutions(s, budget=budget, cap=cap)
-    return closure(inv.elements, degree=s.n, cap=cap)
+    return _layer_closure("C(S)", inv.elements, s.n, cap)
 
 
 def g_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
     """G(S): the subgroup generated by the order-at-most-2 automorphisms."""
     j = order_two_automorphisms(s, budget=budget, cap=cap)
-    return closure(j.elements, degree=s.n, cap=cap)
+    return _layer_closure("G(S)", j.elements, s.n, cap)
 
 
 def involution_laws(s: FiniteSemigroup, auts, invs, j_set, c: PermGroup, g: PermGroup):
@@ -333,34 +341,20 @@ def k_group(table: FiniteSemigroup) -> PairGroup:
 # ---------------------------------------------------------------------------
 # writing a permutation as a product of two involutions, cycle by cycle
 
-def two_involution_factorization(pi: Permutation) -> tuple[Permutation, Permutation]:
-    """Return (sigma, tau) with sigma^2 = tau^2 = 1 and sigma * tau = pi.
+def two_involution_factorization(pi) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Return mapping tuples (sigma, tau) with sigma^2 = tau^2 = 1 and
+    sigma o tau = pi, for any sequence of images ``pi``.
 
-    Works cycle by cycle; either factor may come out as the identity (for
-    example tau alone suffices when every cycle is a transposition).
+    Both are reflections of each cycle (x_0 ... x_{m-1}) of pi, indices mod
+    m: sigma sends x_j to x_{-j} and tau sends x_j to x_{-1-j}, so
+    sigma(tau(x_j)) = x_{1+j}.  Either factor may come out as the identity
+    (tau alone suffices when every cycle is a transposition).
     """
-    sigma = list(range(pi.degree))
-    tau = list(range(pi.degree))
-
-    def set_swap(target, a, b):
-        target[a], target[b] = b, a
-
-    for cyc in pi.cycles():
-        k2 = len(cyc)
-        if k2 % 2:
-            # odd length 2k+1: sigma pairs (x2,x_{2k+1})..., tau pairs (x1,x_{2k+1})...
-            k = (k2 - 1) // 2
-            for i in range(2, k + 2):
-                set_swap(sigma, cyc[i - 1], cyc[2 * k + 3 - i - 1])
-            for i in range(1, k + 1):
-                set_swap(tau, cyc[i - 1], cyc[2 * k + 2 - i - 1])
-        else:
-            # even length 2k
-            k = k2 // 2
-            for i in range(2, k + 1):
-                set_swap(sigma, cyc[i - 1], cyc[2 * k + 2 - i - 1])
-            for i in range(1, k + 1):
-                set_swap(tau, cyc[i - 1], cyc[2 * k + 1 - i - 1])
-    s, t = Permutation(sigma), Permutation(tau)
-    assert (s * t) == pi, "factorization broke; composition convention mismatch"
+    pi = as_mapping(pi)
+    sigma, tau = list(range(len(pi))), list(range(len(pi)))
+    for cyc in cycles(pi):
+        for j, x in enumerate(cyc):
+            sigma[x], tau[x] = cyc[-j], cyc[~j]
+    s, t = tuple(sigma), tuple(tau)
+    assert compose(s, t) == pi, "factorization broke; composition convention mismatch"
     return s, t

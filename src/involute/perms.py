@@ -1,14 +1,15 @@
-"""Permutations of {0, ..., n-1}.
+"""Permutations of {0, ..., n-1}, each held as its mapping tuple ``m``,
+with ``m[x]`` the image of x.
 
 Composition is right-to-left everywhere in this package:
-``(p * q)(x) == p(q(x))``, i.e. the right factor acts first.  All identities
-quoted from the literature are re-derived under this convention in the tests.
+``compose(p, q)[x] == p[q[x]]``, i.e. the right factor acts first.  All
+identities quoted from the literature are re-derived under this convention in
+the tests.
 """
 
 from __future__ import annotations
 
 import re
-from math import lcm
 
 from .errors import InputFormatError
 
@@ -30,14 +31,40 @@ def identity_tuple(n):
 
 
 def as_mapping(p) -> tuple[int, ...]:
-    """The mapping tuple of a :class:`Permutation` or of a sequence of images,
-    the one form the library holds a map in; ValueError unless a bijection."""
-    if isinstance(p, Permutation):
-        return p.mapping
+    """The mapping tuple of a sequence of images, the one form the library
+    holds a map in; ValueError unless a bijection."""
     m = tuple(p)
     if sorted(m) != list(range(len(m))):
         raise ValueError(f"not a permutation of 0..{len(m) - 1}: {m}")
     return m
+
+
+def is_involution(m) -> bool:
+    """Whether the map, a sequence of images, has order exactly 2."""
+    one = identity_tuple(len(m))
+    return tuple(m) != one and compose(m, m) == one
+
+
+def parity(m) -> int:
+    """0 for an even map, 1 for an odd one."""
+    return sum(len(c) - 1 for c in cycles(m)) % 2
+
+
+def from_cycles(cycles, degree: int) -> tuple[int, ...]:
+    """The mapping tuple of disjoint cycles on 0..degree-1; ValueError if a
+    point is out of range or appears twice."""
+    m = list(range(degree))
+    seen: set[int] = set()
+    for cyc in cycles:
+        cyc = list(cyc)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if not 0 <= a < degree:
+                raise ValueError(f"cycle point {a} outside degree {degree}")
+            if a in seen:
+                raise ValueError(f"point {a} appears twice in the cycles")
+            seen.add(a)
+            m[a] = b
+    return tuple(m)
 
 
 def cycles(m):
@@ -68,78 +95,6 @@ def cycle_string(m, names=None) -> str:
     return "".join("(" + " ".join(label(x) for x in c) + ")" for c in cycs)
 
 
-class Permutation:
-    """An immutable bijection of {0..n-1}, stored as its mapping tuple."""
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, mapping):
-        object.__setattr__(self, "mapping", as_mapping(mapping))
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
-
-    @classmethod
-    def from_cycles(cls, cycles, degree: int) -> "Permutation":
-        m = list(range(degree))
-        seen: set[int] = set()
-        for cyc in cycles:
-            cyc = list(cyc)
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                if not 0 <= a < degree:
-                    raise ValueError(f"cycle point {a} outside degree {degree}")
-                if a in seen:
-                    raise ValueError(f"point {a} appears twice in the cycles")
-                seen.add(a)
-                m[a] = b
-        return cls(m)
-
-    @property
-    def degree(self) -> int:
-        return len(self.mapping)
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # self * other applies other first
-        return Permutation(compose(self.mapping, other.mapping))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(invert(self.mapping))
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.mapping))
-
-    def is_involution(self) -> bool:
-        """Order exactly 2."""
-        m = self.mapping
-        return any(v != i for i, v in enumerate(m)) and all(m[v] == i for i, v in enumerate(m))
-
-    def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles()))
-
-    def parity(self) -> int:
-        """0 for even, 1 for odd."""
-        return sum(len(c) - 1 for c in self.cycles()) % 2
-
-    def cycles(self):
-        return cycles(self.mapping)
-
-    def cycle_string(self, names=None) -> str:
-        return cycle_string(self.mapping, names)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.mapping == other.mapping
-
-    def __hash__(self):
-        return hash(self.mapping)
-
-    def __repr__(self):
-        return f"Permutation({self.cycle_string()}, degree={self.degree})"
-
-
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -148,7 +103,7 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 MAX_PARSED_DEGREE = 10**5
 
 
-def parse_cycles(text: str, degree: int | None = None) -> Permutation:
+def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     """Parse cycle notation like ``(0 1 2)(3 4)``; ``()`` or ``id`` is the identity.
 
     Points may be separated by spaces or commas.  The degree defaults to one
@@ -176,6 +131,6 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
     if top > deg:
         raise InputFormatError(f"cycle point {top - 1} outside degree {deg}")
     try:
-        return Permutation.from_cycles(cycles, deg)
+        return from_cycles(cycles, deg)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (
     ContextMismatchError,
+    InputFormatError,
     LengthBudgetExceededError,
     NotGraphAutomorphismError,
 )
@@ -44,12 +45,14 @@ class TraceContext:
         return TraceWord(self, tuple(letters))
 
     def parse(self, text: str) -> "TraceWord":
-        """Read a word written with this context's display letters."""
+        """Read a word written with this context's display letters;
+        :class:`InputFormatError` if it is empty or has another letter."""
         alphabet = self.letters or "".join(chr(ord("a") + i) for i in range(self.m))
-        try:
-            return self.word(alphabet.index(ch) for ch in text)
-        except ValueError as exc:
-            raise ValueError(f"letter outside alphabet {alphabet!r} in {text!r}") from exc
+        if not text:
+            raise InputFormatError("a trace word needs at least one letter")
+        if not set(text) <= set(alphabet):
+            raise InputFormatError(f"letter outside alphabet {alphabet!r} in {text!r}")
+        return self.word(map(alphabet.index, text))
 
     def __eq__(self, other):
         return isinstance(other, TraceContext) and self.graph == other.graph
@@ -140,8 +143,8 @@ def _letter_map(pi, ctx: TraceContext) -> tuple[int, ...]:
 
 
 def gamma_map(pi, w: TraceWord) -> TraceWord:
-    """Letterwise image of the word; a trace automorphism when pi (a mapping
-    tuple or a Permutation) is an automorphism of the commutation graph."""
+    """Letterwise image of the word; a trace automorphism when pi (any
+    sequence of images) is an automorphism of the commutation graph."""
     m = _letter_map(pi, w.context)
     return TraceWord(w.context, tuple(m[x] for x in w.letters))
 

@@ -1,7 +1,7 @@
-"""``involute analyze`` on arbitrary files, and ``construct`` and ``factor``
-on arbitrary sizes: every input ends in exit 0, 2 or 3 with a one-line
-message, never in an exception, and a size far past a limit is refused
-before anything of that size is built."""
+"""``involute analyze`` on arbitrary files, ``construct`` and ``factor`` on
+arbitrary sizes and ``trace`` on arbitrary words: every input ends in exit 0,
+2 or 3 with a one-line message, never in an exception, and a size far past a
+limit is refused before anything of that size is built."""
 
 import contextlib
 import io
@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from involute.cli import _FAMILIES, main
 
@@ -115,3 +115,34 @@ def test_construct_survives_random_sizes(family, sizes):
 def test_factor_survives_random_sizes(points, degree):
     argv = ["factor", "(" + " ".join(map(str, points)) + ")"]
     _assert_clean(argv + ([] if degree is None else ["--degree", str(degree)]))
+
+
+_words = st.text(alphabet="abc(", max_size=4)
+_edges = st.lists(st.text(alphabet="abcd", max_size=3), max_size=2).map(",".join)
+_letter_cycles = st.sampled_from(["id", "", "()"]) | st.lists(
+    st.text(alphabet="abd ", max_size=3), max_size=2
+).map(lambda bodies: "".join(f"({b})" for b in bodies))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    action=st.sampled_from(["nf", "eq", "map"]),
+    words=st.tuples(_words, _words),
+    kind=st.sampled_from(["gamma", "delta"]),
+    cycles=_letter_cycles,
+    edges=st.none() | _edges,
+    alphabet=st.none() | st.text(alphabet="abcd", max_size=4),
+)
+@example(action="eq", words=("a", ""), kind="gamma", cycles="id", edges=None, alphabet=None)
+@example(action="nf", words=("abc", ""), kind="gamma", cycles="id", edges=None, alphabet="")
+def test_trace_survives_random_words(action, words, kind, cycles, edges, alphabet):
+    argv = ["trace", action]
+    if action == "map":
+        argv += [kind, cycles, words[0]]
+    else:
+        argv += list(words[:2 if action == "eq" else 1])
+    if edges is not None:
+        argv += ["--edges", edges]
+    if alphabet is not None:
+        argv += ["--alphabet", alphabet]
+    _assert_clean(argv)

@@ -26,7 +26,8 @@ from involute.morphisms import (
     is_anti_homomorphism,
 )
 from involute.permgroups import c_group
-from involute.semigroups import validate
+from involute.perms import is_involution
+from involute.semigroups import TABLE_CAP, validate
 
 
 def test_cyclic_group():
@@ -82,12 +83,12 @@ def test_partition_monoid_sizes_and_star():
     p2 = partition_monoid(2)
     assert p2.n == 15
     star = star_map(2)
-    assert star.is_involution()
+    assert type(star) is tuple and is_involution(star)
     assert is_anti_homomorphism(star, p2, p2)
     # f = f f* f and f* = f* f f*
     t = p2.table
     for f in range(15):
-        fs = star.mapping[f]
+        fs = star[f]
         assert t[t[f][fs]][f] == f
         assert t[t[fs][f]][fs] == fs
 
@@ -100,7 +101,16 @@ def test_star_fixes_units_inversely():
     units = [x for x in range(p3.n) if any(p3.table[x][y] == e and p3.table[y][x] == e for y in range(p3.n))]
     assert len(units) == 6
     for u in units:
-        assert p3.table[u][star.mapping[u]] == e
+        assert p3.table[u][star[u]] == e
+
+
+@pytest.mark.parametrize("build", [partition_monoid, star_map, dual_symmetric_inverse_monoid])
+def test_partition_families_refuse_n_outside_1_to_3(build):
+    with pytest.raises(ValueError):
+        build(0)
+    with pytest.raises(OrderBudgetExceededError) as exc:
+        build(4)  # P_4 has 4140 elements
+    assert exc.value.limit == TABLE_CAP
 
 
 def test_rectangular_band():
@@ -159,7 +169,7 @@ def test_signed_automorphisms_of_square_bands_compose_by_the_four_rules():
     # package-wide right-to-left composition
     from itertools import permutations as perms
 
-    from involute.perms import Permutation, compose, invert
+    from involute.perms import compose, invert
 
     n = 3
 
@@ -182,8 +192,7 @@ def test_signed_automorphisms_of_square_bands_compose_by_the_four_rules():
     # and delta(s, t) is an involution exactly when t is the inverse of s
     for s in syms:
         for t in syms:
-            d = Permutation(delta(s, t))
-            assert d.is_involution() == (t == invert(s))
+            assert is_involution(delta(s, t)) == (t == invert(s))
 
 
 def test_doubled_t3_has_the_same_groups_as_the_square_band():

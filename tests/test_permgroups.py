@@ -26,7 +26,7 @@ from involute.morphisms import (
     is_proper_involution,
     order_two_automorphisms,
 )
-from involute.perms import Permutation, compose
+from involute.perms import compose, cycles, identity_tuple, parity
 from involute.permgroups import (
     GroupFingerprint,
     c_group,
@@ -52,14 +52,14 @@ def _random_generator_sets(seed, count=40, max_degree=7):
 
 def test_closure_examples():
     assert closure([], degree=4).order == 1
-    assert closure([Permutation((1, 0, 2)), Permutation((0, 2, 1))]).order == 6
-    kl = closure([Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
+    assert closure([(1, 0, 2), (0, 2, 1)]).order == 6
+    kl = closure([(1, 0, 3, 2), (2, 3, 0, 1)])
     assert kl.order == 4
 
 
 def test_closure_budget():
     with pytest.raises(OrderBudgetExceededError):
-        closure([Permutation((1, 2, 3, 4, 0))], cap=3)
+        closure([(1, 2, 3, 4, 0)], cap=3)
 
 
 def test_closure_order_matches_sympy():
@@ -71,7 +71,7 @@ def test_closure_order_matches_sympy():
         expected = combinatorics.PermutationGroup(
             [combinatorics.Permutation(g) for g in gens]
         ).order()
-        assert closure([Permutation(g) for g in gens]).order == expected
+        assert closure(gens).order == expected  # lists of images
 
 
 def test_closure_keeps_only_generators_outside_the_group_so_far():
@@ -131,7 +131,7 @@ def _reference_fingerprint(g):
         conj = left[:, invm[i]]                        # g_i o g_j o g_i^-1
         full = np.take_along_axis(conj, invm, axis=1)  # ... o g_j^-1
         comms.update(map(tuple, full.tolist()))
-    hist = Counter(Permutation(p).order() for p in g.elements)
+    hist = Counter(lcm(*map(len, cycles(p))) for p in g.elements)
     return GroupFingerprint(
         order=len(m),
         abelian=center == len(m),
@@ -177,7 +177,7 @@ def test_group_fingerprint_matches_sympy():
 
 
 def test_closure_idempotence():
-    g = closure([Permutation((1, 2, 0)), Permutation((1, 0, 2))])
+    g = closure([(1, 2, 0), (1, 0, 2)])
     again = closure(g.elements, degree=g.degree)
     assert again == g
 
@@ -186,6 +186,21 @@ def test_c_group_examples(klein):
     assert c_group(klein).order == 6
     assert c_group(full_transformation_monoid(3)).order == 1
     assert c_group(rectangular_band(3, 3)).order == 36
+
+
+def test_c_and_g_closures_name_their_layer_past_the_cap():
+    # |Aut(Sym(4))| = |Aut-| = 24 fit a cap of 24; C, of order 48, does not
+    with pytest.raises(OrderBudgetExceededError) as exc:
+        c_group(sym_group_table(4), cap=24)
+    assert str(exc.value) == "C(S) grew past the cap of 24"
+    assert exc.value.limit == 24 and exc.value.order is None
+    # G lies in Aut(S), so only a J(S) listed before, under a larger cap, can
+    # let G outgrow the cap: the 10 maps of J generate all 24 automorphisms
+    s4 = sym_group_table(4)
+    assert len(order_two_automorphisms(s4)) == 10
+    with pytest.raises(OrderBudgetExceededError) as exc:
+        g_group(s4, cap=10)
+    assert str(exc.value) == "G(S) grew past the cap of 10"
 
 
 def test_g_group_examples():
@@ -212,21 +227,21 @@ def test_signed_aut_group_obeys_the_order_cap():
 
 
 def test_derived_subgroup_examples():
-    s3 = closure([Permutation((1, 0, 2)), Permutation((1, 2, 0))])
+    s3 = closure([(1, 0, 2), (1, 2, 0)])
     assert derived_subgroup(s3).order == 3
-    abelian = closure([Permutation((1, 2, 3, 0))])
+    abelian = closure([(1, 2, 3, 0)])
     assert derived_subgroup(abelian).order == 1
-    s4 = closure([Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))])
+    s4 = closure([(1, 0, 2, 3), (1, 2, 3, 0)])
     der = derived_subgroup(s4)
     assert der.order == 12
-    assert all(Permutation(p).parity() == 0 for p in der)  # exactly the even permutations
+    assert all(parity(p) == 0 for p in der)  # exactly the even permutations
 
 
 def test_lagrange_style_invariants():
     for gens in (
-        [Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))],
-        [Permutation((1, 2, 0))],
-        [Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))],
+        [(1, 0, 2, 3), (1, 2, 3, 0)],
+        [(1, 2, 0)],
+        [(1, 0, 3, 2), (2, 3, 0, 1)],
     ):
         g = closure(gens)
         fp = group_fingerprint(g)
@@ -246,7 +261,7 @@ def test_k_group_examples():
 
 def test_k_group_is_extension_of_g_by_derived():
     for table in (sym_group_table(4), klein_four(), cyclic_group(9)):
-        g = closure([Permutation(row) for row in table.table], degree=table.n)
+        g = closure(table.table, degree=table.n)
         kg = k_group(table)
         assert kg.order == table.n * derived_subgroup(g).order
 
@@ -259,45 +274,47 @@ def test_k_group_rejects_non_groups():
 
 
 def test_factorization_examples():
-    ident = Permutation.identity(5)
+    ident = identity_tuple(5)
     s, t = two_involution_factorization(ident)
-    assert s.is_identity() and t.is_identity()
-    s, t = two_involution_factorization(Permutation((1, 2, 0)))
-    assert s.mapping == (0, 2, 1) and t.mapping == (2, 1, 0)
-    s, t = two_involution_factorization(Permutation((1, 0, 3, 2)))
-    assert s.is_identity() and t.mapping == (1, 0, 3, 2)
+    assert s == t == ident
+    s, t = two_involution_factorization([1, 2, 0])  # any sequence of images
+    assert s == (0, 2, 1) and t == (2, 1, 0)
+    s, t = two_involution_factorization((1, 0, 3, 2))
+    assert s == identity_tuple(4) and t == (1, 0, 3, 2)
+    with pytest.raises(ValueError):
+        two_involution_factorization((0, 0))
 
 
 def test_factorization_exhaustive_to_degree_5():
     for n in range(1, 6):
+        one = identity_tuple(n)
         for m in permutations(range(n)):
-            pi = Permutation(m)
-            s, t = two_involution_factorization(pi)
-            assert (s * s).is_identity() and (t * t).is_identity()
-            assert s * t == pi
+            s, t = two_involution_factorization(m)
+            assert compose(s, s) == one and compose(t, t) == one
+            assert compose(s, t) == m
 
 
 def test_group_fingerprint_z2_x_sym3():
     table = direct_product_table(cyclic_group(2), sym_group_table(3))
-    g = closure([Permutation(row) for row in table.table], degree=12)
+    g = closure(table.table, degree=12)
     fp = group_fingerprint(g)
     assert fp.order == 12
     assert fp.element_order_histogram == ((1, 1), (2, 7), (3, 2), (6, 2))
 
 
 def test_group_fingerprint_klein_and_sym4():
-    kl = closure([Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
+    kl = closure([(1, 0, 3, 2), (2, 3, 0, 1)])
     fp = group_fingerprint(kl)
     assert fp.abelian and fp.exponent == 2
     assert fp.element_order_histogram == ((1, 1), (2, 3))
-    s4 = closure([Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))])
+    s4 = closure([(1, 0, 2, 3), (1, 2, 3, 0)])
     fp4 = group_fingerprint(s4)
     assert (fp4.order, fp4.center_order, fp4.derived_order) == (24, 1, 12)
 
 
 def test_to_cayley_table_examples():
     assert to_cayley_table(closure([], degree=3)).n == 1
-    z4ish = to_cayley_table(closure([Permutation((1, 2, 3, 0))]))
+    z4ish = to_cayley_table(closure([(1, 2, 3, 0)]))
     assert find_isomorphism(z4ish, cyclic_group(4)) is not None
     c12 = c_group(cyclic_group(12))
     assert find_isomorphism(to_cayley_table(c12), klein_four()) is not None
@@ -305,7 +322,7 @@ def test_to_cayley_table_examples():
 
 def test_to_cayley_table_budget():
     """A group past TABLE_CAP elements is refused."""
-    sym7 = closure([Permutation((1, 0, 2, 3, 4, 5, 6)), Permutation((1, 2, 3, 4, 5, 6, 0))])
+    sym7 = closure([(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)])
     assert sym7.order == 5040
     with pytest.raises(OrderBudgetExceededError) as exc:
         to_cayley_table(sym7)

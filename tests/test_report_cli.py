@@ -24,7 +24,6 @@ from involute.families import (
 )
 from involute.graphs import frucht_semigroup, path_graph
 from involute.permgroups import closure, g_group, group_fingerprint
-from involute.perms import Permutation
 from involute.report import _catalog_for_order, analyze, identify_group, report_to_text
 from involute.semigroups import dump_table, load_table, validate
 
@@ -91,7 +90,7 @@ def test_analyze_g_is_g_group(build, monkeypatch):
 
 def _left_regular_group(table):
     """The rows of a group table, which form a group isomorphic to it."""
-    return closure([Permutation(row) for row in table.table], degree=table.n)
+    return closure(table.table, degree=table.n)
 
 
 #: catalog entries of one order that name the same group
@@ -404,6 +403,28 @@ def test_cli_analyze_text_is_pinned(tmp_path, monkeypatch, capsys, name):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_TEXT[name]
 
 
+#: the exact output of ``factor`` and ``trace map``
+GOLDEN_MAPS = [
+    (["factor", "(0 1 2 3)(4 5)"],
+     "pi    = (0 1 2 3)(4 5)\nsigma = (1 3)\ntau   = (0 3)(1 2)(4 5)\n"
+     "check: sigma^2 = tau^2 = id and sigma∘tau = pi: OK\n"),
+    (["factor", "(0 2)(1 3 5 4 6)", "--degree", "9"],
+     "pi    = (0 2)(1 3 5 4 6)\nsigma = (3 6)(4 5)\ntau   = (0 2)(1 6)(3 4)\n"
+     "check: sigma^2 = tau^2 = id and sigma∘tau = pi: OK\n"),
+    (["factor", "id"],
+     "pi    = ()\nsigma = ()\ntau   = ()\ncheck: sigma^2 = tau^2 = id and sigma∘tau = pi: OK\n"),
+    (["trace", "map", "delta", "(ab)", "abc", "--edges", "ab"], "cab\n"),
+    (["trace", "map", "gamma", "id", "abc"], "abc\n"),
+    (["trace", "map", "gamma", "(a b)", "ab"], "ba\n"),
+]
+
+
+@pytest.mark.parametrize("argv, out", GOLDEN_MAPS, ids=[" ".join(a) for a, _ in GOLDEN_MAPS])
+def test_cli_factor_and_trace_map_are_pinned(argv, out, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (out, "")
+
+
 @pytest.mark.parametrize(
     "m, names",
     [
@@ -462,34 +483,34 @@ def test_cli_analyze_caps_the_signed_group(tmp_path, capsys):
     assert [line.split()[-1] for line in lines if line.startswith("|Aut+-(S)|:")] == ["72"]
 
 
+def test_cli_analyze_names_the_c_layer_past_the_cap(tmp_path, capsys):
+    # Sym(5): |Aut| = |Aut-| = 120 fit a cap of 120, |C| = 240 does not
+    path = tmp_path / "sym5.json"
+    assert main(["construct", "sym", "5", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--json", "--budget-order", "120"]) == 3
+    assert capsys.readouterr() == ("", "budget exceeded: C(S) grew past the cap of 120\n")
+
+
 @pytest.mark.parametrize(
-    "build",
+    "build, automorphisms, involutions, c_order",
     [
-        lambda: zero_semigroup(8),
-        lambda: rectangular_band(3, 3),
-        lambda: full_transformation_monoid(3),
-        lambda: cyclic_group(12),
-        klein_four,  # C is matched against the catalog's Sym(3)
+        (lambda: zero_semigroup(8), 40320, 763, 40320),
+        (lambda: rectangular_band(3, 3), 36, 6, 36),
+        (klein_four, 6, 3, 6),  # C is matched against the catalog's Sym(3)
     ],
-    ids=["zero8", "band3x3", "t3", "z12", "klein"],
+    ids=["zero8", "band3x3", "klein"],
 )
-def test_cli_analyze_json_builds_no_permutation(build, tmp_path, monkeypatch, capsys):
-    """Inside the library a map is its mapping tuple: ``analyze`` makes no
-    Permutation."""
+def test_cli_analyze_json_counts(build, automorphisms, involutions, c_order, tmp_path, capsys):
     s = build()
     path = tmp_path / "s.json"
     dump_table(s, path)
-    made = []
-    init = Permutation.__init__
-
-    def counting(self, mapping):
-        made.append(mapping)
-        init(self, mapping)
-
-    monkeypatch.setattr(Permutation, "__init__", counting)
     assert main(["analyze", str(path), "--json"]) == 0
-    assert capsys.readouterr().out.endswith(f'\n  "size": {s.n}\n}}\n')
-    assert len(made) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(f'\n  "size": {s.n}\n}}\n')
+    doc = json.loads(out)
+    assert (doc["counts"]["automorphisms"], doc["counts"]["involutions"]) == (automorphisms, involutions)
+    assert doc["groups"]["C"]["order"] == c_order
 
 
 def test_cli_factor(capsys):
@@ -537,6 +558,21 @@ def test_cli_trace_map_reads_letter_cycles(perm, out, capsys):
 def test_cli_trace_rejects_a_repeated_letter_and_broken_cycles(argv, capsys):
     assert main(["trace", *argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["eq", "a", ""], "a trace word needs at least one letter"),
+        (["eq", "ab", "", "--edges", "ab"], "a trace word needs at least one letter"),
+        (["nf", ""], "a trace word needs at least one letter"),
+        (["map", "gamma", "id", ""], "a trace word needs at least one letter"),
+        (["nf", "abc", "--alphabet", ""], "--alphabet is empty"),
+    ],
+)
+def test_cli_trace_rejects_an_empty_word_or_alphabet(argv, err, capsys):
+    assert main(["trace", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_cli_verify_single_check(capsys):

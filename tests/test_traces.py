@@ -3,11 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 from involute.errors import (
     ContextMismatchError,
+    InputFormatError,
     LengthBudgetExceededError,
     NotGraphAutomorphismError,
 )
 from involute.graphs import graph_automorphisms
-from involute.perms import Permutation, compose, identity_tuple
+from involute.perms import compose, identity_tuple
 from involute.traces import (
     TraceContext,
     bfs_trace_class,
@@ -59,6 +60,9 @@ def test_word_validation_and_bounds():
     ctx = TraceContext.from_edges(2, [])
     with pytest.raises(ValueError):
         ctx.word([])
+    for text, problem in (("", "at least one letter"), ("ac", "outside alphabet")):
+        with pytest.raises(InputFormatError, match=problem):
+            ctx.parse(text)
     with pytest.raises(LengthBudgetExceededError):
         normal_form(ctx.word([0] * 20))
     assert normal_form(ctx.word([0] * 20), bound=32).letters == (0,) * 20
@@ -67,12 +71,12 @@ def test_word_validation_and_bounds():
 def test_gamma_delta_examples():
     ctx = TraceContext.from_edges(3, [(0, 1)])
     w = ctx.parse("abc")
-    assert str(delta_map(Permutation.identity(3), w)) == "cba"
-    assert str(gamma_map(Permutation.identity(3), w)) == "abc"
-    swap = Permutation((1, 0, 2))
+    assert str(delta_map(identity_tuple(3), w)) == "cba"
+    assert str(gamma_map(identity_tuple(3), w)) == "abc"
+    swap = [1, 0, 2]  # any sequence of images
     assert trace_equal(gamma_map(swap, ctx.parse("ab")), ctx.parse("ab"))
     with pytest.raises(NotGraphAutomorphismError):
-        gamma_map(Permutation((0, 2, 1)), w)  # does not preserve the edge {a,b}
+        gamma_map((0, 2, 1), w)  # does not preserve the edge {a,b}
 
 
 @settings(max_examples=150, deadline=None)
