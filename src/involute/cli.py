@@ -1,23 +1,24 @@
 """Command-line front end.
 
 Subcommands: ``analyze``, ``construct``, ``verify``, ``factor``, ``trace``.
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
-exceeded.
+Exit codes: 0 success, 1 verification failure, 2 bad input or an output
+that cannot be written, 3 budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import families
 from .battery import check_names, run_battery
 from .errors import AlgebraError, BudgetExceededError, InputFormatError, OrderBudgetExceededError
 from .graphs import frucht_semigroup, load_graph, parse_edge_list
-from .perms import _CYCLE_RE, compose, cycle_string, from_cycles, identity_tuple, parse_cycles
+from .perms import compose, cycle_bodies, cycle_string, from_cycles, identity_tuple, parse_cycles
 from .permgroups import two_involution_factorization
-from .report import analyze, report_to_text
+from .report import analyze, report_to_text, write_json
 from .semigroups import FiniteSemigroup, load_table, to_json_dict
 from .traces import TraceContext, delta_map, gamma_map, normal_form, trace_equal
 
@@ -125,13 +126,8 @@ def _trace_context(args) -> TraceContext:
 
 
 def _letter_permutation(text: str, ctx: TraceContext) -> tuple[int, ...]:
-    text = text.strip()
-    if text == "id":
-        return identity_tuple(ctx.m)
-    if _CYCLE_RE.sub("", text).strip():
-        raise InputFormatError(f"cannot parse letter cycles {text!r}")
     cycles = []
-    for body in _CYCLE_RE.findall(text):
+    for body in cycle_bodies(text):
         try:
             # spaces inside a cycle separate letters: "(a b)" is (ab)
             cycles.append([ctx.letters.index(ch) for ch in "".join(body.split())])
@@ -153,9 +149,7 @@ def _cmd_analyze(args) -> int:
         order_cap=args.budget_order,
     )
     if args.json:
-        # streamed, so the whole document is never held as one string
-        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        write_json(doc, sys.stdout)
     else:
         print(report_to_text(doc), end="")
     return EXIT_OK
@@ -332,13 +326,33 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a write that fails at the flush fails here, not at exit
+        return code
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except OSError as exc:
+        # reading a file or writing --output raises InputFormatError, so
+        # this is stdout: a closed pipe or a full disk
+        _drop_stdout()
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+
+
+def _drop_stdout() -> None:
+    """Point the stdout descriptor at the null device, so the buffered
+    bytes that failed are dropped at exit without a second error."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file: nothing is flushed at exit
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

@@ -103,6 +103,18 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 MAX_PARSED_DEGREE = 10**5
 
 
+def cycle_bodies(text: str) -> list[str]:
+    """The insides of the ``(...)`` groups of a cycle literal such as
+    ``(0 1 2)(3 4)``, in order; ``id`` has none.  Text outside the groups
+    raises :class:`InputFormatError`."""
+    text = text.strip()
+    if text == "id":
+        return []
+    if _CYCLE_RE.sub("", text).strip():
+        raise InputFormatError(f"cannot parse cycle literal {text!r}")
+    return _CYCLE_RE.findall(text)
+
+
 def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     """Parse cycle notation like ``(0 1 2)(3 4)``; ``()`` or ``id`` is the identity.
 
@@ -110,20 +122,14 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     more than the largest point mentioned.  A degree past
     :data:`MAX_PARSED_DEGREE` raises :class:`InputFormatError`.
     """
-    text = text.strip()
     cycles = []
-    if text not in ("id", ""):
-        stripped = _CYCLE_RE.sub("", text)
-        if stripped.strip():
-            raise InputFormatError(f"cannot parse permutation literal {text!r}")
-        for body in _CYCLE_RE.findall(text):
-            points = [p for p in re.split(r"[,\s]+", body.strip()) if p]
-            try:
-                cyc = [int(p) for p in points]
-            except ValueError as exc:
-                raise InputFormatError(f"bad cycle point in {text!r}") from exc
-            if cyc:
-                cycles.append(cyc)
+    for body in cycle_bodies(text):
+        try:
+            cyc = [int(p) for p in re.split(r"[,\s]+", body.strip()) if p]
+        except ValueError as exc:
+            raise InputFormatError(f"bad cycle point in {text.strip()!r}") from exc
+        if cyc:
+            cycles.append(cyc)
     top = max((max(c) for c in cycles), default=-1) + 1
     deg = degree if degree is not None else top
     if deg > MAX_PARSED_DEGREE:

@@ -7,6 +7,7 @@ from involute.errors import InputFormatError
 from involute.perms import (
     as_mapping,
     compose,
+    cycle_bodies,
     cycle_string,
     cycles,
     from_cycles,
@@ -70,6 +71,15 @@ def test_parse_cycles_roundtrip():
         from_cycles([[2, 0, 2]], 3)
     with pytest.raises(ValueError):
         from_cycles([[0, 3]], 3)
+
+
+def test_cycle_bodies_reads_the_groups_of_a_literal():
+    assert cycle_bodies(" (0 1 2)(3,4)() ") == ["0 1 2", "3,4", ""]
+    assert cycle_bodies("(a b)(c)") == ["a b", "c"]
+    assert cycle_bodies("id") == cycle_bodies(" ") == []
+    for bad in ("(0 1", "a)b(", "(0 1)x", "id()", "((0 1))"):
+        with pytest.raises(InputFormatError, match="cannot parse cycle literal"):
+            cycle_bodies(bad)
 
 
 def test_order_and_parity():
