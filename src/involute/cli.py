@@ -260,8 +260,20 @@ def _int_at_least(minimum: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help, written to stdout, raises when the
+    write fails, so that :func:`main` reports it; argparse drops the error."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+            file.flush()
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="involute",
         description="Involutions and (anti-)automorphisms of finite semigroups.",
     )
@@ -323,9 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()  # a write that fails at the flush fails here, not at exit
         return code
@@ -337,7 +348,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     except OSError as exc:
         # reading a file or writing --output raises InputFormatError, so
-        # this is stdout: a closed pipe or a full disk
+        # this is stdout, the report or the help: a closed pipe or a full disk
         _drop_stdout()
         print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -1,23 +1,24 @@
 """Permutation groups from their generators: closures, fingerprints, C(S), G(S),
 the involution laws, K_G.
 
-Every group is materialized element by element by the greedy closure
-:func:`~involute.semigroups.greedy_generators` and carries a generating set:
-a generator is kept only if it is not already in the group built so far,
-so C(Sym(6)) keeps 7 of its 112 involutions.  The invariants
-are computed from those generators: the centre is the centralizer of the
-generators and the derived subgroup is the normal closure of their
-commutators, so nothing costs O(|G|^2).  Element orders come from numpy
-pointer doubling over all elements at once, not from a cycle walk per
-element.  Aut(S) itself is a stabiliser chain
-(:func:`~involute.morphisms.automorphism_chain`), but the groups built here
-are materialized, and their orders and membership come from the element set.
+A group is materialized as one int32 (|G|, degree) array, one element per
+row, with a ``base``: points whose images tell the elements apart (every
+point for :func:`closure`; for C(S) and G(S) see :func:`_signed_base`).  A
+closure is a breadth-first frontier that gathers only the base images of
+the products, and keeps those whose exact keys are new.  Each group carries
+a generating set: a candidate is kept only if it is not in the group built
+so far, so C(Sym(6)) keeps 7 of its 112 involutions.  The centre is the
+centralizer of the generators and the derived subgroup the normal closure
+of their commutators, so nothing costs O(|G|^2).  Element orders come from
+numpy pointer doubling over all elements at once.  Aut(S) itself is a
+stabiliser chain (:func:`~involute.morphisms.automorphism_chain`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from math import lcm
 
 import numpy as np
@@ -30,76 +31,173 @@ from .morphisms import (
     involutions,
     order_two_automorphisms,
 )
-from .perms import as_mapping, compose, cycles, identity_tuple, invert
+from .perms import as_mapping, compose, cycles
 from .semigroups import (
     DEFAULT_ORDER_BUDGET,
+    TABLE_CAP,
     FiniteSemigroup,
-    cayley_table,
     close_under,
     closure_of_subset,
-    greedy_generators,
+    validate,
 )
 
 
+def _keys(images: np.ndarray, degree: int) -> np.ndarray:
+    """An exact key per row of ``images`` (the last axis), of points below
+    ``degree``: the row as a number, bits(degree - 1) bits per point, first
+    point most significant, while that fits 63 bits; otherwise its bytes.
+    A small input takes one product; a large one is folded point by point,
+    so that it is never copied whole as int64."""
+    bits, k = max(1, (degree - 1).bit_length()), images.shape[-1]
+    if k * bits > 63:
+        return np.ascontiguousarray(images, dtype=np.int32).view(np.dtype((np.void, 4 * k)))[..., 0]
+    if images.size <= 1 << 16:
+        return images @ (1 << np.arange((k - 1) * bits, -1, -bits, dtype=np.int64))
+    keys = np.zeros(images.shape[:-1], dtype=np.int64)
+    for c in range(k):
+        keys = (keys << bits) | images[..., c]
+    return keys
+
+
+def _sorted_rows(x: np.ndarray, degree: int) -> np.ndarray:
+    """The rows of ``x`` in mapping-tuple order: a lexsort on the number
+    keys of chunks of columns, zero-padded to a common width."""
+    if len(x) < 2:
+        return x
+    width = 63 // max(1, (degree - 1).bit_length())
+    padded = np.hstack([x, np.zeros((len(x), -degree % width), dtype=x.dtype)])
+    chunks = _keys(padded.reshape(len(x), -1, width), degree)
+    return x[np.lexsort(chunks.T[::-1])]
+
+
+def _inside(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` occurs in the nonempty ``sorted_keys``."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
+
+
 class PermGroup:
-    """A permutation group with its element set materialized, every element
-    and generator a mapping tuple.
-
-    Invariant: ``generators`` generate ``elements``.  The invariants in
-    :func:`group_fingerprint` rely on it.
-
-    Elements are canonically sorted, so equal groups compare equal and all
-    derived output is deterministic regardless of construction order.
+    """A permutation group: its elements the rows of one int32 (|G|, degree)
+    array, ``array``, in mapping-tuple order, so equal groups compare equal
+    and all derived output is deterministic.  ``elements`` and iteration
+    give mapping tuples.  Invariant: ``generators``, mapping tuples,
+    generate the group; :func:`group_fingerprint` relies on it.  The images
+    of ``base`` (every point by default) tell the elements apart, and
+    membership and :func:`to_cayley_table` look elements up by their keys.
     """
 
-    def __init__(self, degree, generators, elements):
+    def __init__(self, degree, generators, elements, base=None):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
-        self._set = frozenset(self.elements)
+        self.base = np.arange(degree) if base is None else np.asarray(base, dtype=np.intp)
+        if not isinstance(elements, np.ndarray):  # mapping tuples, read in one pass
+            elements = list(elements)
+            elements = np.fromiter(chain.from_iterable(elements), dtype=np.int32,
+                                   count=len(elements) * degree).reshape(len(elements), degree)
+        self.array = _sorted_rows(elements.astype(np.int32, copy=False), degree)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.array)
+
+    @property
+    def elements(self) -> tuple:
+        return tuple(map(tuple, self.array.tolist()))
+
+    @cached_property
+    def _lookup(self):
+        keys = _keys(self.array[:, self.base], self.degree)
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+
+    def _rows_of(self, images: np.ndarray) -> np.ndarray:
+        """The row of each element of the group whose base images are given
+        along the last axis of ``images``."""
+        keys, order = self._lookup
+        return order[np.minimum(np.searchsorted(keys, _keys(images, self.degree)), len(keys) - 1)]
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.array)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, perm):
-        return perm in self._set
+        row = np.asarray(perm)
+        return row.shape == (self.degree,) and bool(
+            (self.array[self._rows_of(row[self.base])] == row).all())
 
     def __eq__(self, other):
-        return isinstance(other, PermGroup) and self.degree == other.degree and self._set == other._set
-
-    def __hash__(self):
-        return hash((self.degree, self._set))
+        return (isinstance(other, PermGroup) and self.degree == other.degree
+                and np.array_equal(self.array, other.array))
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def _generated(degree, candidates, cap, kept: list) -> PermGroup:
-    """The group the candidates generate, ``kept`` getting those kept.  The
-    identity goes through ``close_under``, so that the cap counts it; closed
-    under the kept generators, it is the group, as g^-1 is a power of g."""
+def _generated(degree, batches, base, cap, kept: list) -> PermGroup:
+    """The group the candidates generate, ``kept`` getting, as mapping
+    tuples, those outside the group built before them.  ``batches`` yields
+    int arrays of candidates, one per row, and may read ``kept``.  The
+    identity counts against the cap."""
     cap = DEFAULT_ORDER_BUDGET if cap is None else cap
-    members = close_under([identity_tuple(degree)], [], compose, cap=cap)
-    for a in greedy_generators(candidates, compose, members, cap=cap):
-        kept.append(a)
-    return PermGroup(degree, kept, members)
+    if cap < 1:
+        raise OrderBudgetExceededError(cap)
+    base = np.arange(degree) if base is None else np.asarray(base, dtype=np.intp)
+    x = np.arange(degree, dtype=np.int32)[None]
+    keys = _keys(x[:, base], degree)
+    gens = np.empty((0, degree), dtype=np.int32)
+    for batch in batches:
+        batch = np.asarray(batch, dtype=np.int32)
+        batch_keys = _keys(batch[:, base], degree)
+        i = 0
+        while True:
+            outside = np.flatnonzero(~_inside(keys, batch_keys[i:]))
+            if not outside.size:
+                break
+            i += int(outside[0])
+            kept.append(tuple(batch[i].tolist()))
+            gens = np.vstack([gens, batch[i]])
+            x, keys = _adjoin(x, keys, gens, base, cap)
+            i += 1
+    return PermGroup(degree, kept, x, base)
 
 
-def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
+def _adjoin(x, keys, gens, base, cap):
+    """The rows and sorted keys of <gens>, from those of the group x that
+    gens[:-1] generate, gens[-1] lying outside it.  The coset x gens[-1] is
+    new; then each round multiplies the new rows by every generator and
+    keeps the distinct products with new keys.  That is closed, so it is
+    the group (g^-1 is a power of g): an old row times an old generator is
+    old, times gens[-1] it is in the coset, and each new row meets each
+    generator.  The cap is checked as each round arrives."""
+    degree = x.shape[1]
+    front = x[:, gens[-1]]
+    keys = np.sort(np.concatenate([keys, _keys(front[:, base], degree)]), kind="stable")
+    parts, at_base = [x], gens[:, base]
+    while len(front):
+        if sum(map(len, parts)) + len(front) > cap:
+            raise OrderBudgetExceededError(cap)
+        parts.append(front)
+        # (y g)(p) = y(g(p)): the products' keys from their base images alone
+        step, first = np.unique(_keys(front[:, at_base], degree), return_index=True)
+        new = ~_inside(keys, step)
+        row, g = np.divmod(first[new], len(gens))
+        front = front[row[:, None], gens[g]]
+        # two sorted runs; a stable sort merges them
+        keys = np.sort(np.concatenate([keys, step[new]]), kind="stable")
+    return np.concatenate(parts), keys
+
+
+def closure(generators, degree=None, *, cap: int | None = None, base=None) -> PermGroup:
     """The subgroup generated by the given permutations, each a sequence of
     images (see :func:`~involute.perms.as_mapping`).
 
     The result's ``generators`` are the non-redundant ones: each given
     permutation is kept only if it lies outside the group generated by
     those kept before it.  An empty generator list yields the trivial group
-    (the degree must then be supplied).  Raises
+    (the degree must then be supplied).  ``base``, every point by default,
+    must tell the elements of the group apart.  Raises
     :class:`OrderBudgetExceededError` past ``cap``.
     """
     gens = [as_mapping(g) for g in generators]
@@ -109,13 +207,34 @@ def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
         degree = len(gens[0])
     if any(len(g) != degree for g in gens):
         raise ValueError("generators act on different degrees")
-    return _generated(degree, gens, cap, [])
+    return _generated(degree, [gens] if gens else [], base, cap, [])
 
 
-def _layer_closure(layer: str, maps, degree, cap) -> PermGroup:
-    """:func:`closure`, its order error naming ``layer``."""
+def _noncommuting_pair(s: FiniteSemigroup, gens):
+    t = s.table
+    return next(((x, y) for x, y in combinations(gens, 2) if t[x][y] != t[y][x]), None)
+
+
+def _signed_base(s: FiniteSemigroup, *, budget=None) -> list[int]:
+    """A base for Aut±(S): the points of the Aut(S) chain whose orbit has
+    more than one point, then, on a non-commutative S, the first pair x, y
+    of its generators with xy != yx, and xy.  A level whose orbit is one
+    point is fixed by the stabiliser of the levels before it, so what fixes
+    the kept points fixes every generator, and two maps of one kind that
+    agree on them agree on every product of generators, which is
+    everything.  An automorphism alpha and an anti-automorphism beta that
+    agree on x and y differ at xy: beta(xy) = beta(y)beta(x) = alpha(yx),
+    and alpha(yx) != alpha(xy) as alpha is injective."""
+    aut = automorphism_chain(s, budget=budget)
+    base = [g for g, level in zip(aut.base, aut.transversals) if len(level) > 1]
+    pair = _noncommuting_pair(s, aut.base)
+    return base if pair is None else base + [*pair, s.table[pair[0]][pair[1]]]
+
+
+def _layer_closure(layer: str, maps, s: FiniteSemigroup, budget, cap) -> PermGroup:
+    """:func:`closure` on the base of Aut±(S), its order error naming ``layer``."""
     try:
-        return closure(maps, degree=degree, cap=cap)
+        return closure(maps, degree=s.n, cap=cap, base=_signed_base(s, budget=budget))
     except OrderBudgetExceededError as exc:
         raise OrderBudgetExceededError(exc.limit, layer=layer) from exc
 
@@ -123,17 +242,17 @@ def _layer_closure(layer: str, maps, degree, cap) -> PermGroup:
 def c_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
     """C(S): the subgroup of Sym(S) generated by all involutions of S."""
     inv = involutions(s, budget=budget, cap=cap)
-    return _layer_closure("C(S)", inv.elements, s.n, cap)
+    return _layer_closure("C(S)", inv.elements, s, budget, cap)
 
 
 def g_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
     """G(S): the subgroup generated by the order-at-most-2 automorphisms."""
     j = order_two_automorphisms(s, budget=budget, cap=cap)
-    return _layer_closure("G(S)", j.elements, s.n, cap)
+    return _layer_closure("G(S)", j.elements, s, budget, cap)
 
 
-def involution_laws(s: FiniteSemigroup, auts, invs, j_set, c: PermGroup, g: PermGroup):
-    """The paper's laws for C(S) from Aut(S), I(S), J(S), C(S) and G(S), as
+def involution_laws(s: FiniteSemigroup, invs, j_set, c: PermGroup, g: PermGroup):
+    """The paper's laws for C(S) from I(S), J(S), C(S) and G(S), as
     ``(split, central)``; each is ``None`` where its hypothesis is absent.
 
     split, when S has a proper involution (one that is not an
@@ -145,7 +264,9 @@ def involution_laws(s: FiniteSemigroup, auts, invs, j_set, c: PermGroup, g: Perm
     an anti-automorphism alpha that is also a homomorphism gives
     alpha(x)alpha(y) = alpha(xy) = alpha(y)alpha(x) for all x, y, and alpha
     is onto, so S is commutative; on a commutative S every
-    anti-automorphism is an automorphism.  Centrality is tested on the
+    anti-automorphism is an automorphism.  C lies in Aut±(S), so a row
+    alpha of C is an automorphism iff alpha(xy) = alpha(x)alpha(y) for the
+    pair of :func:`_signed_base`.  Centrality is tested on the
     strong generators of :func:`~involute.morphisms.automorphism_chain`, a
     cache hit once Aut(S) is listed: what commutes with a and b commutes
     with ab, so with every product of generators, which is every
@@ -153,9 +274,11 @@ def involution_laws(s: FiniteSemigroup, auts, invs, j_set, c: PermGroup, g: Perm
     """
     if s.is_commutative or not invs:
         return None, None
-    aut_set = set(auts.elements)
-    split = c.order == 2 * sum(1 for p in c if p in aut_set)
-    gens = automorphism_chain(s).generators
+    aut = automorphism_chain(s)
+    x, y = _noncommuting_pair(s, aut.base)
+    m = c.array
+    split = c.order == 2 * int((m[:, s.table[x][y]] == s.np_table[m[:, x], m[:, y]]).sum())
+    gens = aut.generators
     central = [i for i in invs if all(compose(a, i) == compose(i, a) for a in gens)]
     if not central:
         return split, None
@@ -183,7 +306,8 @@ def signed_aut_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
 
 
 def derived_subgroup(g: PermGroup) -> PermGroup:
-    """The commutator subgroup [G, G], from the generators X of G.
+    """The commutator subgroup [G, G], from the generators X of G, on the
+    base of G.
 
     It is the normal closure N of {[a, b] : a, b in X}.  N lies in [G, G],
     which is normal and holds those commutators.  In G/N the images of the
@@ -195,17 +319,18 @@ def derived_subgroup(g: PermGroup) -> PermGroup:
     is K.  Every element of G is a product of the x, so K is normal.
     It takes no cap: [G, G] lies in G, which is already materialized.
     """
+    x = np.asarray(g.generators, dtype=np.int32).reshape(len(g.generators), g.degree)
+    x_inv = np.argsort(x, axis=1).astype(np.int32)
     kept: list = []
-    conjugators = [(x, invert(x)) for x in g.generators]
 
-    def candidates():
-        for a, b in combinations(g.generators, 2):
-            yield compose(compose(a, b), invert(compose(b, a)))
+    def batches():  # row i of take_along_axis(p, q) is p_i o q_i
+        a, b = np.triu_indices(len(x), 1)  # the pairs of combinations(X, 2)
+        ab = np.take_along_axis(x[a], x[b], axis=1)
+        yield np.take_along_axis(ab, np.take_along_axis(x_inv[a], x_inv[b], axis=1), axis=1)
         for k in kept:  # grows while it is walked
-            for x, x_inv in conjugators:
-                yield compose(compose(x, k), x_inv)
+            yield np.take_along_axis(x, np.asarray(k)[x_inv], axis=1)
 
-    return _generated(g.degree, candidates(), None, kept)
+    return _generated(g.degree, batches(), g.base, None, kept)
 
 
 @dataclass(frozen=True)
@@ -220,15 +345,16 @@ class GroupFingerprint:
     derived_order: int
 
 
-def _center_order(g: PermGroup, m: np.ndarray) -> int:
+def _center_order(g: PermGroup) -> int:
     """|Z(G)| as the number of elements that commute with every generator:
     such an element commutes with every product of generators, which is
-    every element of G.  ``m`` holds the elements, one per row."""
-    central = np.ones(len(m), dtype=bool)
+    every element of G.  a g and g a lie in G, so they are equal iff they
+    agree on the base.  Each generator filters the rows left."""
+    central = g.array
     for a in g.generators:
         a = np.asarray(a, dtype=np.intp)
-        central &= (a[m] == m[:, a]).all(axis=1)  # row j: a g_j == g_j a
-    return int(central.sum())
+        central = central[(a[central[:, g.base]] == central[:, a[g.base]]).all(axis=1)]
+    return len(central)
 
 
 def _element_orders(m: np.ndarray) -> np.ndarray:
@@ -264,10 +390,9 @@ def _block_orders(m: np.ndarray) -> np.ndarray:
 
 
 def group_fingerprint(g: PermGroup) -> GroupFingerprint:
-    m = np.asarray(g.elements, dtype=np.int32)
-    orders, counts = np.unique(_element_orders(m), return_counts=True)
+    orders, counts = np.unique(_element_orders(g.array), return_counts=True)
     hist = dict(zip(orders.tolist(), counts.tolist()))
-    center = _center_order(g, m)
+    center = _center_order(g)
     return GroupFingerprint(
         order=g.order,
         abelian=center == g.order,
@@ -279,10 +404,18 @@ def group_fingerprint(g: PermGroup) -> GroupFingerprint:
 
 
 def to_cayley_table(g: PermGroup) -> FiniteSemigroup:
-    """The group as a Cayley table over its sorted element list; past
-    :data:`~involute.semigroups.TABLE_CAP` elements :func:`cayley_table`
-    raises :class:`OrderBudgetExceededError`."""
-    return cayley_table(g.elements, compose)
+    """The group's Cayley table over its sorted elements, checked by
+    :func:`~involute.semigroups.validate`.  Entry (i, j) is the row of
+    g_i o g_j, found by the key of g_i(g_j(base)), with rows i in blocks of
+    about 2^16 images.  Raises :class:`OrderBudgetExceededError` past
+    :data:`~involute.semigroups.TABLE_CAP` elements."""
+    if g.order > TABLE_CAP:
+        raise OrderBudgetExceededError(TABLE_CAP)
+    m = g.array
+    at_base = m[:, g.base]
+    step = max(1, 2**16 // max(1, at_base.size))
+    return validate(np.concatenate([g._rows_of(m[i:i + step][:, at_base])
+                                    for i in range(0, len(m), step)]).tolist())
 
 
 # ---------------------------------------------------------------------------

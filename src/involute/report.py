@@ -8,7 +8,9 @@ The report is one document, the one ``analyze --json`` prints through
 from __future__ import annotations
 
 import json
-from math import factorial
+from collections import Counter
+from functools import partial
+from math import factorial, gcd, lcm
 
 from . import families
 from .morphisms import (
@@ -19,6 +21,7 @@ from .morphisms import (
     order_two_automorphisms,
 )
 from .permgroups import (
+    GroupFingerprint,
     PermGroup,
     c_group,
     g_group,
@@ -30,41 +33,70 @@ from .permgroups import (
 from .semigroups import TABLE_CAP, FiniteSemigroup
 
 
-def _catalog_for_order(m: int):
-    """Named candidate groups of order m (at most TABLE_CAP) the report
-    tries to match, in the order the text report prints them."""
-    if m == 1:
-        return [("trivial", families.cyclic_group(1))]
-    k = m.bit_length() - 1
-    out = [(f"Z_{m}", families.cyclic_group(m))]
-    if m == 1 << k and k >= 2:
-        out.append((f"Z_2^{k}", families.elementary_abelian_two_group(k)))
-    out += [(f"Sym({k})", families.sym_group_table(k))
-            for k in range(3, 7) if factorial(k) == m]
-    out += [(f"Z_2 x Sym({k})", families.direct_product_table(
-                families.cyclic_group(2), families.sym_group_table(k)))
-            for k in range(2, 6) if 2 * factorial(k) == m]
-    if m % 2 == 0 and m >= 6:
-        out.append((f"D_{m // 2}", families.dihedral_group(m // 2)))
+def _cyclic_orders(m: int) -> Counter:
+    """Z_m has phi(d) elements of order d for each divisor d of m."""
+    return Counter({d: sum(gcd(j, d) == 1 for j in range(d)) for d in range(1, m + 1) if m % d == 0})
+
+
+def _sym_orders(k: int) -> Counter:
+    """Sym(k), by the cycle through one point: of length j in
+    (k-1)!/(k-j)! ways, with any map of the other k - j points."""
+    out = Counter({1: 1} if k == 0 else {})
+    for j in range(1, k + 1):
+        for o, c in _sym_orders(k - j).items():
+            out[lcm(j, o)] += c * factorial(k - 1) // factorial(k - j)
     return out
 
 
-def identify_group(g: PermGroup, *, budget=None) -> list[tuple[str, bool]]:
-    """Match a materialized group against the named catalog of its order.
+def _times_z2(orders: Counter) -> Counter:
+    """Z_2 x H: (a, h) has order lcm(|a|, |h|)."""
+    out = Counter(orders)
+    for o, c in orders.items():
+        out[lcm(2, o)] += c
+    return out
 
-    Returns (descriptor, matched) verdicts, each decided by an exact
-    isomorphism search from the Cayley table of g to the candidate.  The
-    search rejects a candidate at once when the element fingerprints
-    differ, which on a group means the element orders.  Groups too large to
-    tabulate get no verdicts.
+
+def _catalog_for_order(m: int):
+    """Named candidate groups of order m (at most TABLE_CAP) the report
+    tries to match, in the order the text report prints them, as (name,
+    element-order histogram of its family's closed form as sorted (order,
+    count) pairs, function that builds its table)."""
+    k = m.bit_length() - 1
+    out = [("trivial" if m == 1 else f"Z_{m}", _cyclic_orders(m), partial(families.cyclic_group, m))]
+    if m == 1 << k and k >= 2:
+        out.append((f"Z_2^{k}", Counter({1: 1, 2: m - 1}),
+                    partial(families.elementary_abelian_two_group, k)))
+    out += [(f"Sym({k})", _sym_orders(k), partial(families.sym_group_table, k))
+            for k in range(3, 7) if factorial(k) == m]
+    out += [(f"Z_2 x Sym({k})", _times_z2(_sym_orders(k)), lambda k=k: families.direct_product_table(
+                families.cyclic_group(2), families.sym_group_table(k)))
+            for k in range(2, 6) if 2 * factorial(k) == m]
+    if m % 2 == 0 and m >= 6:
+        out.append((f"D_{m // 2}", _cyclic_orders(m // 2) + Counter({2: m // 2}),
+                    partial(families.dihedral_group, m // 2)))
+    return [(name, tuple(sorted(orders.items())), build) for name, orders, build in out]
+
+
+def identify_group(g: PermGroup, fp: GroupFingerprint | None = None, *,
+                   budget=None) -> list[tuple[str, bool]]:
+    """Match a materialized group against the named catalog of its order,
+    as (descriptor, matched) verdicts.  A candidate whose element-order
+    histogram differs from that in ``fp``, the fingerprint of g (computed
+    if not given), is not isomorphic to g, and no table is built for it.
+    A tie is decided by an exact isomorphism search, under ``budget``, from
+    the Cayley table of g.  Groups too large to tabulate get no verdicts.
     """
     if g.order > TABLE_CAP:
         return []
-    table = to_cayley_table(g)
-    return [
-        (name, bool(enumerate_isomorphism_mappings(table, cand, budget=budget, limit=1)))
-        for name, cand in _catalog_for_order(g.order)
-    ]
+    hist = (group_fingerprint(g) if fp is None else fp).element_order_histogram
+    table = None
+    verdicts = []
+    for name, orders, build in _catalog_for_order(g.order):
+        if orders == hist and table is None:
+            table = to_cayley_table(g)
+        verdicts.append((name, orders == hist and bool(
+            enumerate_isomorphism_mappings(table, build(), budget=budget, limit=1))))
+    return verdicts
 
 
 def analyze(
@@ -93,7 +125,7 @@ def analyze(
     g = c if s.is_commutative else g_group(s, budget=budget, cap=order_cap)
     signed = signed_aut_group(s, budget=budget, cap=order_cap)
     fp = group_fingerprint(c)
-    split_law, central_law = involution_laws(s, auts, invs, j_set, c, g)
+    split_law, central_law = involution_laws(s, invs, j_set, c, g)
     return {
         "input": name,
         "size": s.n,
@@ -119,7 +151,7 @@ def analyze(
         },
         "properInvolutionExists": split_law is not None,
         "checks": {"splitLaw": split_law, "centralLaw": central_law},
-        "identification": dict(identify_group(c, budget=budget)),
+        "identification": dict(identify_group(c, fp, budget=budget)),
         "morphisms": {
             "automorphisms": auts.elements,
             "antiAutomorphisms": antis.elements,

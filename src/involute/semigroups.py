@@ -465,32 +465,29 @@ def close_under(seeds, gens, product, *, cap: int | None = None, members: set | 
         batch = [product(x, g) for g in gens]
 
 
-def greedy_generators(candidates, product, members: set | None = None, *,
-                      cap: int | None = None) -> Iterator:
+def greedy_generators(candidates, product) -> Iterator:
     """Yield each candidate that is not in the closure of those yielded
-    before it, and grow that closure in ``members`` after each yield.
+    before it, and grow that closure after each yield.
 
-    For generators A, R(A) is the smallest set holding A and the start
-    members E (none, or a group's identity) that is closed under
-    ``x -> product(x, g)`` for g in A; ``members`` holds R(A) between
-    yields.  A new generator a is yielded before any product by it, so
-    :func:`validate` checks it there; then :func:`close_under` grows
-    ``members`` from the seeds a and x*a for x in R(A).  The result M is
-    R(A u {a}), by lookups alone, without associativity: the seeds lie in
-    R(A u {a}), which holds R(A) and is closed under the products taken,
-    so M lies in it; M holds E, A and a and is closed under A u {a}, as an
-    old member x has x*g in R(A) for g in A and x*a among the seeds, and a
-    new member meets every generator.  So each member meets each generator
-    once, |R| |A| products in all, as in one closure over the final A.
+    For generators A, R(A) is the smallest set holding A that is closed
+    under ``x -> product(x, g)`` for g in A.  A new generator a is yielded
+    before any product by it, so :func:`validate` checks it there; then
+    :func:`close_under` grows R(A) from the seeds a and x*a for x in R(A).
+    The result M is R(A u {a}), by lookups alone, without associativity:
+    the seeds lie in R(A u {a}), which holds R(A) and is closed under the
+    products taken, so M lies in it; M holds A and a and is closed under
+    A u {a}, as an old member x has x*g in R(A) for g in A and x*a among
+    the seeds, and a new member meets every generator.  So each member
+    meets each generator once, |R| |A| products in all, as in one closure
+    over the final A.
     """
-    members = set() if members is None else members
+    members: set = set()
     gens: list = []
     for a in candidates:
         if a not in members:
             yield a
             gens.append(a)
-            seeds = [a] + [product(x, a) for x in members]
-            close_under(seeds, gens, product, cap=cap, members=members)
+            close_under([a] + [product(x, a) for x in members], gens, product, members=members)
 
 
 def closure_of_subset(s: FiniteSemigroup, seed) -> frozenset[int]:

@@ -57,6 +57,16 @@ def test_cli_reports_a_full_device_without_a_traceback(tmp_path):
             _assert_one_write_error(proc, err)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_help_that_cannot_be_written_exits_2(argv, tmp_path):
+    with open("/dev/full", "w") as full:
+        procs = [_run(argv, full, unbuffered=unbuffered, cwd=tmp_path) for unbuffered in (False, True)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=60)
+            _assert_one_write_error(proc, err)
+
+
 def test_cli_reports_a_closed_pipe_without_a_traceback(tmp_path):
     # the report is about 140 KB, more than a pipe holds
     dump_table(zero_semigroup(6), tmp_path / "zero6.json")

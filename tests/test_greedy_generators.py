@@ -132,11 +132,11 @@ def test_validate_and_generating_set_pick_what_the_restarting_loop_picks(corpus,
     picks = []
     real = semigroups.greedy_generators
 
-    def spy(candidates, product, members=None, *, cap=None):
+    def spy(candidates, product):
         candidates = list(candidates)
         kept: list = []
         picks.append((candidates, kept))
-        for a in real(candidates, product, members, cap=cap):
+        for a in real(candidates, product):
             kept.append(a)
             yield a
 

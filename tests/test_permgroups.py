@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from collections import Counter
 from itertools import permutations
 from math import lcm
@@ -20,6 +22,7 @@ from involute.families import (
     sym_group_table,
 )
 from involute.morphisms import (
+    automorphism_chain,
     enumerate_automorphisms,
     find_isomorphism,
     involutions,
@@ -29,6 +32,7 @@ from involute.morphisms import (
 from involute.perms import compose, cycles, identity_tuple, parity
 from involute.permgroups import (
     GroupFingerprint,
+    _keys,
     c_group,
     closure,
     derived_subgroup,
@@ -40,7 +44,12 @@ from involute.permgroups import (
     to_cayley_table,
     two_involution_factorization,
 )
-from involute.semigroups import TABLE_CAP, validate
+from involute.semigroups import (
+    DEFAULT_ORDER_BUDGET,
+    TABLE_CAP,
+    close_under,
+    validate,
+)
 
 
 def _random_generator_sets(seed, count=40, max_degree=7):
@@ -174,6 +183,91 @@ def test_group_fingerprint_matches_sympy():
         assert fp.center_order == sg.center().order()
         assert fp.derived_order == sg.derived_subgroup().order()
         assert fp.abelian == sg.is_abelian
+
+
+def _tuple_closure(gens, degree):
+    """The reference the array closure replaced: the group as a set of
+    mapping tuples, grown from the identity by the greedy rule, each kept
+    generator a closed in by the worklist from a and x a for the old
+    members x; returns the kept generators and the members."""
+    members = close_under([identity_tuple(degree)], [], compose, cap=DEFAULT_ORDER_BUDGET)
+    kept: list = []
+    for a in map(tuple, gens):
+        if a not in members:
+            kept.append(a)
+            close_under([a] + [compose(x, a) for x in members], kept, compose,
+                        cap=DEFAULT_ORDER_BUDGET, members=members)
+    return kept, members
+
+
+def _closure_cases():
+    for gens in _random_generator_sets(0x9E7):
+        yield [tuple(g) for g in gens], len(gens[0])
+    yield from _fingerprint_cases(max_degree=7)
+
+
+def test_closure_matches_the_tuple_closure():
+    for gens, degree in _closure_cases():
+        g = closure(gens, degree=degree)
+        kept, members = _tuple_closure(gens, degree)
+        assert list(g.generators) == kept, gens
+        assert g.elements == tuple(sorted(members)), gens
+        assert all(p in g for p in members)
+
+
+@pytest.mark.parametrize("table", sorted(_INVARIANT_TABLES) + ["Sym(4)", "Sym(5)", "D_6"])
+def test_c_and_g_match_the_tuple_closure(table):
+    extra = {"Sym(4)": sym_group_table(4), "Sym(5)": sym_group_table(5), "D_6": dihedral_group(6)}
+    s = {**_INVARIANT_TABLES, **extra}[table]
+    for group, maps in ((c_group(s), involutions(s)), (g_group(s), order_two_automorphisms(s))):
+        kept, members = _tuple_closure(maps.elements, s.n)
+        assert list(group.generators) == kept
+        assert group.elements == tuple(sorted(members))
+
+
+def test_c_and_g_match_the_tuple_closure_on_the_law_corpora():
+    corpus = [s for _, s in _split_law_corpus()] + _completeness_corpus(random.Random(0xCA11))
+    for s in corpus:
+        for group, maps in ((c_group(s), involutions(s)), (g_group(s), order_two_automorphisms(s))):
+            kept, members = _tuple_closure(maps.elements, s.n)
+            assert list(group.generators) == kept
+            assert group.elements == tuple(sorted(members))
+
+
+def test_c_of_sym5_needs_the_product_base_point():
+    s = sym_group_table(5)
+    c = c_group(s)
+    assert c.order == 240
+    # each automorphism agrees on the search's generators with an
+    # anti-automorphism, so those points alone tell only 120 maps apart
+    gens = list(automorphism_chain(s).base)
+    assert len(np.unique(c.array[:, gens], axis=0)) == 120
+    assert len(np.unique(c.array[:, c.base], axis=0)) == 240
+
+
+def test_closure_past_the_cap_stops_with_o_of_cap_rows():
+    # |Sym(12)| = 479001600; the closure must stop near 10^4 elements
+    swap, cycle = (1, 0, *range(2, 12)), (*range(1, 12), 0)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(OrderBudgetExceededError):
+            closure([swap, cycle], cap=10**4)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2
+    assert peak < 32 * 10**4 * 12 * 4  # 32 rows of 12 int32 per element allowed
+
+
+def test_keys_agree_on_small_and_large_inputs():
+    # a small input takes one product, a large one is folded point by point;
+    # membership compares keys made both ways, so the numbers must agree
+    rng = np.random.default_rng(0x4B)
+    for degree, shape in ((9, (30000, 10)), (200, (20000, 4, 7))):
+        x = rng.integers(0, degree, size=shape, dtype=np.int32)
+        assert (_keys(x, degree)[:50] == _keys(x[:50], degree)).all()
 
 
 def test_closure_idempotence():
@@ -371,7 +465,6 @@ def test_involution_laws_match_the_all_of_aut_reference():
     for s in corpus:
         got = involution_laws(
             s,
-            enumerate_automorphisms(s),
             involutions(s),
             order_two_automorphisms(s),
             c_group(s),

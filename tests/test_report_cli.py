@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import involute
@@ -25,7 +27,7 @@ from involute.families import (
 from involute.graphs import frucht_semigroup, path_graph
 from involute.permgroups import closure, g_group, group_fingerprint
 from involute.report import _catalog_for_order, analyze, identify_group, report_to_text
-from involute.semigroups import dump_table, load_table, validate
+from involute.semigroups import TABLE_CAP, dump_table, load_table, validate
 
 
 def test_analyze_klein_report(klein):
@@ -75,9 +77,9 @@ def test_analyze_g_is_g_group(build, monkeypatch):
     seen = []
     real = report.involution_laws
 
-    def spying(s, auts, invs, j_set, c, g):
+    def spying(s, invs, j_set, c, g):
         seen.append(g)
-        return real(s, auts, invs, j_set, c, g)
+        return real(s, invs, j_set, c, g)
 
     monkeypatch.setattr(report, "involution_laws", spying)
     r = report.analyze(build())
@@ -99,10 +101,40 @@ _SAME_GROUP = [{"Z_2^2", "Z_2 x Sym(2)"}, {"Sym(3)", "D_3"}, {"Z_2 x Sym(3)", "D
 
 def test_identify_group_matches_each_catalog_group_to_its_own_class():
     for m in range(1, 49):
-        for name, cand in _catalog_for_order(m):
+        for name, _, build in _catalog_for_order(m):
             same = next((names for names in _SAME_GROUP if name in names), {name})
-            verdicts = identify_group(_left_regular_group(cand))
+            verdicts = identify_group(_left_regular_group(build()))
             assert {n for n, ok in verdicts if ok} == same, (m, name)
+
+
+def _table_order_histogram(table):
+    """The element orders of a group table as sorted (order, count) pairs:
+    all powers x^k are stepped together, x^k = x^(k-1) x, until each
+    element has met the identity."""
+    arr, xs = table.np_table, np.arange(table.n)
+    power = np.full(table.n, table.identity)
+    order = np.zeros(table.n, dtype=np.int64)
+    k = 0
+    while not order.all():
+        k += 1
+        power = arr[power, xs]
+        order[(power == table.identity) & (order == 0)] = k
+    return tuple(sorted(Counter(order.tolist()).items()))
+
+
+def _assert_catalog_histograms_match_the_tables(orders):
+    for m in orders:
+        for name, hist, build in _catalog_for_order(m):
+            assert hist == _table_order_histogram(build()), (m, name)
+
+
+def test_catalog_histograms_are_those_of_the_built_tables():
+    _assert_catalog_histograms_match_the_tables(range(1, 49))
+
+
+@pytest.mark.stretch
+def test_catalog_histograms_are_those_of_the_built_tables_up_to_the_table_cap():
+    _assert_catalog_histograms_match_the_tables(range(49, TABLE_CAP + 1))
 
 
 def _z4_semidirect_z4():
@@ -122,7 +154,8 @@ def test_identify_group_decides_equal_element_orders_by_a_budgeted_search(monkey
     fc, fd = group_fingerprint(c), group_fingerprint(_left_regular_group(cand))
     assert fc.element_order_histogram == fd.element_order_histogram
     assert fc.abelian and not fd.abelian
-    monkeypatch.setattr(report, "_catalog_for_order", lambda m: [("Z_4 x| Z_4", cand)])
+    entry = ("Z_4 x| Z_4", fd.element_order_histogram, lambda: cand)
+    monkeypatch.setattr(report, "_catalog_for_order", lambda m: [entry])
     assert identify_group(c) == [("Z_4 x| Z_4", False)]
     with pytest.raises(SearchBudgetExceededError):
         identify_group(c, budget=1)
@@ -444,8 +477,8 @@ def test_cli_factor_and_trace_map_are_pinned(argv, out, capsys):
 )
 def test_catalog_names_and_their_order(m, names):
     catalog = _catalog_for_order(m)
-    assert [name for name, _ in catalog] == names
-    assert all(cand.n == m for _, cand in catalog)
+    assert [name for name, _, _ in catalog] == names
+    assert all(build().n == m for _, _, build in catalog)
 
 
 @pytest.mark.parametrize(
