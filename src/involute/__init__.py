@@ -57,7 +57,7 @@ from .permgroups import (
     g_group,
     group_fingerprint,
     k_group,
-    signed_aut_group,
+    signed_aut_order,
     to_cayley_table,
     two_involution_factorization,
 )

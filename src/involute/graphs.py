@@ -4,8 +4,8 @@ construction whose automorphism group reproduces the graph's."""
 from __future__ import annotations
 
 from .errors import InputFormatError, NoEdgesError, OrderBudgetExceededError, SearchBudgetExceededError
-from .morphisms import MorphismSet
-from .perms import as_mapping, is_involution
+from .morphisms import MorphismSet, _squares_to_one
+from .perms import as_mapping
 from .permgroups import PermGroup, closure
 from .semigroups import TABLE_CAP, FiniteSemigroup, cayley_table, read_json
 
@@ -154,16 +154,15 @@ def graph_automorphisms(g: SimpleGraph, *, budget: int | None = None) -> Morphis
                 used[w] = False
 
     extend(0)
-    results.sort()
     for m in results:
         assert g.is_automorphism(m)
-    return MorphismSet(tuple(results))
+    return MorphismSet(g.n, results)
 
 
 def graph_involution_group(g: SimpleGraph, *, budget=None, cap=None) -> PermGroup:
     """C(Gamma): the subgroup generated by order-2 graph automorphisms."""
-    invs = filter(is_involution, graph_automorphisms(g, budget=budget))
-    return closure(invs, degree=g.n, cap=cap)
+    auts = graph_automorphisms(g, budget=budget).array
+    return closure(auts[_squares_to_one(auts)], degree=g.n, cap=cap)  # closure skips the identity
 
 
 def frucht_semigroup(g: SimpleGraph) -> FiniteSemigroup:

@@ -13,12 +13,15 @@ the levels of the search tree form a stabiliser chain.
 :func:`automorphism_chain` runs one ``limit=1`` search per new orbit point
 (the orbit pruning of Leon's partition backtrack in its simplest form);
 |Aut(S)| is the product of the orbit lengths, and Aut(S) is listed as the
-products of the level transversals.
+products of the level transversals.  Aut(S), Aut⁻(S), I(S) and J(S) are
+each a :class:`MorphismSet`, one int32 array of maps, one map per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -43,19 +46,81 @@ from .semigroups import (
 DEFAULT_NODE_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class MorphismSet:
-    """A sorted tuple of (anti-)automorphisms as mapping tuples; a class, not
-    a bare tuple, so that callers can hold weak references to the cached
-    sets."""
+def _keys(images: np.ndarray, degree: int) -> np.ndarray:
+    """An exact key per row of ``images`` (the last axis), of points below
+    ``degree``: the row as a number, bits(degree - 1) bits per point, first
+    point most significant, while that fits 63 bits; otherwise its bytes.
+    A small input takes one product; a large one is folded point by point,
+    so that it is never copied whole as int64."""
+    bits, k = max(1, (degree - 1).bit_length()), images.shape[-1]
+    if k * bits > 63:
+        return np.ascontiguousarray(images, dtype=np.int32).view(np.dtype((np.void, 4 * k)))[..., 0]
+    if images.size <= 1 << 16:
+        return images @ (1 << np.arange((k - 1) * bits, -1, -bits, dtype=np.int64))
+    keys = np.zeros(images.shape[:-1], dtype=np.int64)
+    for c in range(k):
+        keys = (keys << bits) | images[..., c]
+    return keys
 
-    elements: tuple[tuple[int, ...], ...]
+
+def _sorted_rows(x: np.ndarray) -> np.ndarray:
+    """``x``, a C-contiguous int32 array, its rows sorted in place into mapping-tuple
+    order as void items of their big-endian bytes (those of points order as the points)."""
+    if len(x) > 1:
+        if np.little_endian:
+            x.byteswap(inplace=True)
+        x.view(np.dtype((np.void, 4 * x.shape[1]))).sort(axis=0)
+        if np.little_endian:
+            x.byteswap(inplace=True)
+    return x
+
+
+def _squares_to_one(a: np.ndarray) -> np.ndarray:
+    """Whether each map, a row of ``a``, is its own inverse (the identity too)."""
+    return (np.take_along_axis(a, a, axis=1) == np.arange(a.shape[1])).all(axis=1)
+
+
+class MorphismSet:
+    """A set of maps on {0, ..., degree - 1}: the rows of one int32 (count,
+    degree) array, ``array``, in mapping-tuple order (an int32 array handed
+    in is sorted in place), so equal sets compare equal and all derived
+    output is deterministic.  ``elements`` and iteration give mapping tuples:
+    those handed in, or built once from the array, each point one shared
+    int object.  :class:`~involute.permgroups.PermGroup` adds generators."""
+
+    def __init__(self, degree, elements):
+        self.degree = degree
+        if isinstance(elements, np.ndarray):
+            self.array = _sorted_rows(np.ascontiguousarray(elements, dtype=np.int32))
+        else:  # mapping tuples, sorted here and kept as the elements
+            self.elements = tuple(sorted(map(tuple, elements)))
+            self.array = np.array(self.elements, dtype=np.int32).reshape(len(self.elements), degree)
+
+    @property
+    def order(self) -> int:
+        return len(self.array)
+
+    @cached_property
+    def elements(self) -> tuple:
+        # one int object per point (int32 rows' tolist() makes one per entry
+        # past 256); blocks of 2^12 entries keep the lists' holes small
+        points = np.arange(self.degree).astype(object)
+        step = max(1, 2**12 // max(1, self.degree))
+        return tuple(chain.from_iterable(map(tuple, points[self.array[i:i + step]].tolist())
+                                         for i in range(0, len(self.array), step)))
+
+    def __len__(self):
+        return len(self.array)
 
     def __iter__(self):
         return iter(self.elements)
 
-    def __len__(self):
-        return len(self.elements)
+    def __eq__(self, other):
+        return (isinstance(other, MorphismSet) and self.degree == other.degree
+                and np.array_equal(self.array, other.array))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(degree={self.degree}, order={self.order})"
 
 
 def _preserves_products(alpha, s: FiniteSemigroup, t: FiniteSemigroup, anti: bool) -> bool:
@@ -95,10 +160,11 @@ def _generator_certificate(s: FiniteSemigroup, t: FiniteSemigroup, gens, anti: b
 
     The returned function checks f(x*g) = f(x)*f(g) (anti: f(g)*f(x)) for
     every x in S and every g in ``gens``; the index arrays are built once
-    here, not once per map.  When ``gens`` generates S this is equivalent to
-    the n^2 defining equations.  Proof, by induction on the length of y as a
-    product of generators: y = g is the certificate itself, and for y = y'g
-    f(x*y'g) = f(x*y')f(g) = f(x)f(y')f(g) = f(x)f(y'g),
+    here, not once per map, and it takes one map or an array of maps, one
+    per row, in blocks of about 2^16 images.  When ``gens`` generates S this
+    is equivalent to the n^2 defining equations.  Proof, by induction on the
+    length of y as a product of generators: y = g is the certificate itself,
+    and for y = y'g, f(x*y'g) = f(x*y')f(g) = f(x)f(y')f(g) = f(x)f(y'g),
     by the certificate at x*y', the induction hypothesis and the certificate
     at y'.  In anti form f(x*y'g) = f(g)f(x*y') = f(g)f(y')f(x) = f(y'g)f(x)
     in the same way.  Only associativity of S and T is used.
@@ -106,12 +172,15 @@ def _generator_certificate(s: FiniteSemigroup, t: FiniteSemigroup, gens, anti: b
     g_idx = np.asarray(gens, dtype=np.intp)
     xg = s.np_table[:, g_idx]       # [x, i] -> x * gens[i]
     tt = t.np_table
+    step = max(1, 2**16 // max(1, xg.size))
 
-    def holds(mapping) -> bool:
-        f = np.asarray(mapping, dtype=np.intp)
-        fx, fg = f[:, None], f[g_idx]
-        rhs = tt[fg, fx] if anti else tt[fx, fg]
-        return bool((f[xg] == rhs).all())
+    def holds(maps) -> bool:
+        f = np.asarray(maps).reshape(-1, s.n)
+        for fb in (f[b:b + step] for b in range(0, len(f), step)):
+            fx, fg = fb[:, :, None], fb[:, None, g_idx]
+            if not (fb[:, xg] == (tt[fg, fx] if anti else tt[fx, fg])).all():
+                return False
+        return True
 
     return holds
 
@@ -225,6 +294,7 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, steps=0):
         return False
 
     extend(0)
+    extend = None  # the recursive closure holds itself, and through it s and t
     results.sort()
     return results, steps
 
@@ -280,26 +350,6 @@ class AutomorphismChain:
     @property
     def order(self) -> int:
         return prod(len(level) for level in self.transversals)
-
-    def elements(self) -> list[tuple[int, ...]]:
-        """Every automorphism, sorted: the products u_0 u_1 ... u_{k-1} with
-        u_i in ``transversals[i]``.  a = u_0 a' with u_0 = transversals[0][a(g_0)]
-        and a' in Aut_{g_0}, and so on down the chain, so each automorphism
-        is exactly one such product and the list has no repeats.
-
-        Every level maps its base point to one shared identity tuple; a
-        product with it is the other factor itself, not a copy, so the
-        transversals cost no memory beyond the list."""
-        one = self.transversals[0][self.base[0]]
-        maps = [one]
-        for level in reversed(self.transversals):
-            maps = [
-                u if m is one else m if u is one else compose(u, m)
-                for u in level.values()
-                for m in maps
-            ]
-        maps.sort()
-        return maps
 
 
 def automorphism_chain(s: FiniteSemigroup, *, budget: int | None = None) -> AutomorphismChain:
@@ -373,18 +423,25 @@ def enumerate_automorphisms(
 ) -> MorphismSet:
     """The complete automorphism group of S, canonically sorted.
 
-    Listed from :func:`automorphism_chain`; raises
+    Listed from :func:`automorphism_chain` as the products u_0 u_1 ... u_{k-1},
+    u_i in ``transversals[i]``, one gather per level: a = u_0 a' with u_0 =
+    transversals[0][a(g_0)] and a' in Aut_{g_0}, and so on down the chain,
+    so each automorphism is exactly one such product.  Raises
     :class:`OrderBudgetExceededError` before any listing if |Aut(S)| is past
     ``cap`` (default :data:`DEFAULT_ORDER_BUDGET`).  A list already cached is
     returned whatever the cap.
     """
 
     def build():
-        chain = automorphism_chain(s, budget=budget)
+        aut = automorphism_chain(s, budget=budget)
         limit = DEFAULT_ORDER_BUDGET if cap is None else cap
-        if chain.order > limit:
-            raise OrderBudgetExceededError(limit, layer="Aut(S)", order=chain.order)
-        return MorphismSet(tuple(chain.elements()))
+        if aut.order > limit:
+            raise OrderBudgetExceededError(limit, layer="Aut(S)", order=aut.order)
+        maps = np.arange(s.n, dtype=np.int32)[None]
+        for level in reversed(aut.transversals):
+            u = np.array(list(level.values()), dtype=np.int32)
+            maps = np.take(u, maps, axis=1).reshape(-1, s.n)  # row (i, j) is u_i o maps_j
+        return MorphismSet(s.n, maps)
 
     return _memo(s, "aut", build)
 
@@ -396,26 +453,22 @@ def enumerate_anti_automorphisms(
 
     On a commutative S this is Aut(S) itself.  Otherwise one
     anti-automorphism beta is found by searching for an isomorphism onto the
-    dual table, and the rest are produced as {alpha o beta}; each composite
-    is re-verified by the anti form of :func:`_generator_certificate` over
-    a generating set of S.
+    dual table, and the rest are produced as {alpha o beta}, one column
+    gather of Aut(S); every composite is re-verified by the anti form of
+    :func:`_generator_certificate` over a generating set of S.
     """
 
     def build():
         if s.is_commutative:
-            auts = enumerate_automorphisms(s, budget=budget, cap=cap)
-            return MorphismSet(auts.elements)
+            return MorphismSet(s.n, enumerate_automorphisms(s, budget=budget, cap=cap).array)
         found = enumerate_isomorphism_mappings(s, s.dual(), budget=budget, limit=1)
         if not found:
-            return MorphismSet(())
-        beta = found[0]
+            return MorphismSet(s.n, ())
         auts = enumerate_automorphisms(s, budget=budget, cap=cap)
-        composed = sorted(compose(a, beta) for a in auts)
-        anti_certified = _generator_certificate(s, s, generating_set(s), anti=True)
-        for m in composed:
-            if not anti_certified(m):
-                raise AssertionError("composition trick produced a non-anti-morphism")
-        return MorphismSet(tuple(composed))
+        composed = np.take(auts.array, found[0], axis=1)  # row a o beta
+        if not _generator_certificate(s, s, generating_set(s), anti=True)(composed):
+            raise AssertionError("composition trick produced a non-anti-morphism")
+        return MorphismSet(s.n, composed)
 
     return _memo(s, "anti", build)
 
@@ -426,8 +479,8 @@ def involutions(
     """Anti-automorphisms of order exactly 2 (the identity never counts)."""
 
     def build():
-        anti = enumerate_anti_automorphisms(s, budget=budget, cap=cap)
-        return MorphismSet(tuple(filter(is_involution, anti)))
+        a = enumerate_anti_automorphisms(s, budget=budget, cap=cap).array
+        return MorphismSet(s.n, a[_squares_to_one(a) & (a != np.arange(s.n)).any(axis=1)])
 
     return _memo(s, "involutions", build)
 
@@ -438,9 +491,8 @@ def order_two_automorphisms(
     """Automorphisms alpha with alpha^2 = 1, identity included."""
 
     def build():
-        auts = enumerate_automorphisms(s, budget=budget, cap=cap)
-        one = identity_tuple(s.n)
-        return MorphismSet(tuple(a for a in auts if compose(a, a) == one))
+        a = enumerate_automorphisms(s, budget=budget, cap=cap).array
+        return MorphismSet(s.n, a[_squares_to_one(a)])
 
     return _memo(s, "order_two", build)
 

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 
 import numpy as np
 
 from .errors import NotAGroupError, OrderBudgetExceededError
 from .morphisms import (
+    MorphismSet,
+    _keys,
     automorphism_chain,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
@@ -42,67 +44,24 @@ from .semigroups import (
 )
 
 
-def _keys(images: np.ndarray, degree: int) -> np.ndarray:
-    """An exact key per row of ``images`` (the last axis), of points below
-    ``degree``: the row as a number, bits(degree - 1) bits per point, first
-    point most significant, while that fits 63 bits; otherwise its bytes.
-    A small input takes one product; a large one is folded point by point,
-    so that it is never copied whole as int64."""
-    bits, k = max(1, (degree - 1).bit_length()), images.shape[-1]
-    if k * bits > 63:
-        return np.ascontiguousarray(images, dtype=np.int32).view(np.dtype((np.void, 4 * k)))[..., 0]
-    if images.size <= 1 << 16:
-        return images @ (1 << np.arange((k - 1) * bits, -1, -bits, dtype=np.int64))
-    keys = np.zeros(images.shape[:-1], dtype=np.int64)
-    for c in range(k):
-        keys = (keys << bits) | images[..., c]
-    return keys
-
-
-def _sorted_rows(x: np.ndarray, degree: int) -> np.ndarray:
-    """The rows of ``x`` in mapping-tuple order: a lexsort on the number
-    keys of chunks of columns, zero-padded to a common width."""
-    if len(x) < 2:
-        return x
-    width = 63 // max(1, (degree - 1).bit_length())
-    padded = np.hstack([x, np.zeros((len(x), -degree % width), dtype=x.dtype)])
-    chunks = _keys(padded.reshape(len(x), -1, width), degree)
-    return x[np.lexsort(chunks.T[::-1])]
-
-
 def _inside(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Whether each of ``keys`` occurs in the nonempty ``sorted_keys``."""
     pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
     return sorted_keys[pos] == keys
 
 
-class PermGroup:
-    """A permutation group: its elements the rows of one int32 (|G|, degree)
-    array, ``array``, in mapping-tuple order, so equal groups compare equal
-    and all derived output is deterministic.  ``elements`` and iteration
-    give mapping tuples.  Invariant: ``generators``, mapping tuples,
-    generate the group; :func:`group_fingerprint` relies on it.  The images
-    of ``base`` (every point by default) tell the elements apart, and
-    membership and :func:`to_cayley_table` look elements up by their keys.
+class PermGroup(MorphismSet):
+    """A permutation group: a :class:`~involute.morphisms.MorphismSet` whose
+    ``generators``, mapping tuples, generate it; :func:`group_fingerprint`
+    relies on that.  The images of ``base`` (every point by default) tell
+    the elements apart, and membership and :func:`to_cayley_table` look
+    elements up by their keys.
     """
 
     def __init__(self, degree, generators, elements, base=None):
-        self.degree = degree
+        super().__init__(degree, elements)
         self.generators = tuple(generators)
         self.base = np.arange(degree) if base is None else np.asarray(base, dtype=np.intp)
-        if not isinstance(elements, np.ndarray):  # mapping tuples, read in one pass
-            elements = list(elements)
-            elements = np.fromiter(chain.from_iterable(elements), dtype=np.int32,
-                                   count=len(elements) * degree).reshape(len(elements), degree)
-        self.array = _sorted_rows(elements.astype(np.int32, copy=False), degree)
-
-    @property
-    def order(self) -> int:
-        return len(self.array)
-
-    @property
-    def elements(self) -> tuple:
-        return tuple(map(tuple, self.array.tolist()))
 
     @cached_property
     def _lookup(self):
@@ -116,23 +75,10 @@ class PermGroup:
         keys, order = self._lookup
         return order[np.minimum(np.searchsorted(keys, _keys(images, self.degree)), len(keys) - 1)]
 
-    def __len__(self):
-        return len(self.array)
-
-    def __iter__(self):
-        return iter(self.elements)
-
     def __contains__(self, perm):
         row = np.asarray(perm)
         return row.shape == (self.degree,) and bool(
             (self.array[self._rows_of(row[self.base])] == row).all())
-
-    def __eq__(self, other):
-        return (isinstance(other, PermGroup) and self.degree == other.degree
-                and np.array_equal(self.array, other.array))
-
-    def __repr__(self):
-        return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
 def _generated(degree, batches, base, cap, kept: list) -> PermGroup:
@@ -232,23 +178,22 @@ def _signed_base(s: FiniteSemigroup, *, budget=None) -> list[int]:
 
 
 def _layer_closure(layer: str, maps, s: FiniteSemigroup, budget, cap) -> PermGroup:
-    """:func:`closure` on the base of Aut±(S), its order error naming ``layer``."""
+    """The group ``maps(s)`` generates, on the base of Aut±(S); its cap error names ``layer``."""
+    gens = maps(s, budget=budget, cap=cap).array
     try:
-        return closure(maps, degree=s.n, cap=cap, base=_signed_base(s, budget=budget))
+        return _generated(s.n, [gens], _signed_base(s, budget=budget), cap, [])
     except OrderBudgetExceededError as exc:
         raise OrderBudgetExceededError(exc.limit, layer=layer) from exc
 
 
 def c_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
     """C(S): the subgroup of Sym(S) generated by all involutions of S."""
-    inv = involutions(s, budget=budget, cap=cap)
-    return _layer_closure("C(S)", inv.elements, s, budget, cap)
+    return _layer_closure("C(S)", involutions, s, budget, cap)
 
 
 def g_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
     """G(S): the subgroup generated by the order-at-most-2 automorphisms."""
-    j = order_two_automorphisms(s, budget=budget, cap=cap)
-    return _layer_closure("G(S)", j.elements, s, budget, cap)
+    return _layer_closure("G(S)", order_two_automorphisms, s, budget, cap)
 
 
 def involution_laws(s: FiniteSemigroup, invs, j_set, c: PermGroup, g: PermGroup):
@@ -268,9 +213,10 @@ def involution_laws(s: FiniteSemigroup, invs, j_set, c: PermGroup, g: PermGroup)
     alpha of C is an automorphism iff alpha(xy) = alpha(x)alpha(y) for the
     pair of :func:`_signed_base`.  Centrality is tested on the
     strong generators of :func:`~involute.morphisms.automorphism_chain`, a
-    cache hit once Aut(S) is listed: what commutes with a and b commutes
-    with ab, so with every product of generators, which is every
-    automorphism.
+    cache hit once Aut(S) is listed, each filtering the rows of I(S) left:
+    what commutes with a and b commutes with ab, so with every product of
+    generators, which is every automorphism.  Psi is injective, so it maps
+    J(S) onto I(S) iff the sorted rows a o iota are those of I(S).
     """
     if s.is_commutative or not invs:
         return None, None
@@ -278,31 +224,30 @@ def involution_laws(s: FiniteSemigroup, invs, j_set, c: PermGroup, g: PermGroup)
     x, y = _noncommuting_pair(s, aut.base)
     m = c.array
     split = c.order == 2 * int((m[:, s.table[x][y]] == s.np_table[m[:, x], m[:, y]]).sum())
-    gens = aut.generators
-    central = [i for i in invs if all(compose(a, i) == compose(i, a) for a in gens)]
-    if not central:
+    central = invs.array
+    for a in map(np.asarray, aut.generators):  # row i o a against a o i
+        central = central[(central[:, a] == a[central]).all(axis=1)]
+    if not len(central):
         return split, None
-    psi = {compose(a, central[0]) for a in j_set}
-    return split, psi == set(invs) and c.order == 2 * g.order
+    psi = MorphismSet(s.n, np.take(j_set.array, central[0], axis=1))
+    return split, psi == invs and c.order == 2 * g.order
 
 
-def signed_aut_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
-    """Aut(S) together with all anti-automorphisms, as one group.
+def signed_aut_order(s: FiniteSemigroup, *, budget=None, cap=None) -> int:
+    """|Aut±(S)|, the order of Aut(S) together with all anti-automorphisms.
 
     On a commutative semigroup the two sets coincide, so the order is
-    |Aut(S)|; otherwise they are disjoint and the order is their sum.  The
-    anti-automorphisms, if any, are one coset alpha*Aut(S) (alpha^-1 beta
-    preserves products), so Aut(S) and any one of them generate the group.
-    Raises :class:`OrderBudgetExceededError` before building the group if
-    that order is past ``cap`` (default :data:`DEFAULT_ORDER_BUDGET`).
+    |Aut(S)|; otherwise they are disjoint and the order is their sum.
+    Raises :class:`OrderBudgetExceededError` if that order is past ``cap``
+    (default :data:`DEFAULT_ORDER_BUDGET`).
     """
-    auts = enumerate_automorphisms(s, budget=budget, cap=cap)
-    antis = enumerate_anti_automorphisms(s, budget=budget, cap=cap)
-    members = auts.elements if s.is_commutative else auts.elements + antis.elements
+    auts = len(enumerate_automorphisms(s, budget=budget, cap=cap))
+    antis = len(enumerate_anti_automorphisms(s, budget=budget, cap=cap))
+    order = auts if s.is_commutative else auts + antis
     limit = DEFAULT_ORDER_BUDGET if cap is None else cap
-    if len(members) > limit:
-        raise OrderBudgetExceededError(limit, layer="Aut±(S)", order=len(members))
-    return PermGroup(s.n, auts.elements + antis.elements[:1], members)
+    if order > limit:
+        raise OrderBudgetExceededError(limit, layer="Aut±(S)", order=order)
+    return order
 
 
 def derived_subgroup(g: PermGroup) -> PermGroup:

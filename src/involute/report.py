@@ -27,7 +27,7 @@ from .permgroups import (
     g_group,
     group_fingerprint,
     involution_laws,
-    signed_aut_group,
+    signed_aut_order,
     to_cayley_table,
 )
 from .semigroups import TABLE_CAP, FiniteSemigroup
@@ -123,7 +123,7 @@ def analyze(
     # I(S) in the same order, and closure skips the identity, so even the
     # kept generators of G(S) are those of C(S).
     g = c if s.is_commutative else g_group(s, budget=budget, cap=order_cap)
-    signed = signed_aut_group(s, budget=budget, cap=order_cap)
+    signed = signed_aut_order(s, budget=budget, cap=order_cap)
     fp = group_fingerprint(c)
     split_law, central_law = involution_laws(s, invs, j_set, c, g)
     return {
@@ -147,14 +147,15 @@ def analyze(
                 "derivedOrder": fp.derived_order,
             },
             "G": {"order": g.order},
-            "signedAut": {"order": signed.order},
+            "signedAut": {"order": signed},
         },
         "properInvolutionExists": split_law is not None,
         "checks": {"splitLaw": split_law, "centralLaw": central_law},
         "identification": dict(identify_group(c, fp, budget=budget)),
         "morphisms": {
             "automorphisms": auts.elements,
-            "antiAutomorphisms": antis.elements,
+            # on a commutative S the two lists are one: share the tuples
+            "antiAutomorphisms": (auts if s.is_commutative else antis).elements,
             "involutions": invs.elements,
         },
     }

@@ -1,6 +1,7 @@
-"""``involute analyze`` on arbitrary files, ``construct`` and ``factor`` on
-arbitrary sizes and ``trace`` on arbitrary words: every input ends in exit 0,
-2 or 3 with a one-line message, never in an exception, and a size far past a
+"""``involute analyze`` on arbitrary files and flags, ``verify`` on arbitrary
+flags, ``construct`` and ``factor`` on arbitrary sizes and ``trace`` on
+arbitrary words: every input ends in exit 0, 1 (a failed check), 2 or 3 with
+at most a one-line message, never in an exception, and a size far past a
 limit is refused before anything of that size is built."""
 
 import contextlib
@@ -146,3 +147,44 @@ def test_trace_survives_random_words(action, words, kind, cycles, edges, alphabe
     if alphabet is not None:
         argv += ["--alphabet", alphabet]
     _assert_clean(argv)
+
+
+_junk = st.integers(-3, 10**7).map(str) | st.sampled_from(["", "abc", "-1", "1e3", " 3", "0x10"])
+_budgets = st.lists(st.tuples(st.sampled_from(["--budget-nodes", "--budget-order"]), _junk),
+                    max_size=2).map(lambda pairs: [a for pair in pairs for a in pair])
+
+
+def _assert_clean_or_usage(argv):
+    """As :func:`_assert_clean`, with exit 1 (a failed check) allowed, and
+    argparse's refusal of a malformed argv (its usage line, then one error
+    line, and exit 2) taken as clean."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err
+    assert (code in (0, 1)) == (err == ""), argv
+    assert sum("error" in line for line in err.splitlines()) <= 1, err
+
+
+@settings(max_examples=40, deadline=None)
+@given(json_flag=st.booleans(), budgets=_budgets, missing=st.booleans())
+def test_analyze_survives_random_flags(input_path, json_flag, budgets, missing):
+    input_path.write_text(json.dumps({"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+    path = str(input_path) + ".missing" if missing else str(input_path)
+    _assert_clean_or_usage(["analyze", path, *(["--json"] if json_flag else []), *budgets])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    only=st.lists(st.sampled_from(["klein", "two_involution_factorization", "nope", ""]),
+                  min_size=1, max_size=2).map(",".join),
+    flags=st.lists(st.sampled_from(["--json", "--stretch"]), unique=True),
+    budgets=_budgets,
+)
+def test_verify_survives_random_flags(only, flags, budgets):
+    _assert_clean_or_usage(["verify", "--only", only, *flags, *budgets])

@@ -21,6 +21,7 @@ from involute.families import (
     zero_semigroup,
 )
 from involute.morphisms import (
+    enumerate_anti_automorphisms,
     enumerate_automorphisms,
     find_isomorphism,
     is_anti_homomorphism,
@@ -198,23 +199,25 @@ def test_signed_automorphisms_of_square_bands_compose_by_the_four_rules():
 def test_doubled_t3_has_the_same_groups_as_the_square_band():
     # doubling T_3 and squaring a 3-element band give isomorphic Aut, signed
     # and involution-generated groups
-    from involute.permgroups import c_group, signed_aut_group, to_cayley_table
+    from involute.permgroups import c_group, signed_aut_order, to_cayley_table
 
     d = doubled_semigroup(full_transformation_monoid(3))
     b = rectangular_band(3, 3)
     assert len(enumerate_automorphisms(d)) == len(enumerate_automorphisms(b)) == 36
-    assert signed_aut_group(d).order == signed_aut_group(b).order == 72
+    assert signed_aut_order(d) == signed_aut_order(b) == 72
     assert find_isomorphism(
         to_cayley_table(c_group(d)), to_cayley_table(c_group(b))
     ) is not None
 
 
-def test_signed_aut_group_is_closed():
-    from involute.permgroups import closure, signed_aut_group
+def test_aut_and_anti_close_to_a_group_of_the_signed_order():
+    from involute.morphisms import MorphismSet
+    from involute.permgroups import closure, signed_aut_order
 
-    for s in (rectangular_band(2, 2), sym_group_table(3), partition_monoid(2)):
-        signed = signed_aut_group(s)
-        assert closure(signed.elements, degree=signed.degree) == signed
+    for s in (rectangular_band(2, 2), sym_group_table(3), partition_monoid(2), cyclic_group(12)):
+        union = MorphismSet(s.n, {*enumerate_automorphisms(s), *enumerate_anti_automorphisms(s)})
+        assert closure(union.elements, degree=s.n) == union
+        assert union.order == signed_aut_order(s)
 
 
 def test_every_builder_output_is_associative():

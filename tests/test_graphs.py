@@ -1,7 +1,11 @@
+import random
 from itertools import permutations
 
 import pytest
+from networkx import Graph
+from networkx.algorithms.isomorphism import GraphMatcher
 
+from involute.battery import _frucht_corpus
 from involute.errors import InputFormatError, NoEdgesError, OrderBudgetExceededError
 from involute.graphs import (
     SimpleGraph,
@@ -136,3 +140,23 @@ def test_parse_edge_list():
     assert parse_edge_list("", n=4).n == 4
     with pytest.raises(InputFormatError):
         parse_edge_list("0-1-2")
+
+
+def _networkx_automorphisms(g):
+    h = Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return sorted(tuple(m[v] for v in range(g.n)) for m in GraphMatcher(h, h).isomorphisms_iter())
+
+
+def test_graph_automorphisms_match_networkx():
+    rng = random.Random(0x6A4F)
+    graphs = [g for _, g in _frucht_corpus()]
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        p = rng.uniform(0.2, 0.8)
+        graphs.append(SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                      if rng.random() < p]))
+    for g in graphs:
+        auts = graph_automorphisms(g)
+        assert list(auts) == _networkx_automorphisms(g), g

@@ -3,11 +3,17 @@ from math import factorial, log2, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import brute_morphisms
 from involute.battery import _completeness_corpus, _split_law_corpus, run_battery
 from involute import morphisms
-from involute.errors import DegreeMismatchError, NotAnInvolutionError, SearchBudgetExceededError
+from involute.errors import (
+    DegreeMismatchError,
+    NotAnInvolutionError,
+    OrderBudgetExceededError,
+    SearchBudgetExceededError,
+)
 from involute.families import (
     cyclic_group,
     direct_product_table,
@@ -35,10 +41,10 @@ from involute.morphisms import (
     is_proper_involution,
     order_two_automorphisms,
 )
-from involute.permgroups import c_group, g_group, signed_aut_group
-from involute.perms import compose, identity_tuple
+from involute.permgroups import c_group, g_group, signed_aut_order
+from involute.perms import compose, identity_tuple, invert, is_involution
 from involute.report import analyze
-from involute.semigroups import atoms, generating_set, validate
+from involute.semigroups import atoms, cayley_table, close_under, generating_set, validate
 
 
 def test_is_homomorphism_examples(klein):
@@ -156,6 +162,51 @@ def test_completeness_against_brute_force_small_corpus():
         assert list(enumerate_anti_automorphisms(s)) == brute_morphisms(s, anti=True)
 
 
+def _random_associative_table(rng, n):
+    while True:
+        try:
+            return validate([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        except Exception:
+            continue
+
+
+@st.composite
+def _semigroups_to_seven(draw):
+    """A semigroup of order at most 7 under a random relabelling: generated
+    by one or two transformations of 3 to 7 points, or a random associative
+    table of order 2 or 3, or the product of two such tables; then maybe
+    its dual."""
+    if draw(st.booleans()):
+        m = draw(st.integers(3, 7))
+        one_map = st.tuples(*[st.integers(0, m - 1)] * m) | st.permutations(range(m)).map(tuple)
+        maps = draw(st.lists(one_map, min_size=1, max_size=2))
+        try:
+            s = cayley_table(sorted(close_under(maps, maps, compose, cap=7)), compose)
+        except OrderBudgetExceededError:
+            assume(False)
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        s = _random_associative_table(rng, draw(st.sampled_from((2, 3))))
+        if draw(st.booleans()):
+            s = direct_product_table(s, _random_associative_table(rng, 2))
+    if draw(st.booleans()):
+        s = s.dual()
+    sigma = draw(st.permutations(range(s.n)))
+    inv = invert(sigma)
+    return validate([[sigma[s.table[inv[a]][inv[b]]] for b in range(s.n)] for a in range(s.n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=_semigroups_to_seven())
+def test_the_array_listing_matches_the_brute_force_to_order_seven(s):
+    auts, antis = brute_morphisms(s), brute_morphisms(s, anti=True)
+    one = identity_tuple(s.n)
+    assert list(enumerate_automorphisms(s)) == auts
+    assert list(enumerate_anti_automorphisms(s)) == antis
+    assert list(involutions(s)) == [p for p in antis if is_involution(p)]
+    assert list(order_two_automorphisms(s)) == [p for p in auts if compose(p, p) == one]
+
+
 def test_anti_automorphisms_form_one_aut_coset():
     # |Aut-| is 0 or |Aut|, and any single anti-automorphism translates Aut onto Aut-
     for s in (
@@ -254,7 +305,7 @@ def test_every_caller_shares_one_search(monkeypatch):
     enumerate_automorphisms(s)
     c_group(s)
     g_group(s)
-    signed_aut_group(s)
+    signed_aut_order(s)
     analyze(s)
     assert sorted(calls) == ["aut", "dual limit=1"]
 

@@ -22,6 +22,7 @@ from involute.families import (
     sym_group_table,
 )
 from involute.morphisms import (
+    _keys,
     automorphism_chain,
     enumerate_automorphisms,
     find_isomorphism,
@@ -32,7 +33,6 @@ from involute.morphisms import (
 from involute.perms import compose, cycles, identity_tuple, parity
 from involute.permgroups import (
     GroupFingerprint,
-    _keys,
     c_group,
     closure,
     derived_subgroup,
@@ -40,7 +40,7 @@ from involute.permgroups import (
     group_fingerprint,
     involution_laws,
     k_group,
-    signed_aut_group,
+    signed_aut_order,
     to_cayley_table,
     two_involution_factorization,
 )
@@ -108,7 +108,6 @@ _GROUP_SOURCES = {
     "closure": lambda s: closure(enumerate_automorphisms(s).elements, degree=s.n),
     "c_group": c_group,
     "g_group": g_group,
-    "signed_aut_group": signed_aut_group,
     "aut_as_group": _aut_as_group,
 }
 
@@ -303,20 +302,20 @@ def test_g_group_examples():
     assert g_group(validate([[0]])).order == 1
 
 
-def test_signed_aut_group_orders(klein):
-    assert signed_aut_group(cyclic_group(12)).order == 4
-    assert signed_aut_group(sym_group_table(4)).order == 48
-    assert signed_aut_group(rectangular_band(2, 2)).order == 8
+def test_signed_aut_order_examples(klein):
+    assert signed_aut_order(cyclic_group(12)) == 4
+    assert signed_aut_order(sym_group_table(4)) == 48
+    assert signed_aut_order(rectangular_band(2, 2)) == 8
     # commutative: the two sets coincide rather than doubling
-    assert signed_aut_group(klein).order == 6
+    assert signed_aut_order(klein) == 6
 
 
-def test_signed_aut_group_obeys_the_order_cap():
+def test_signed_aut_order_obeys_the_order_cap():
     # commutative: Aut-(S) is Aut(S), so the order |Aut| fits a cap of |Aut|
-    assert signed_aut_group(cyclic_group(12), cap=4).order == 4
-    assert signed_aut_group(rectangular_band(2, 2), cap=8).order == 8
+    assert signed_aut_order(cyclic_group(12), cap=4) == 4
+    assert signed_aut_order(rectangular_band(2, 2), cap=8) == 8
     with pytest.raises(OrderBudgetExceededError) as exc:
-        signed_aut_group(rectangular_band(2, 2), cap=4)  # |Aut| = |Aut-| = 4 fit, 8 does not
+        signed_aut_order(rectangular_band(2, 2), cap=4)  # |Aut| = |Aut-| = 4 fit, 8 does not
     assert str(exc.value) == "Aut±(S) has order 8, past the cap of 4"
 
 
@@ -429,7 +428,7 @@ def test_split_law_on_sym4():
     auts = set(enumerate_automorphisms(s4).elements)
     inside = sum(1 for p in c if p in auts)
     assert c.order == 2 * inside
-    assert signed_aut_group(s4).order == 2 * len(auts)
+    assert signed_aut_order(s4) == 2 * len(auts)
 
 
 def _laws_against_every_automorphism(s):
