@@ -12,9 +12,10 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 
 from . import families
-from .errors import OrderBudgetExceededError
+from .errors import NotAssociativeError, OrderBudgetExceededError
 from .graphs import (
     complete_graph,
     cycle_graph,
@@ -127,8 +128,7 @@ def _check_symmetric_groups(opts):
         auts = enumerate_automorphisms(s, budget=opts.budget, cap=opts.order_cap)
         c = c_group(s, budget=opts.budget, cap=opts.order_cap)
         iso = find_isomorphism(to_cayley_table(c), _z2_times_sym(n))
-        fact = len(s.table)
-        good = len(auts) == fact and c.order == 2 * fact and iso is not None
+        good = len(auts) == s.n and c.order == 2 * s.n and iso is not None
         ok = ok and good
         parts.append(f"n={n}:|C|={c.order}{'' if good else '!'}")
     return ok, " ".join(parts)
@@ -147,10 +147,7 @@ def _t_laws(n, opts):
     auts = enumerate_automorphisms(s, budget=opts.budget, cap=opts.order_cap)
     antis = enumerate_anti_automorphisms(s, budget=opts.budget, cap=opts.order_cap)
     c = c_group(s, budget=opts.budget, cap=opts.order_cap)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    good = len(antis) == 0 and len(auts) == fact and c.order == 1
+    good = len(antis) == 0 and len(auts) == factorial(n) and c.order == 1
     return good, f"T{n}:|Aut|={len(auts)},|Aut-|={len(antis)},|C|={c.order}"
 
 
@@ -169,13 +166,12 @@ def _check_t4_stretch(opts):
 def _check_inverse_monoids(opts):
     parts = []
     ok = True
-    fact = {2: 2, 3: 6}
     for n in (2, 3):
         s = families.symmetric_inverse_monoid(n)
         auts = enumerate_automorphisms(s, budget=opts.budget, cap=opts.order_cap)
         c = c_group(s, budget=opts.budget, cap=opts.order_cap)
         iso = find_isomorphism(to_cayley_table(c), _z2_times_sym(n))
-        good = len(auts) == fact[n] and iso is not None
+        good = len(auts) == factorial(n) and iso is not None
         ok = ok and good
         parts.append(f"I{n}:|Aut|={len(auts)},|C|={c.order},Z2xSym({n})={iso is not None}")
     istar = families.dual_symmetric_inverse_monoid(3)
@@ -223,7 +219,7 @@ def _check_rectangular_bands(opts):
     parts = [f"2x3:|Aut-|={len(antis)},|C|={c23.order}"]
     for n in (2, 3):
         b = families.rectangular_band(n, n)
-        fact = [1, 1, 2, 6][n]
+        fact = factorial(n)
         auts = enumerate_automorphisms(b, budget=opts.budget, cap=opts.order_cap)
         signed = signed_aut_order(b, budget=opts.budget, cap=opts.order_cap)
         invs = involutions(b, budget=opts.budget, cap=opts.order_cap)
@@ -522,7 +518,7 @@ def _random_table_semigroup(rng):
         table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
         try:
             return validate(table)
-        except Exception:
+        except NotAssociativeError:
             continue
     return families.cyclic_group(n)
 

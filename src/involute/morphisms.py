@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import prod
 
 import numpy as np
@@ -37,6 +36,7 @@ from .semigroups import (
     DEFAULT_ORDER_BUDGET,
     FiniteSemigroup,
     _row_labels,
+    _row_tuples,
     close_under,
     generating_set,
 )
@@ -102,12 +102,7 @@ class MorphismSet:
 
     @cached_property
     def elements(self) -> tuple:
-        # one int object per point (int32 rows' tolist() makes one per entry
-        # past 256); blocks of 2^12 entries keep the lists' holes small
-        points = np.arange(self.degree).astype(object)
-        step = max(1, 2**12 // max(1, self.degree))
-        return tuple(chain.from_iterable(map(tuple, points[self.array[i:i + step]].tolist())
-                                         for i in range(0, len(self.array), step)))
+        return _row_tuples(self.array)
 
     def __len__(self):
         return len(self.array)

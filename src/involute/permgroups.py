@@ -360,7 +360,7 @@ def to_cayley_table(g: PermGroup) -> FiniteSemigroup:
     at_base = m[:, g.base]
     step = max(1, 2**16 // max(1, at_base.size))
     return validate(np.concatenate([g._rows_of(m[i:i + step][:, at_base])
-                                    for i in range(0, len(m), step)]).tolist())
+                                    for i in range(0, len(m), step)]))
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +384,11 @@ def _group_inverses(table: FiniteSemigroup):
     e = table.identity
     if e is None:
         raise NotAGroupError("no identity element")
-    inv = [-1] * n
-    for x in range(n):
-        row = table.table[x]
+    inv = []
+    for x, row in enumerate(table.table):
         if sorted(row) != list(range(n)):
             raise NotAGroupError("rows are not permutations")
-        inv[x] = row.index(e)
+        inv.append(row.index(e))
         if table.table[inv[x]][x] != e:
             raise NotAGroupError(f"element {x} has no two-sided inverse")
     return inv

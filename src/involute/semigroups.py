@@ -11,6 +11,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -31,18 +32,22 @@ DEFAULT_ORDER_BUDGET = 10**6
 class FiniteSemigroup:
     """A semigroup on {0..n-1}; build instances through :func:`validate`.
 
-    ``table`` is a tuple of row tuples and ``np_table`` the same table as
-    an int32 array; the constructor trusts both.
+    ``np_table``, the table as an int32 array, is trusted and made read-only
+    by the constructor; ``table``, its rows as tuples, is built on first read.
     """
 
-    def __init__(self, table, np_table, names, identity):
-        self.table = table
+    def __init__(self, np_table, names, identity):
+        np_table.flags.writeable = False
         self.np_table = np_table
-        self.n = len(table)
+        self.n = len(np_table)
         self.names = names
         self.identity = identity
         #: results of searches on this table, filled by :mod:`involute.morphisms`
         self.search_cache: dict = {}
+
+    @cached_property
+    def table(self) -> tuple:
+        return _row_tuples(self.np_table)
 
     @cached_property
     def is_commutative(self) -> bool:
@@ -68,8 +73,7 @@ class FiniteSemigroup:
 
     def dual(self) -> "FiniteSemigroup":
         """The opposite semigroup: the transposed table, a new instance."""
-        return FiniteSemigroup(tuple(zip(*self.table)), np.ascontiguousarray(self.np_table.T),
-                               self.names, self.identity)
+        return FiniteSemigroup(np.ascontiguousarray(self.np_table.T), self.names, self.identity)
 
     def name_of(self, x: int) -> str:
         return self.names[x] if self.names is not None else str(x)
@@ -84,21 +88,32 @@ class FiniteSemigroup:
 _SEQUENCES = (list, tuple)
 
 
+def _row_tuples(a: np.ndarray) -> tuple:
+    """The rows of an int array of points 0..width-1 as tuples, each point one
+    shared int object (an int32 array's ``tolist()`` makes one per entry past
+    256), in blocks of 2^12 entries that keep the lists' holes small."""
+    points = np.arange(a.shape[1]).astype(object)
+    step = max(1, 2**12 // max(1, a.shape[1]))
+    return tuple(chain.from_iterable(map(tuple, points[a[i:i + step]].tolist())
+                                     for i in range(0, len(a), step)))
+
+
 def validate(table, names=None) -> FiniteSemigroup:
     """Check a square index table for associativity and wrap it.
 
-    The table must be a list (or tuple) of rows of plain integers; floats,
-    booleans and strings raise :class:`InputFormatError`, entries outside
-    0..n-1 raise :class:`IndexOutOfRangeError`.  ``names``, if given, must
-    be a list of n strings.  Detects and records an identity element if one
-    exists.
+    The table is a list (or tuple) of rows of plain integers, or a 2-d
+    integer array (kept, not copied, and made read-only if it is
+    C-contiguous int32); floats, booleans and strings raise
+    :class:`InputFormatError`, entries outside 0..n-1 raise
+    :class:`IndexOutOfRangeError`.  ``names``, if given, must be a list of
+    n strings.  Detects and records an identity element, if any.
 
     Associativity is checked by Light's test in O(n^2 |A|) rather than
     O(n^3): ``A`` is a set whose right closure (close A under x -> x*a for
     a in A) is all of the table, picked by :func:`greedy_generators`.  That
-    closure is plain table lookups, so it is sound before associativity is
-    known.  Then (x*a)*y = x*(a*y) is checked for every a in A and all x, y,
-    each a as soon as it is picked.
+    closure is plain lookups in the columns of A, so it is sound before
+    associativity is known.  Then (x*a)*y = x*(a*y) is checked for every a
+    in A and all x, y, each a as soon as it is picked and its column read.
     Proof that this suffices: let B = {b : (xb)y = x(by) for all x, y}.  If
     b, c are in B then for all x, y
     (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y),
@@ -108,32 +123,37 @@ def validate(table, names=None) -> FiniteSemigroup:
     whole table.  So B is everything and the table is associative.  On
     failure :class:`NotAssociativeError` carries a genuine witness (x, a, y).
     """
-    if not isinstance(table, _SEQUENCES) or not all(
-        isinstance(row, _SEQUENCES) for row in table
-    ):
+    is_array = isinstance(table, np.ndarray)
+    if is_array and (table.ndim != 2 or table.dtype.kind not in "iu"):
+        raise InputFormatError(f"table must be a 2-d integer array, not {table.ndim}-d {table.dtype}")
+    if not is_array and (not isinstance(table, _SEQUENCES) or not all(
+            isinstance(row, _SEQUENCES) for row in table)):
         raise InputFormatError("table must be a list of rows")
-    rows = tuple(map(tuple, table))
-    n = len(rows)
+    n = len(table)
     if n == 0:
         raise InputFormatError("empty table")
-    if any(len(row) != n for row in rows):
+    if any(len(row) != n for row in table):
         raise InputFormatError("table is not square")
     if n > TABLE_CAP:
         raise OrderBudgetExceededError(TABLE_CAP)
     # type() rather than isinstance(): bool is a subclass of int
-    kinds = set().union(*(map(type, row) for row in rows))
+    kinds = {int} if is_array else set().union(*(map(type, row) for row in table))
     if kinds != {int}:
         bad = sorted(k.__name__ for k in kinds - {int})
         raise InputFormatError(f"table entries must be integers, not {', '.join(bad)}")
     try:
-        # numpy >= 2 raises OverflowError for a Python int past int32
-        arr = np.asarray(rows, dtype=np.int32)
+        # numpy >= 2 raises OverflowError for a Python int past int32; an
+        # array's range is checked before the cast, which would wrap it
+        arr = table if is_array else np.asarray(table, dtype=np.int32)
         in_range = arr.min() >= 0 and arr.max() < n
     except OverflowError:
         in_range = False
     if not in_range:
         raise IndexOutOfRangeError(f"table entries must lie in 0..{n - 1}")
-    for a in greedy_generators(_spread_order(arr), lambda x, g: rows[x][g]):
+    arr = np.ascontiguousarray(arr, dtype=np.int32)
+    cols: dict = {}
+    for a in greedy_generators(_spread_order(arr), lambda x, g: cols[g][x]):
+        cols[a] = arr[:, a].tolist()
         # [x, y] -> (x*a)*y against x*(a*y), in one expression so that
         # neither n x n side outlives the comparison
         bad = arr[arr[:, a]] != arr[:, arr[a]]
@@ -151,7 +171,7 @@ def validate(table, names=None) -> FiniteSemigroup:
     ident = np.arange(n, dtype=np.int32)
     hits = np.flatnonzero((arr == ident).all(axis=1) & (arr.T == ident).all(axis=1))
     identity = int(hits[0]) if hits.size else None
-    return FiniteSemigroup(rows, arr, names, identity)
+    return FiniteSemigroup(arr, names, identity)
 
 
 def cayley_table(elems, mult, names=None) -> FiniteSemigroup:
@@ -178,8 +198,8 @@ def cayley_table(elems, mult, names=None) -> FiniteSemigroup:
     index = {x: i for i, x in enumerate(elems)}
     if len(index) != n:
         raise ValueError("the elements are not distinct")
-    # column y is the list x -> x*y; a gather keeps its entries the ints
-    # of ``index``, shared, rather than one new int object per entry
+    # column y is the list x -> x*y, read by the closure and the gathers;
+    # each goes into the int32 table, and is dropped, once all are known
     cols: dict = {}
 
     def step(x, a):
@@ -194,8 +214,10 @@ def cayley_table(elems, mult, names=None) -> FiniteSemigroup:
             cols[a] = [index[mult(x, g)] for x in elems]
         except KeyError:
             raise ValueError("the elements are not closed under the product") from None
-    rows = list(zip(*map(cols.__getitem__, range(n))))
-    return validate(rows, names=None if names is None else list(names))
+    table = np.empty((n, n), dtype=np.int32)
+    for y in range(n):
+        table[:, y] = cols.pop(y)
+    return validate(table, names=None if names is None else list(names))
 
 
 def _spread_order(arr) -> list[int]:
@@ -526,7 +548,7 @@ def generating_set(s: FiniteSemigroup) -> list[int]:
 #                            "names": optional, "identity": optional}
 
 def to_json_dict(s: FiniteSemigroup) -> dict:
-    doc = {"n": s.n, "table": [list(row) for row in s.table]}
+    doc = {"n": s.n, "table": s.np_table.tolist()}
     if s.names is not None:
         doc["names"] = list(s.names)
     if s.identity is not None:

@@ -33,6 +33,8 @@ class TraceContext:
         if letters is not None and len(letters) != graph.n:
             raise ValueError("letter list length differs from alphabet size")
         self.letters = letters
+        #: the display letters: those given, else a, b, c, ...
+        self.alphabet = letters or "".join(chr(ord("a") + i) for i in range(self.m))
 
     @classmethod
     def from_edges(cls, m: int, edges, letters: str | None = None) -> "TraceContext":
@@ -47,12 +49,11 @@ class TraceContext:
     def parse(self, text: str) -> "TraceWord":
         """Read a word written with this context's display letters;
         :class:`InputFormatError` if it is empty or has another letter."""
-        alphabet = self.letters or "".join(chr(ord("a") + i) for i in range(self.m))
         if not text:
             raise InputFormatError("a trace word needs at least one letter")
-        if not set(text) <= set(alphabet):
-            raise InputFormatError(f"letter outside alphabet {alphabet!r} in {text!r}")
-        return self.word(map(alphabet.index, text))
+        if not set(text) <= set(self.alphabet):
+            raise InputFormatError(f"letter outside alphabet {self.alphabet!r} in {text!r}")
+        return self.word(map(self.alphabet.index, text))
 
     def __eq__(self, other):
         return isinstance(other, TraceContext) and self.graph == other.graph
@@ -81,10 +82,7 @@ class TraceWord:
         return len(self.letters)
 
     def __str__(self):
-        alphabet = self.context.letters or "".join(
-            chr(ord("a") + i) for i in range(self.context.m)
-        )
-        return "".join(alphabet[x] for x in self.letters)
+        return "".join(map(self.context.alphabet.__getitem__, self.letters))
 
     def concat(self, other: "TraceWord") -> "TraceWord":
         _same_context(self, other)

@@ -8,8 +8,11 @@ string is pinned, so that a refactor that changes what a check reports
 fails here.
 """
 
+import random
+
 import pytest
 
+from involute import battery
 from involute.battery import run_battery
 
 
@@ -113,3 +116,12 @@ def test_the_order_cap_reaches_the_battery_lists():
     (r,) = run_battery(only={"full_transformations"}, order_cap=3)
     assert not r.passed
     assert "past the cap of 3" in r.detail
+
+
+def test_the_random_table_corpus_lets_only_non_associativity_pass(monkeypatch):
+    def broken(table, names=None):
+        raise TypeError("a fault in validate")
+
+    monkeypatch.setattr(battery, "validate", broken)
+    with pytest.raises(TypeError, match="a fault in validate"):
+        battery._random_table_semigroup(random.Random(0))

@@ -10,9 +10,10 @@ import hashlib
 import random
 import time
 
+import numpy as np
 import pytest
 
-from involute import battery, families, graphs
+from involute import battery, families, graphs, permgroups, semigroups
 from involute.cli import _FAMILIES, main
 from involute.errors import OrderBudgetExceededError
 from involute.graphs import SimpleGraph, frucht_semigroup
@@ -65,6 +66,35 @@ def test_column_fill_equals_every_product_computed(build, args, monkeypatch):
     assert s.table == ref.table
     assert s.names == ref.names
     assert s.identity == ref.identity
+
+
+@pytest.mark.parametrize("build, args", FAMILY_CASES)
+def test_validate_reads_an_array_as_it_reads_rows(build, args):
+    s = build(*args)
+    names = None if s.names is None else list(s.names)
+    rows = [list(row) for row in s.table]
+    from_rows, from_array = validate(rows, names), validate(np.array(rows), names)
+    assert np.array_equal(from_rows.np_table, s.np_table)
+    assert np.array_equal(from_array.np_table, s.np_table)
+    assert from_rows.np_table.dtype == from_array.np_table.dtype == np.int32
+    assert from_rows.table == from_array.table == s.table
+    assert from_rows.identity == from_array.identity == s.identity
+    assert from_rows.names == from_array.names == s.names
+
+
+def test_trusted_builders_hand_validate_an_array(monkeypatch):
+    seen = []
+
+    def spy(table, names=None):
+        seen.append(type(table))
+        return validate(table, names)
+
+    group = c_group(families.klein_four())
+    monkeypatch.setattr(semigroups, "validate", spy)
+    monkeypatch.setattr(permgroups, "validate", spy)
+    families.sym_group_table(3)
+    to_cayley_table(group)
+    assert seen == [np.ndarray, np.ndarray]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from involute.families import (
 )
 from involute.graphs import complete_graph, frucht_semigroup
 from involute.semigroups import (
+    TABLE_CAP,
     atoms,
     close_under,
     closure_of_subset,
@@ -112,6 +114,66 @@ def test_light_test_agrees_with_the_triple_loop():
             x, a, y = exc.witness
             assert t[t[x][a]][y] != t[x][t[a][y]], (t, exc.witness)
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 500
+
+
+def test_rows_and_arrays_get_one_verdict():
+    rng = random.Random(18)
+    verdicts = []
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        t = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        outcomes = []
+        for table in (t, np.array(t)):
+            try:
+                outcomes.append(validate(table).np_table.tolist())
+            except NotAssociativeError as exc:
+                x, a, y = exc.witness
+                assert t[t[x][a]][y] != t[x][t[a][y]], (t, exc.witness)
+                outcomes.append(exc.witness)
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] == t) == _is_associative(t), t
+        verdicts.append(outcomes[0] == t)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 300
+
+
+@pytest.mark.parametrize(
+    "table, error",
+    [
+        (np.array([[False]]), InputFormatError),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), InputFormatError),
+        (np.array([0]), InputFormatError),
+        (np.zeros((1, 1, 1), dtype=int), InputFormatError),
+        (np.zeros((2, 3), dtype=int), InputFormatError),
+        (np.zeros((0, 0), dtype=int), InputFormatError),
+        (np.array([[0, 2**31], [1, 0]], dtype=np.int64), IndexOutOfRangeError),
+        (np.array([[0, 2**32 + 1], [1, 0]], dtype=np.int64), IndexOutOfRangeError),
+        (np.array([[0, -1], [1, 0]], dtype=np.int8), IndexOutOfRangeError),
+    ],
+)
+def test_validate_refuses_arrays_as_it_refuses_rows(table, error):
+    with pytest.raises(error):
+        validate(table)
+
+
+def test_validate_keeps_a_c_contiguous_int32_array():
+    a = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    assert validate(a).np_table is a
+    assert validate(a.astype(np.int64)).np_table.dtype == np.int32
+
+
+def test_a_validated_array_cannot_be_written():
+    a = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    s = validate(a)
+    with pytest.raises(ValueError):
+        a[0, 0] = 1
+    with pytest.raises(ValueError):
+        s.dual().np_table[0, 0] = 1
+    assert s.table == ((0, 1), (1, 0)) and s.np_table.tolist() == [[0, 1], [1, 0]]
+
+
+def test_validate_refuses_a_large_array():
+    with pytest.raises(OrderBudgetExceededError):
+        validate(np.zeros((TABLE_CAP + 1, TABLE_CAP + 1), dtype=np.int32))
 
 
 @pytest.mark.parametrize(
@@ -310,6 +372,22 @@ def test_json_roundtrip(tmp_path, klein):
     path = tmp_path / "klein.json"
     path.write_text(json.dumps(doc))
     assert load_table(path).table == klein.table
+
+
+def _load_z300(tmp_path):
+    path = tmp_path / "z300.json"
+    path.write_text(json.dumps(to_json_dict(cyclic_group(300))))
+    return load_table(path)
+
+
+def test_load_table_builds_no_rows(tmp_path):
+    # the rows are built after the JSON lists are freed, not beside them
+    assert "table" not in _load_z300(tmp_path).__dict__
+
+
+def test_rows_read_from_json_share_one_int_per_element(tmp_path):
+    s = _load_z300(tmp_path)
+    assert len({id(x) for row in s.table for x in row}) == 300
 
 
 def test_json_rejects_inconsistencies():

@@ -38,6 +38,14 @@ def test_normal_form_examples():
     assert str(normal_form(ctx3.parse("bca"))) == "bca"
 
 
+def test_one_alphabet_for_reading_and_writing():
+    assert TraceContext.from_edges(3, []).alphabet == "abc"
+    named = TraceContext.from_edges(3, [(0, 2)], letters="xyz")
+    assert named.alphabet == "xyz"
+    assert named.parse("zyx").letters == (2, 1, 0)
+    assert str(named.word([2, 0, 1])) == "zxy"
+
+
 def test_normal_form_needs_only_one_commuting_route():
     # letters a<b<c with edges ab and bc: "cab" and "bca" are the same trace
     ctx = TraceContext.from_edges(3, [(0, 1), (1, 2)])
