@@ -14,11 +14,29 @@ are reproducible:
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from math import comb, factorial
 from operator import xor
 
 from .errors import OrderBudgetExceededError
 from .perms import compose, cycle_string, parity
 from .semigroups import FiniteSemigroup, TABLE_CAP, cayley_table
+
+
+def _refuse_past_cap(n: int, order) -> None:
+    """Refuse member n of a family, before any element is listed, if its
+    order, ``order(n)``, is past :data:`TABLE_CAP`.  ``order`` increases
+    with n, so it is evaluated from 1 up only until the first size past the
+    cap, however large n is."""
+    if any(order(k) > TABLE_CAP for k in range(1, n + 1)):
+        raise OrderBudgetExceededError(TABLE_CAP)
+
+
+def _bell(m: int) -> int:
+    """The number of partitions of m points: B(i+1) = sum_k C(i, k) B(k)."""
+    b = [1]
+    for i in range(m):
+        b.append(sum(comb(i, k) * b[k] for k in range(i + 1)))
+    return b[m]
 
 
 def cyclic_group(n: int) -> FiniteSemigroup:
@@ -62,8 +80,7 @@ def sym_group_table(n: int) -> FiniteSemigroup:
     """Sym(n) as a Cayley table over the lexicographically sorted permutations."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > 7:
-        raise OrderBudgetExceededError(TABLE_CAP)
+    _refuse_past_cap(n, factorial)
     elems = sorted(permutations(range(n)))
     return cayley_table(elems, compose, [cycle_string(p) for p in elems])
 
@@ -72,8 +89,7 @@ def full_transformation_monoid(n: int) -> FiniteSemigroup:
     """T_n: all maps on n points under composition (right factor acts first)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > 4:
-        raise OrderBudgetExceededError(TABLE_CAP)
+    _refuse_past_cap(n, lambda k: k**k)
     elems = list(product(range(n), repeat=n))
     return cayley_table(elems, compose, ["[" + " ".join(map(str, f)) + "]" for f in elems])
 
@@ -82,8 +98,7 @@ def symmetric_inverse_monoid(n: int) -> FiniteSemigroup:
     """I_n: all partial bijections on n points."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > 4:
-        raise OrderBudgetExceededError(TABLE_CAP)
+    _refuse_past_cap(n, lambda k: sum(comb(k, j) ** 2 * factorial(j) for j in range(k + 1)))
     elems = []
     for k in range(n + 1):
         for dom in combinations(range(n), k):
@@ -180,12 +195,12 @@ def _partition_name(p: tuple, n: int) -> str:
 
 
 def _partitions(n: int) -> list[tuple]:
-    """The partitions of the 2n points in element order.  An n outside 1..3
-    is refused before any is listed: P_4 has 4140 elements."""
+    """The partitions of the 2n points in element order.  There are
+    Bell(2n); past the cap they are refused before any is listed (P_4 has
+    4140)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > 3:
-        raise OrderBudgetExceededError(TABLE_CAP)
+    _refuse_past_cap(n, lambda k: _bell(2 * k))
     return sorted(_all_rgs(2 * n))
 
 
@@ -301,8 +316,7 @@ def elementary_abelian_two_group(k: int) -> FiniteSemigroup:
     """Z_2^k; element i is the bit vector of i, product is xor."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k >= TABLE_CAP.bit_length():  # 2**k > TABLE_CAP, decided without the power
-        raise OrderBudgetExceededError(TABLE_CAP)
+    _refuse_past_cap(k, lambda j: 2**j)
     return cayley_table(range(2**k), xor)
 
 
@@ -310,7 +324,6 @@ def alternating_group_table(n: int) -> FiniteSemigroup:
     """Alt(n) as a Cayley table (even permutations, lex sorted)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > 6:
-        raise OrderBudgetExceededError(TABLE_CAP)
+    _refuse_past_cap(n, lambda k: factorial(k) // 2)
     elems = [p for p in sorted(permutations(range(n))) if parity(p) == 0]
     return cayley_table(elems, compose, [cycle_string(p) for p in elems])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -34,14 +34,17 @@ class FiniteSemigroup:
 
     ``np_table``, the table as an int32 array, is trusted and made read-only
     by the constructor; ``table``, its rows as tuples, is built on first read.
+    ``dual_of``, if given, is the semigroup whose transposed table this is:
+    the Green labels and fingerprints are then read off it, not recomputed.
     """
 
-    def __init__(self, np_table, names, identity):
+    def __init__(self, np_table, names, identity, dual_of: "FiniteSemigroup | None" = None):
         np_table.flags.writeable = False
         self.np_table = np_table
         self.n = len(np_table)
         self.names = names
         self.identity = identity
+        self.dual_of = dual_of
         #: results of searches on this table, filled by :mod:`involute.morphisms`
         self.search_cache: dict = {}
 
@@ -55,14 +58,26 @@ class FiniteSemigroup:
         return bool((a == a.T).all())
 
     @cached_property
+    def green_labels(self) -> tuple:
+        """The R, L and D labels and the left and right translation ranks of
+        :func:`_green_labels`; a dual trades R for L and left for right."""
+        if self.dual_of is None:
+            return _green_labels(self.np_table)
+        r, l, d, left, right = self.dual_of.green_labels
+        return l, r, d, right, left
+
+    @cached_property
     def green(self) -> "GreenStructure":
         return green_relations(self)
 
     @cached_property
     def fingerprint_rows(self) -> np.ndarray:
         """The element fingerprints as an (n, 8) int array, fields in
-        :class:`ElementFingerprint` order."""
-        return _compute_fingerprints(self)
+        :class:`ElementFingerprint` order; a dual's are the original's
+        with the columns swapped as by :meth:`ElementFingerprint.swapped`."""
+        if self.dual_of is None:
+            return _compute_fingerprints(self.np_table, self.green_labels)
+        return self.dual_of.fingerprint_rows[:, _SWAPPED]
 
     @cached_property
     def fingerprints(self) -> tuple["ElementFingerprint", ...]:
@@ -71,9 +86,14 @@ class FiniteSemigroup:
             for row in self.fingerprint_rows.tolist()
         )
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The generating set of :func:`generating_set`, picked once."""
+        return tuple(_greedy_generating_set(self))
+
     def dual(self) -> "FiniteSemigroup":
         """The opposite semigroup: the transposed table, a new instance."""
-        return FiniteSemigroup(np.ascontiguousarray(self.np_table.T), self.names, self.identity)
+        return FiniteSemigroup(np.ascontiguousarray(self.np_table.T), self.names, self.identity, self)
 
     def name_of(self, x: int) -> str:
         return self.names[x] if self.names is not None else str(x)
@@ -132,7 +152,7 @@ def validate(table, names=None) -> FiniteSemigroup:
     n = len(table)
     if n == 0:
         raise InputFormatError("empty table")
-    if any(len(row) != n for row in table):
+    if table.shape[1] != n if is_array else any(len(row) != n for row in table):
         raise InputFormatError("table is not square")
     if n > TABLE_CAP:
         raise OrderBudgetExceededError(TABLE_CAP)
@@ -184,10 +204,11 @@ def cayley_table(elems, mult, names=None) -> FiniteSemigroup:
     picked by :func:`greedy_generators` in index order; a column is filled
     when its generator is yielded.  Every other y is met while closing
     under them as y = y'*a, and its column is column a gathered by column
-    y', since x*y = (x*y')*a.  That is associativity: the table is the
-    product table only for an associative ``mult``, and
-    ``tests/test_cayley_table.py`` checks it against every product on each
-    family.  Raises :class:`OrderBudgetExceededError` past
+    y', since x*y = (x*y')*a: one ``take`` between rows of one int32 array
+    of the columns, which ``validate`` receives transposed.  That is
+    associativity: the table is the product table only for an associative
+    ``mult``, and ``tests/test_cayley_table.py`` checks it against every
+    product on each family.  Raises :class:`OrderBudgetExceededError` past
     :data:`TABLE_CAP` before any product, and ``ValueError`` if a product
     falls outside ``elems``.
     """
@@ -198,31 +219,32 @@ def cayley_table(elems, mult, names=None) -> FiniteSemigroup:
     index = {x: i for i, x in enumerate(elems)}
     if len(index) != n:
         raise ValueError("the elements are not distinct")
-    # column y is the list x -> x*y, read by the closure and the gathers;
-    # each goes into the int32 table, and is dropped, once all are known
-    cols: dict = {}
+    # row y of ``cols`` is column y of the table, x -> x*y; a generator's
+    # column is also kept as a list, for the closure's lookups
+    cols = np.empty((n, n), dtype=np.int32)
+    filled = bytearray(n)
+    lookup: dict = {}
 
     def step(x, a):
-        y = cols[a][x]
-        if y not in cols:
-            cols[y] = list(map(cols[a].__getitem__, cols[x]))
+        y = lookup[a][x]
+        if not filled[y]:
+            cols[a].take(cols[x], out=cols[y], mode="clip")
+            filled[y] = 1
         return y
 
     for a in greedy_generators(range(n), step):
         g = elems[a]
         try:
-            cols[a] = [index[mult(x, g)] for x in elems]
+            lookup[a] = cols[a] = [index[mult(x, g)] for x in elems]
         except KeyError:
             raise ValueError("the elements are not closed under the product") from None
-    table = np.empty((n, n), dtype=np.int32)
-    for y in range(n):
-        table[:, y] = cols.pop(y)
-    return validate(table, names=None if names is None else list(names))
+        filled[a] = 1
+    return validate(cols.T, names=None if names is None else list(names))
 
 
 def _spread_order(arr) -> list[int]:
     """The elements, most distinct row plus column entries first, then by index."""
-    left, right = _translation_ranks(arr)
+    left, right = _translation_ranks(*_occurrence_masks(arr))
     spread = (left + right).tolist()
     return sorted(range(len(arr)), key=lambda x: (-spread[x], x))
 
@@ -270,10 +292,9 @@ def _occurrence_masks(arr) -> tuple[np.ndarray, np.ndarray]:
     return in_row, in_col
 
 
-def _translation_ranks(arr) -> tuple[np.ndarray, np.ndarray]:
-    """(|Sx|, |xS|) for every x: the number of distinct values in x's column
-    and in x's row."""
-    in_row, in_col = _occurrence_masks(arr)
+def _translation_ranks(in_row, in_col) -> tuple[np.ndarray, np.ndarray]:
+    """(|Sx|, |xS|) for every x, from the occurrence masks: the number of
+    distinct values in x's column and in x's row."""
     return in_col.sum(axis=1), in_row.sum(axis=1)
 
 
@@ -300,7 +321,8 @@ def _partition(labels) -> tuple:
 def _join(r, l) -> np.ndarray:
     """Labels of the join of two labelled partitions, the least partition
     that both refine: union-find over the labels of ``r``, merging the
-    r-classes that meet a common l-class."""
+    r-classes that meet a common l-class.  The labels are numbered in order
+    of first appearance, as :func:`_row_labels` numbers them."""
     root = list(range(int(r.max()) + 1))
 
     def find(a):
@@ -311,16 +333,18 @@ def _join(r, l) -> np.ndarray:
     met: dict = {}                          # l label -> an r label met in that l-class
     for a, b in zip(r.tolist(), l.tolist()):
         root[find(a)] = find(met.setdefault(b, a))
-    return np.array([find(a) for a in r.tolist()])
+    first: dict = {}
+    return np.array([first.setdefault(find(a), len(first)) for a in r.tolist()])
 
 
-def green_relations(s: FiniteSemigroup) -> GreenStructure:
-    """Green's relations from principal-ideal equalities, as whole-table kernels.
+def _green_labels(arr) -> tuple:
+    """Labels of the R, L and D classes of every element, and its translation
+    ranks (|Sx|, |xS|), from one pass of :func:`_occurrence_masks`.
 
     The identity of S^1 is adjoined virtually: the masks R[x] = xS^1 and
     L[y] = S^1y are the row and column occurrence masks with the element
-    itself added.  R and L label equal bit-packed masks; H is the pair of
-    the two labels.
+    itself added, after the ranks are read.  R and L label equal bit-packed
+    masks.
 
     J is computed on its own, not from D: J(x) = S^1xS^1 is the union of
     the right ideals yS^1 over y in S^1x.  Proof: every element of S^1xS^1
@@ -331,22 +355,34 @@ def green_relations(s: FiniteSemigroup) -> GreenStructure:
     members, and shared by the whole L class.
 
     D is the join of R and L, from a union-find over the R labels.  On a
-    finite semigroup D and J must agree, which is asserted here.
+    finite semigroup D and J must agree, which is asserted here, so on
+    every computation of the fingerprints or of :func:`green_relations`.
     """
-    n = s.n
-    in_row, in_col = _occurrence_masks(s.np_table)
+    n = len(arr)
+    in_row, in_col = _occurrence_masks(arr)
+    left_rank, right_rank = _translation_ranks(in_row, in_col)
     diag = np.arange(n)
     in_row[diag, diag] = True
     in_col[diag, diag] = True
     r_bits = np.packbits(in_row, axis=1)
     r, l = _row_labels(r_bits), _row_labels(np.packbits(in_col, axis=1))
     l_reps = np.empty(l.max() + 1, dtype=np.intp)
-    l_reps[l] = np.arange(n)                # one member of each L class
+    l_reps[l] = diag                        # one member of each L class
     j_bits = np.array([np.bitwise_or.reduce(r_bits[in_col[y]]) for y in l_reps.tolist()])
+    # numbered by first appearance too: the L labels are, and the labels of
+    # j_bits follow the L labels
     j = _row_labels(j_bits)[l]
-    d_part, j_part = _partition(_join(r, l)), _partition(j)
-    assert d_part == j_part, "D != J on a finite semigroup: computation bug"
-    return GreenStructure(_partition(r), _partition(l), _partition(r * n + l), d_part, j_part)
+    d = _join(r, l)
+    assert np.array_equal(d, j), "D != J on a finite semigroup: computation bug"
+    return r, l, d, left_rank, right_rank
+
+
+def green_relations(s: FiniteSemigroup) -> GreenStructure:
+    """Green's relations of S, read off the labels of :func:`_green_labels`:
+    H is the pair of the R and L labels, and J is D."""
+    r, l, d = s.green_labels[:3]
+    d_part = _partition(d)
+    return GreenStructure(_partition(r), _partition(l), _partition(r * s.n + l), d_part, d_part)
 
 
 @dataclass(frozen=True)
@@ -370,16 +406,13 @@ class ElementFingerprint:
     right_mult_rank: int
 
     def swapped(self) -> "ElementFingerprint":
-        return ElementFingerprint(
-            self.is_idempotent,
-            self.index,
-            self.period,
-            self.l_class_size,
-            self.r_class_size,
-            self.d_class_size,
-            self.right_mult_rank,
-            self.left_mult_rank,
-        )
+        values = astuple(self)
+        return ElementFingerprint(*(values[i] for i in _SWAPPED))
+
+
+#: The field order of a fingerprint on the dual semigroup: R and L class
+#: sizes trade places, as do the left and right translation ranks.
+_SWAPPED = [0, 1, 2, 4, 3, 5, 7, 6]
 
 
 def index_and_period(s: FiniteSemigroup, x: int) -> tuple[int, int]:
@@ -427,30 +460,19 @@ def _indices_and_periods(arr) -> tuple[np.ndarray, np.ndarray]:
     return index, period
 
 
-def _class_sizes(partition, n) -> list[int]:
-    size = [0] * n
-    for cls in partition:
-        k = len(cls)
-        for x in cls:
-            size[x] = k
-    return size
-
-
-def _compute_fingerprints(s: FiniteSemigroup) -> np.ndarray:
+def _compute_fingerprints(arr, green_labels) -> np.ndarray:
     """The element fingerprints as an (n, 8) integer array, one row per
     element and one column per :class:`ElementFingerprint` field, in field
-    order.  The class sizes are read off ``s.green``."""
-    n, arr = s.n, s.np_table
-    green = s.green
-    left_rank, right_rank = _translation_ranks(arr)
+    order.  The class sizes are counts of the labels."""
+    r, l, d, left_rank, right_rank = green_labels
     index, period = _indices_and_periods(arr)
     return np.column_stack((
-        np.diagonal(arr) == np.arange(n),
+        np.diagonal(arr) == np.arange(len(arr)),
         index,
         period,
-        _class_sizes(green.r_classes, n),
-        _class_sizes(green.l_classes, n),
-        _class_sizes(green.d_classes, n),
+        np.bincount(r)[r],
+        np.bincount(l)[l],
+        np.bincount(d)[d],
         left_rank,
         right_rank,
     )).astype(np.int64)
@@ -531,8 +553,13 @@ def generating_set(s: FiniteSemigroup) -> list[int]:
 
     Preference order for the next generator: largest monogenic subsemigroup,
     then most distinct row/column values, then rarest fingerprint, then
-    lowest index.  The ties matter only for search speed downstream.
+    lowest index.  The ties matter only for search speed downstream.  The
+    pick is made once per instance, and each call returns a new list.
     """
+    return list(s.generators)
+
+
+def _greedy_generating_set(s: FiniteSemigroup) -> list[int]:
     fps = s.fingerprint_rows
     cls = _row_labels(fps)
     class_size = np.bincount(cls)[cls].tolist()

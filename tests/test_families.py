@@ -1,5 +1,6 @@
 import pytest
 
+from involute import families
 from involute.errors import OrderBudgetExceededError
 from involute.families import (
     alternating_group_table,
@@ -112,6 +113,31 @@ def test_partition_families_refuse_n_outside_1_to_3(build):
     with pytest.raises(OrderBudgetExceededError) as exc:
         build(4)  # P_4 has 4140 elements
     assert exc.value.limit == TABLE_CAP
+
+
+#: Each family with an order formula: its builder, the largest n it accepts,
+#: the order there, and what it lists its elements with.
+FAMILY_ORDERS = {
+    "sym": (sym_group_table, 6, 720, "permutations"),
+    "alt": (alternating_group_table, 6, 360, "permutations"),
+    "t": (full_transformation_monoid, 4, 256, "product"),
+    "i": (symmetric_inverse_monoid, 4, 209, "combinations"),
+    "p": (partition_monoid, 3, 203, "_all_rgs"),
+    "istar": (dual_symmetric_inverse_monoid, 3, 25, "_all_rgs"),
+    "star": (star_map, 3, 203, "_all_rgs"),
+    "z2k": (elementary_abelian_two_group, 10, 1024, "xor"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_ORDERS))
+def test_families_refuse_past_the_cap_before_listing_any_element(name, monkeypatch):
+    build, largest, order, lister = FAMILY_ORDERS[name]
+    assert len(build(largest)) == order
+    monkeypatch.setattr(families, lister, None)     # listing would now raise TypeError
+    for n in (largest + 1, largest + 2, 10**12):
+        with pytest.raises(OrderBudgetExceededError) as exc:
+            build(n)
+        assert str(exc.value) == f"group or table size exceeded the configured cap of {TABLE_CAP}"
 
 
 def test_rectangular_band():

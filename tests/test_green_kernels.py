@@ -6,9 +6,11 @@ the kernels replaced (which take each element's index and period from
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from involute.battery import _completeness_corpus
+from involute import semigroups
+from involute.battery import _completeness_corpus, run_battery
 from involute.families import (
     cyclic_group,
     direct_product_table,
@@ -152,9 +154,18 @@ def _assert_matches_reference(s):
     assert generating_set(s) == reference_generating_set(s, fps)
 
 
+def _assert_dual_matches_the_reference(s):
+    """The dual's fingerprints, read off ``s``, agree with those of the
+    transposed table validated afresh and with the references."""
+    d = s.dual()
+    assert np.array_equal(d.fingerprint_rows, validate(s.np_table.T.copy()).fingerprint_rows)
+    _assert_matches_reference(d)
+
+
 def test_kernels_match_the_reference_on_the_completeness_corpus():
     for s in _completeness_corpus(random.Random(0xCA11)):
         _assert_matches_reference(s)
+        _assert_dual_matches_the_reference(s)
 
 
 def test_kernels_match_the_reference_on_cyclic_groups():
@@ -167,8 +178,7 @@ def test_kernels_match_the_reference_on_named_tables(name):
     build, *args = NAMED_TABLES[name]
     s = build(*args)
     _assert_matches_reference(s)
-    if not s.is_commutative:
-        _assert_matches_reference(s.dual())
+    _assert_dual_matches_the_reference(s)
 
 
 def _monogenic(index, period):
@@ -194,3 +204,79 @@ def test_kernels_match_the_reference_on_random_transformation_semigroups():
     assert sum(s.identity is None for s in tables) >= 20  # most have no identity
     for s in tables:
         _assert_matches_reference(s)
+
+
+def test_a_dual_reads_its_green_structure_off_the_original(monkeypatch):
+    s = full_transformation_monoid(3)
+    g = s.green
+    monkeypatch.setattr(semigroups, "_occurrence_masks", None)  # a kernel would now raise
+    d = s.dual()
+    assert d.green == GreenStructure(g.l_classes, g.r_classes, g.h_classes, g.d_classes, g.j_classes)
+    assert d.fingerprints == tuple(fp.swapped() for fp in s.fingerprints)
+
+
+def test_a_broken_d_join_fails_the_fingerprints(monkeypatch):
+    monkeypatch.setattr(semigroups, "_join", lambda r, l: np.arange(len(r)))
+    s = rectangular_band(2, 2)              # one D class of four elements
+    with pytest.raises(AssertionError, match="D != J"):
+        s.fingerprint_rows
+    with pytest.raises(AssertionError, match="D != J"):
+        s.dual().fingerprint_rows
+
+
+@pytest.fixture(scope="module")
+def battery_work():
+    """One pass of the battery, with every table it builds, the tables each
+    occurrence-mask pass, Green kernel and power walk ran on, and each
+    greedy pick of a generating set."""
+    work = {"tables": [], "masks": [], "kernels": [], "powers": [], "picks": []}
+
+    def spying(name, key, arg=lambda a: a):
+        real = getattr(semigroups, name)
+
+        def spy(*args):
+            work[key].append(arg(args[0]))
+            return real(*args)
+
+        return spy
+
+    real_init = semigroups.FiniteSemigroup.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        work["tables"].append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semigroups.FiniteSemigroup, "__init__", init)
+        for name, key in (("_occurrence_masks", "masks"), ("_green_labels", "kernels"),
+                          ("_indices_and_periods", "powers"), ("_greedy_generating_set", "picks")):
+            mp.setattr(semigroups, name, spying(name, key))
+        assert all(r.passed for r in run_battery())
+    return work
+
+
+def test_each_table_runs_the_occurrence_masks_at_most_twice(battery_work):
+    passes = Counter(map(id, battery_work["masks"]))
+    # once in validate, once for the fingerprints; the random tables that
+    # validate rejects run it once
+    assert max(passes.values()) == 2
+    assert sum(passes[id(s.np_table)] == 2 for s in battery_work["tables"]) >= 300
+
+
+def test_a_dual_runs_no_green_kernel(battery_work):
+    duals = [s for s in battery_work["tables"] if s.dual_of is not None]
+    ran = Counter(map(id, battery_work["masks"] + battery_work["kernels"] + battery_work["powers"]))
+    assert sum("fingerprint_rows" in vars(d) for d in duals) >= 50
+    assert not any(ran[id(d.np_table)] for d in duals)
+
+
+def test_each_table_picks_its_generating_set_once(battery_work):
+    picks = Counter(map(id, battery_work["picks"]))
+    assert max(picks.values()) == 1
+    assert len(picks) >= 300
+    s = battery_work["picks"][0]
+    gens = generating_set(s)
+    gens.append(-1)
+    gens[0] = -1
+    assert generating_set(s) == list(s.generators) != gens
+    assert isinstance(s.generators, tuple)

@@ -161,6 +161,20 @@ def test_validate_keeps_a_c_contiguous_int32_array():
     assert validate(a.astype(np.int64)).np_table.dtype == np.int32
 
 
+class _Unrowed(np.ndarray):
+    """An array whose rows cannot be iterated over."""
+
+    def __iter__(self):
+        raise AssertionError("the rows of an array were walked")
+
+
+def test_validate_reads_an_arrays_shape_not_its_rows():
+    t = cyclic_group(6).np_table.copy()
+    assert validate(t.view(_Unrowed)).np_table.tolist() == t.tolist()
+    with pytest.raises(InputFormatError, match="not square"):
+        validate(t[:, :5].view(_Unrowed))
+
+
 def test_a_validated_array_cannot_be_written():
     a = np.array([[0, 1], [1, 0]], dtype=np.int32)
     s = validate(a)
