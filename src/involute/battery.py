@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product, starmap
 from math import factorial
 
 from . import families
-from .errors import NotAssociativeError, OrderBudgetExceededError
+from .errors import OrderBudgetExceededError
 from .graphs import (
     complete_graph,
     cycle_graph,
@@ -72,6 +72,19 @@ def _run(name, bound, fn) -> CheckResult:
     return CheckResult(name, ok, detail, elapsed, bound)
 
 
+def _rows(prefix, rows):
+    """A check that reports one row per case: all its rows good, and
+    ``prefix`` followed by their texts.  ``rows`` yields (good, text)."""
+    rows = list(rows)
+    return all(good for good, _ in rows), prefix + " ".join(text for _, text in rows)
+
+
+def _c_like(s: FiniteSemigroup, model: FiniteSemigroup, kw):
+    """C(S), and whether its Cayley table is isomorphic to ``model``."""
+    c = c_group(s, **kw)
+    return c, find_isomorphism(to_cayley_table(c), model) is not None
+
+
 def _z2_times_sym(n: int) -> FiniteSemigroup:
     return families.direct_product_table(
         families.cyclic_group(2), families.sym_group_table(n)
@@ -85,27 +98,26 @@ def _aut_as_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
 
 # --- the Klein four-group -------------------------------------------------
 
-def _check_klein(opts):
+def _check_klein(kw):
     k = families.klein_four()
-    auts = enumerate_automorphisms(k, budget=opts.budget, cap=opts.order_cap)
-    invs = involutions(k, budget=opts.budget, cap=opts.order_cap)
-    c = c_group(k, budget=opts.budget, cap=opts.order_cap)
-    iso = find_isomorphism(to_cayley_table(c), families.sym_group_table(3))
-    ok = len(auts) == 6 and len(invs) == 3 and c.order == 6 and iso is not None
-    return ok, f"|Aut|={len(auts)} |I|={len(invs)} |C|={c.order} C~Sym(3)={iso is not None}"
+    auts = enumerate_automorphisms(k, **kw)
+    invs = involutions(k, **kw)
+    c, iso = _c_like(k, families.sym_group_table(3), kw)
+    ok = len(auts) == 6 and len(invs) == 3 and c.order == 6 and iso
+    return ok, f"|Aut|={len(auts)} |I|={len(invs)} |C|={c.order} C~Sym(3)={iso}"
 
 
 # --- cyclic groups: C(Z_n) is an elementary abelian 2-group ----------------
 
-def _check_zn_sweep(opts):
+def _check_zn_sweep(kw):
     failures = []
     for n in range(2, 201):
         zn = families.cyclic_group(n)
         r = families.r_of_n(n)
         # independent arithmetic oracle for the R(n) formula
         solutions = sum(1 for k in range(n) if (k * k) % n == 1)
-        invs = involutions(zn, budget=opts.budget, cap=opts.order_cap)
-        c = c_group(zn, budget=opts.budget, cap=opts.order_cap)
+        invs = involutions(zn, **kw)
+        c = c_group(zn, **kw)
         one = identity_tuple(n)
         good = (
             solutions == 2**r
@@ -120,85 +132,71 @@ def _check_zn_sweep(opts):
 
 # --- symmetric groups: C = Z_2 x Sym(n) ------------------------------------
 
-def _check_symmetric_groups(opts):
-    parts = []
-    ok = True
-    for n in (3, 4, 5):
+def _check_symmetric_groups(kw):
+    def row(n):
         s = families.sym_group_table(n)
-        auts = enumerate_automorphisms(s, budget=opts.budget, cap=opts.order_cap)
-        c = c_group(s, budget=opts.budget, cap=opts.order_cap)
-        iso = find_isomorphism(to_cayley_table(c), _z2_times_sym(n))
-        good = len(auts) == s.n and c.order == 2 * s.n and iso is not None
-        ok = ok and good
-        parts.append(f"n={n}:|C|={c.order}{'' if good else '!'}")
-    return ok, " ".join(parts)
+        auts = enumerate_automorphisms(s, **kw)
+        c, iso = _c_like(s, _z2_times_sym(n), kw)
+        good = len(auts) == s.n and c.order == 2 * s.n and iso
+        return good, f"n={n}:|C|={c.order}{'' if good else '!'}"
+
+    return _rows("", map(row, (3, 4, 5)))
 
 
-def _check_sym6_stretch(opts):
+def _check_sym6_stretch(kw):
     s = families.sym_group_table(6)
-    auts = enumerate_automorphisms(s, budget=opts.budget, cap=opts.order_cap)
+    auts = enumerate_automorphisms(s, **kw)
     return len(auts) == 1440, f"|Aut(Sym(6))|={len(auts)} (outer automorphism included)"
 
 
 # --- full transformation monoids: no anti-automorphisms --------------------
 
-def _t_laws(n, opts):
+def _t_laws(n, kw):
     s = families.full_transformation_monoid(n)
-    auts = enumerate_automorphisms(s, budget=opts.budget, cap=opts.order_cap)
-    antis = enumerate_anti_automorphisms(s, budget=opts.budget, cap=opts.order_cap)
-    c = c_group(s, budget=opts.budget, cap=opts.order_cap)
+    auts = enumerate_automorphisms(s, **kw)
+    antis = enumerate_anti_automorphisms(s, **kw)
+    c = c_group(s, **kw)
     good = len(antis) == 0 and len(auts) == factorial(n) and c.order == 1
     return good, f"T{n}:|Aut|={len(auts)},|Aut-|={len(antis)},|C|={c.order}"
 
 
-def _check_full_transformations(opts):
-    ok2, d2 = _t_laws(2, opts)
-    ok3, d3 = _t_laws(3, opts)
-    return ok2 and ok3, f"{d2} {d3}"
+def _check_full_transformations(kw):
+    return _rows("", (_t_laws(n, kw) for n in (2, 3)))
 
 
-def _check_t4_stretch(opts):
-    return _t_laws(4, opts)
+def _check_t4_stretch(kw):
+    return _t_laws(4, kw)
 
 
 # --- symmetric and dual symmetric inverse monoids --------------------------
 
-def _check_inverse_monoids(opts):
-    parts = []
-    ok = True
-    for n in (2, 3):
+def _check_inverse_monoids(kw):
+    def row(n):
         s = families.symmetric_inverse_monoid(n)
-        auts = enumerate_automorphisms(s, budget=opts.budget, cap=opts.order_cap)
-        c = c_group(s, budget=opts.budget, cap=opts.order_cap)
-        iso = find_isomorphism(to_cayley_table(c), _z2_times_sym(n))
-        good = len(auts) == factorial(n) and iso is not None
-        ok = ok and good
-        parts.append(f"I{n}:|Aut|={len(auts)},|C|={c.order},Z2xSym({n})={iso is not None}")
-    istar = families.dual_symmetric_inverse_monoid(3)
-    auts = enumerate_automorphisms(istar, budget=opts.budget, cap=opts.order_cap)
-    c = c_group(istar, budget=opts.budget, cap=opts.order_cap)
-    iso = find_isomorphism(to_cayley_table(c), _z2_times_sym(3))
-    good = istar.n == 25 and len(auts) == 6 and c.order == 12 and iso is not None
-    ok = ok and good
-    parts.append(f"I*3:|Aut|={len(auts)},|C|={c.order}")
-    return ok, " ".join(parts)
+        auts = enumerate_automorphisms(s, **kw)
+        c, iso = _c_like(s, _z2_times_sym(n), kw)
+        return len(auts) == factorial(n) and iso, f"I{n}:|Aut|={len(auts)},|C|={c.order},Z2xSym({n})={iso}"
+
+    def dual_row():
+        istar = families.dual_symmetric_inverse_monoid(3)
+        auts = enumerate_automorphisms(istar, **kw)
+        c, iso = _c_like(istar, _z2_times_sym(3), kw)
+        good = istar.n == 25 and len(auts) == 6 and c.order == 12 and iso
+        return good, f"I*3:|Aut|={len(auts)},|C|={c.order}"
+
+    return _rows("", [row(2), row(3), dual_row()])
 
 
 # --- partition monoids and the * map ---------------------------------------
 
-def _check_partition_monoids(opts):
-    parts = []
-    ok = True
-    for n in (2, 3):
+def _check_partition_monoids(kw):
+    def row(n):
         s = families.partition_monoid(n)
-        star = families.star_map(n)
-        proper = is_proper_involution(star, s)
-        c = c_group(s, budget=opts.budget, cap=opts.order_cap)
-        iso = find_isomorphism(to_cayley_table(c), _z2_times_sym(n))
-        good = proper and iso is not None
-        ok = ok and good
-        parts.append(f"P{n}:star proper={proper},|C|={c.order},Z2xSym({n})={iso is not None}")
-    return ok, " ".join(parts)
+        proper = is_proper_involution(families.star_map(n), s)
+        c, iso = _c_like(s, _z2_times_sym(n), kw)
+        return proper and iso, f"P{n}:star proper={proper},|C|={c.order},Z2xSym({n})={iso}"
+
+    return _rows("", map(row, (2, 3)))
 
 
 # --- rectangular and square bands ------------------------------------------
@@ -211,22 +209,23 @@ def _band_delta(sig, tau, n):
     return tuple(sig[i % n] * n + tau[i // n] for i in range(n * n))
 
 
-def _check_rectangular_bands(opts):
-    b23 = families.rectangular_band(2, 3)
-    antis = enumerate_anti_automorphisms(b23, budget=opts.budget, cap=opts.order_cap)
-    c23 = c_group(b23, budget=opts.budget, cap=opts.order_cap)
-    ok = len(antis) == 0 and c23.order == 1
-    parts = [f"2x3:|Aut-|={len(antis)},|C|={c23.order}"]
-    for n in (2, 3):
+def _check_rectangular_bands(kw):
+    def oblong():
+        b23 = families.rectangular_band(2, 3)
+        antis = enumerate_anti_automorphisms(b23, **kw)
+        c23 = c_group(b23, **kw)
+        return len(antis) == 0 and c23.order == 1, f"2x3:|Aut-|={len(antis)},|C|={c23.order}"
+
+    def square(n):
         b = families.rectangular_band(n, n)
         fact = factorial(n)
-        auts = enumerate_automorphisms(b, budget=opts.budget, cap=opts.order_cap)
-        signed = signed_aut_order(b, budget=opts.budget, cap=opts.order_cap)
-        invs = involutions(b, budget=opts.budget, cap=opts.order_cap)
+        auts = enumerate_automorphisms(b, **kw)
+        signed = signed_aut_order(b, **kw)
+        invs = involutions(b, **kw)
         syms = [tuple(p) for p in permutations(range(n))]
         expected_inv = {_band_delta(s, invert(s), n) for s in syms}
         got_inv = set(invs)
-        c = c_group(b, budget=opts.budget, cap=opts.order_cap)
+        c = c_group(b, **kw)
         expected_c = set()
         for s in syms:
             for t in syms:
@@ -242,9 +241,9 @@ def _check_rectangular_bands(opts):
             and got_c == expected_c
             and c.order == fact * fact
         )
-        ok = ok and good
-        parts.append(f"{n}x{n}:|Aut|={len(auts)},|I|={len(invs)},|C|={c.order}{'' if good else '!'}")
-    return ok, " ".join(parts)
+        return good, f"{n}x{n}:|Aut|={len(auts)},|I|={len(invs)},|C|={c.order}{'' if good else '!'}"
+
+    return _rows("", [oblong(), square(2), square(3)])
 
 
 # --- doubled semigroups ----------------------------------------------------
@@ -262,33 +261,30 @@ def _doubled_expected_involutions(aut_maps, n):
     return out
 
 
-def _check_doubled_semigroups(opts):
+def _check_doubled_semigroups(kw):
     cases = [
         ("LZ2", validate([[0, 0], [1, 1]])),
         ("LZ3", validate([[0, 0, 0], [1, 1, 1], [2, 2, 2]])),
         ("T2", families.full_transformation_monoid(2)),
         ("T3", families.full_transformation_monoid(3)),
     ]
-    ok = True
-    parts = []
-    for label, s in cases:
-        auts = enumerate_automorphisms(s, budget=opts.budget, cap=opts.order_cap)
+
+    def row(label, s):
+        auts = enumerate_automorphisms(s, **kw)
         d = families.doubled_semigroup(s)
-        d_auts = enumerate_automorphisms(d, budget=opts.budget, cap=opts.order_cap)
-        d_invs = involutions(d, budget=opts.budget, cap=opts.order_cap)
+        d_auts = enumerate_automorphisms(d, **kw)
+        d_invs = involutions(d, **kw)
         expected = _doubled_expected_involutions(auts, s.n)
-        c = c_group(d, budget=opts.budget, cap=opts.order_cap)
-        kg = k_group(to_cayley_table(_aut_as_group(s, budget=opts.budget, cap=opts.order_cap)))
+        c = c_group(d, **kw)
+        kg = k_group(to_cayley_table(_aut_as_group(s, **kw)))
         good = (
             len(d_auts) == len(auts) ** 2
             and set(d_invs) == expected
             and c.order == 2 * kg.order
         )
-        ok = ok and good
-        parts.append(
-            f"{label}:|Aut(D)|={len(d_auts)},|I(D)|={len(d_invs)},|C(D)|={c.order},2|K|={2 * kg.order}"
-        )
-    return ok, " ".join(parts)
+        return good, f"{label}:|Aut(D)|={len(d_auts)},|I(D)|={len(d_invs)},|C(D)|={c.order},2|K|={2 * kg.order}"
+
+    return _rows("", starmap(row, cases))
 
 
 # --- the graph-to-semigroup construction -----------------------------------
@@ -310,24 +306,22 @@ def _frucht_corpus():
     ]
 
 
-def _check_frucht(opts):
-    ok = True
-    parts = []
-    for label, g in _frucht_corpus():
+def _check_frucht(kw):
+    def row(label, g):
         s = frucht_semigroup(g)
         graph_auts = graph_automorphisms(g)
-        semi_auts = enumerate_automorphisms(s, budget=opts.budget, cap=opts.order_cap)
-        c_semi = c_group(s, budget=opts.budget, cap=opts.order_cap)
-        c_graph = graph_involution_group(g, cap=opts.order_cap)
+        semi_auts = enumerate_automorphisms(s, **kw)
+        c_semi = c_group(s, **kw)
+        c_graph = graph_involution_group(g, cap=kw["cap"])
         good = len(semi_auts) == len(graph_auts) and c_semi.order == c_graph.order
-        ok = ok and good
-        parts.append(f"{label}:{len(semi_auts)}/{c_semi.order}{'' if good else '!'}")
-    return ok, f"|Aut(S)|/|C(S)| per graph: " + " ".join(parts)
+        return good, f"{label}:{len(semi_auts)}/{c_semi.order}{'' if good else '!'}"
+
+    return _rows("|Aut(S)|/|C(S)| per graph: ", starmap(row, _frucht_corpus()))
 
 
 # --- every permutation is a product of two involutions ---------------------
 
-def _check_factorization(opts):
+def _check_factorization(kw):
     count = 0
     for n in range(1, 7):
         one = identity_tuple(n)
@@ -360,10 +354,8 @@ def _kgroup_corpus():
     return out
 
 
-def _check_k_groups(opts):
-    ok = True
-    parts = []
-    for label, table in _kgroup_corpus():
+def _check_k_groups(kw):
+    def row(label, table):
         kg = k_group(table)  # raises if closure != characterization
         good = kg.order % table.n == 0
         if label == "Sym3":
@@ -371,9 +363,9 @@ def _check_k_groups(opts):
             signs = [parity(p) for p in sorted(permutations(range(3)))]
             expected = {(i, j) for i in range(6) for j in range(6) if signs[i] == signs[j]}
             good = good and kg.order == 18 and kg.elements == frozenset(expected)
-        ok = ok and good
-        parts.append(f"{label}:{kg.order}{'' if good else '!'}")
-    return ok, "|K_G|: " + " ".join(parts)
+        return good, f"{label}:{kg.order}{'' if good else '!'}"
+
+    return _rows("|K_G|: ", starmap(row, _kgroup_corpus()))
 
 
 # --- split/central laws for C(S) under a proper involution -----------------
@@ -394,11 +386,9 @@ def _split_law_corpus():
     ]
 
 
-def _check_involution_split_laws(opts):
-    kw = {"budget": opts.budget, "cap": opts.order_cap}
-    ok = True
-    split_checked = central_checked = 0
-    parts = []
+def _check_involution_split_laws(kw):
+    rows = []
+    central_checked = 0
     for label, s in _split_law_corpus():
         invs = involutions(s, **kw)
         proper = [p for p in invs if is_proper_involution(p, s)]
@@ -410,15 +400,12 @@ def _check_involution_split_laws(opts):
         j_set = order_two_automorphisms(s, **kw)
         split, central = involution_laws(s, invs, j_set, c_group(s, **kw), g_group(s, **kw))
         good = agrees and split is True and central is not False
-        split_checked += 1
         central_checked += central is not None
-        ok = ok and good
-        parts.append(f"{label}{'' if good else '!'}")
-    ok = ok and split_checked >= 5 and central_checked >= 3
-    return ok, (
-        f"split law on {split_checked} semigroups, central/Psi law on "
-        f"{central_checked}: " + " ".join(parts)
+        rows.append((good, f"{label}{'' if good else '!'}"))
+    ok, detail = _rows(
+        f"split law on {len(rows)} semigroups, central/Psi law on {central_checked}: ", rows
     )
+    return ok and len(rows) >= 5 and central_checked >= 3, detail
 
 
 # --- partially commutative words --------------------------------------------
@@ -433,7 +420,7 @@ def _random_word(rng, ctx, max_len=8):
     return ctx.word(rng.randrange(ctx.m) for _ in range(rng.randint(1, max_len)))
 
 
-def _check_trace_words(opts):
+def _check_trace_words(kw):
     rng = random.Random(0x5EED)
     cases = failures = 0
     while cases < 1000:
@@ -513,13 +500,14 @@ def _random_transformation_semigroup(rng):
 
 
 def _random_table_semigroup(rng):
+    """The first of up to 5000 random n x n tables (n <= 3) on which
+    (xy)z = x(yz) holds for every triple, checked by brute force; ``validate``
+    is then called on that table alone, so a disagreement raises."""
     n = rng.choice((2, 2, 3))
     for _ in range(5000):
-        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
-        try:
-            return validate(table)
-        except NotAssociativeError:
-            continue
+        t = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if all(t[t[x][y]][z] == t[x][t[y][z]] for x, y, z in product(range(n), repeat=3)):
+            return validate(t)
     return families.cyclic_group(n)
 
 
@@ -552,10 +540,9 @@ def _completeness_corpus(rng):
     return corpus
 
 
-def _check_engine_completeness(opts):
+def _check_engine_completeness(kw):
     rng = random.Random(0xCA11)
     corpus = _completeness_corpus(rng)
-    kw = {"budget": opts.budget, "cap": opts.order_cap}
     for i, s in enumerate(corpus):
         if list(enumerate_automorphisms(s, **kw)) != brute_morphisms(s, anti=False):
             return False, f"automorphism mismatch on corpus item {i} (n={s.n})"
@@ -565,12 +552,6 @@ def _check_engine_completeness(opts):
 
 
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BatteryOptions:
-    budget: int | None = None
-    order_cap: int | None = None
-
 
 _CHECKS = [
     ("klein", 1.0, False, _check_klein),
@@ -608,14 +589,14 @@ def run_battery(
 
     ``on_result`` is called with each :class:`CheckResult` as it finishes.
     """
-    opts = BatteryOptions(budget=budget, order_cap=order_cap)
+    kw = {"budget": budget, "cap": order_cap}
     results = []
     for name, bound, is_stretch, fn in _CHECKS:
         if is_stretch and not stretch:
             continue
         if only and name not in only:
             continue
-        result = _run(name, bound, lambda fn=fn: fn(opts))
+        result = _run(name, bound, lambda fn=fn: fn(kw))
         if on_result is not None:
             on_result(result)
         results.append(result)

@@ -104,13 +104,13 @@ def _signatures(g: SimpleGraph):
     ]
 
 
-def graph_automorphisms(g: SimpleGraph, *, budget: int | None = None) -> MorphismSet:
+def graph_automorphisms(g: SimpleGraph) -> MorphismSet:
     """Every automorphism of the graph, by pruned backtracking.
 
     Candidates must share (degree, sorted neighbour degrees) with their
-    preimage and respect adjacency with all previously assigned vertices.
+    preimage and respect adjacency with all previously assigned vertices;
+    past ``GRAPH_NODE_BUDGET`` candidates tried, it raises.
     """
-    budget = GRAPH_NODE_BUDGET if budget is None else budget
     n = g.n
     sigs = _signatures(g)
     freq: dict = {}
@@ -144,8 +144,8 @@ def graph_automorphisms(g: SimpleGraph, *, budget: int | None = None) -> Morphis
             if used[w] or sigs[w] != sigs[v]:
                 continue
             steps += 1
-            if steps > budget:
-                raise SearchBudgetExceededError(budget)
+            if steps > GRAPH_NODE_BUDGET:
+                raise SearchBudgetExceededError(GRAPH_NODE_BUDGET)
             if all(g.has_edge(v, u) == g.has_edge(w, image[u]) for u in earlier):
                 image[v] = w
                 used[w] = True
@@ -159,9 +159,9 @@ def graph_automorphisms(g: SimpleGraph, *, budget: int | None = None) -> Morphis
     return MorphismSet(g.n, results)
 
 
-def graph_involution_group(g: SimpleGraph, *, budget=None, cap=None) -> PermGroup:
+def graph_involution_group(g: SimpleGraph, *, cap=None) -> PermGroup:
     """C(Gamma): the subgroup generated by order-2 graph automorphisms."""
-    auts = graph_automorphisms(g, budget=budget).array
+    auts = graph_automorphisms(g).array
     return closure(auts[_squares_to_one(auts)], degree=g.n, cap=cap)  # closure skips the identity
 
 

@@ -10,8 +10,9 @@ falls out of computing fingerprints on the dual table.
 Aut(S) is not enumerated leaf by leaf.  A generating set of S is a base for
 Aut(S), since an automorphism is fixed by the images of the generators, so
 the levels of the search tree form a stabiliser chain.
-:func:`automorphism_chain` runs one ``limit=1`` search per new orbit point
-(the orbit pruning of Leon's partition backtrack in its simplest form);
+:func:`automorphism_chain` runs one ``limit=1`` search per level over the
+candidates outside the orbit, resumed after each hit (the orbit pruning of
+Leon's partition backtrack in its simplest form);
 |Aut(S)| is the product of the orbit lengths, and Aut(S) is listed as the
 products of the level transversals.  Aut(S), Aut⁻(S), I(S) and J(S) are
 each a :class:`MorphismSet`, one int32 array of maps, one map per row.
@@ -348,22 +349,27 @@ class AutomorphismChain:
 
 
 def automorphism_chain(s: FiniteSemigroup, *, budget: int | None = None) -> AutomorphismChain:
-    """Aut(S) as a stabiliser chain, one ``limit=1`` search per new orbit point.
+    """Aut(S) as a stabiliser chain, one ``limit=1`` search per level and hit.
 
-    The levels run deepest first, i = k-1 down to 0.  At level i every
-    fingerprint-compatible candidate h for g_i that is not yet in the orbit
-    of g_i is searched for with g_0..g_{i-1} fixed and g_i -> h; a hit is a
-    certified automorphism in Aut_{g<i}, kept as a strong generator, and the
-    orbit and its transversal grow through every generator found at levels
-    >= i.  ``budget`` caps the nodes summed over all the searches.
+    The levels run deepest first, i = k-1 down to 0.  At level i one search,
+    with g_0..g_{i-1} fixed, takes as the images of g_i the
+    fingerprint-compatible candidates not yet in the orbit of g_i, in order.
+    A hit g_i -> h is a certified automorphism in Aut_{g<i}, kept as a
+    strong generator; the orbit and its transversal grow through every
+    generator found at levels >= i, and the search resumes from the
+    candidates after h, orbit points skipped.  A miss ends the level, as
+    does running out of candidates.  The fixed prefix is placed and
+    saturated once per search.  ``budget`` caps the nodes summed over all
+    the searches.
 
     Proof that after level i the generators found at levels >= i generate
     A_i = Aut_{g<i} (so at level 0 they generate Aut(S)), by induction from
     A_k = 1, the only automorphism fixing a generating set:  let H be the
     group they generate.  H lies in A_i, and contains A_{i+1} by induction.
-    Every point h of the orbit g_i^{A_i} is either reached from g_i through
-    H already or is searched for; the search is complete, so it finds a
-    member of A_i taking g_i to h, which then joins H.  So g_i^H = g_i^{A_i},
+    Every point h of the orbit g_i^{A_i} is a candidate, and is either
+    reached from g_i through H already or is searched for; each search is
+    complete over its candidates in order, so none before its hit lies in
+    g_i^{A_i}, and its hit, a member of A_i, joins H.  So g_i^H = g_i^{A_i},
     and the stabiliser of g_i in H is H ∩ A_{i+1} = A_{i+1}.  By
     orbit-stabiliser |H| = |g_i^{A_i}| |A_{i+1}| = |A_i|, so H = A_i.  The
     same count gives |Aut(S)| = the product of the orbit lengths.
@@ -385,16 +391,16 @@ def automorphism_chain(s: FiniteSemigroup, *, budget: int | None = None) -> Auto
                     orbit[q] = compose(a, orbit[p])
                 return q
 
-            fixed = [[g] for g in gens[:i]]
-            for h in cand[i]:
-                if h in points:
-                    continue
+            fixed, rest = [[g] for g in gens[:i]], cand[i]
+            while rest := [h for h in rest if h not in points]:
                 hit, steps = _search_isomorphisms(
-                    s, s, gens, fixed + [[h]] + cand[i + 1:], sid, tid, budget, 1, steps
+                    s, s, gens, fixed + [rest] + cand[i + 1:], sid, tid, budget, 1, steps
                 )
-                if hit:
-                    found.append(hit[0])
-                    close_under([step(p, hit[0]) for p in points], found, step, members=points)
+                if not hit:
+                    break
+                found.append(hit[0])
+                close_under([step(p, hit[0]) for p in points], found, step, members=points)
+                rest = rest[rest.index(hit[0][gens[i]]) + 1:]
             levels.append(orbit)
         return AutomorphismChain(tuple(gens), tuple(reversed(levels)), tuple(found))
 

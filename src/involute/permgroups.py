@@ -135,15 +135,14 @@ def _adjoin(x, keys, gens, base, cap):
     return np.concatenate(parts), keys
 
 
-def closure(generators, degree=None, *, cap: int | None = None, base=None) -> PermGroup:
+def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
     """The subgroup generated by the given permutations, each a sequence of
     images (see :func:`~involute.perms.as_mapping`).
 
     The result's ``generators`` are the non-redundant ones: each given
     permutation is kept only if it lies outside the group generated by
     those kept before it.  An empty generator list yields the trivial group
-    (the degree must then be supplied).  ``base``, every point by default,
-    must tell the elements of the group apart.  Raises
+    (the degree must then be supplied).  Raises
     :class:`OrderBudgetExceededError` past ``cap``.
     """
     gens = [as_mapping(g) for g in generators]
@@ -153,7 +152,7 @@ def closure(generators, degree=None, *, cap: int | None = None, base=None) -> Pe
         degree = len(gens[0])
     if any(len(g) != degree for g in gens):
         raise ValueError("generators act on different degrees")
-    return _generated(degree, [gens] if gens else [], base, cap, [])
+    return _generated(degree, [gens] if gens else [], None, cap, [])
 
 
 def _noncommuting_pair(s: FiniteSemigroup, gens):

@@ -8,6 +8,7 @@ string is pinned, so that a refactor that changes what a check reports
 fails here.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -125,3 +126,24 @@ def test_the_random_table_corpus_lets_only_non_associativity_pass(monkeypatch):
     monkeypatch.setattr(battery, "validate", broken)
     with pytest.raises(TypeError, match="a fault in validate"):
         battery._random_table_semigroup(random.Random(0))
+
+
+def test_the_completeness_corpus_is_pinned():
+    corpus = battery._completeness_corpus(random.Random(0xCA11))
+    digest = hashlib.sha256(repr([s.np_table.tolist() for s in corpus]).encode()).hexdigest()
+    assert digest == "af062fa9ff8fdf24876a8e35523907b9f1e7d9660e125796c37a23cdb7fd5de0"
+
+
+def test_random_tables_reach_validate_only_once_screened(monkeypatch):
+    # the brute-force associativity screen, not validate, rejects the
+    # draws, so validate sees only the tables it accepts: 79 on this corpus
+    calls = []
+    validate = battery.validate
+
+    def counted(table, names=None):
+        calls.append(table)
+        return validate(table, names)
+
+    monkeypatch.setattr(battery, "validate", counted)
+    battery._completeness_corpus(random.Random(0xCA11))
+    assert 0 < len(calls) <= 100

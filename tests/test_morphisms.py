@@ -421,8 +421,9 @@ def test_chain_searches_once_per_new_orbit_point(monkeypatch):
     search = morphisms._search_isomorphisms
 
     def counted(*args):
-        searches.append(args)
-        return search(*args)
+        result = search(*args)
+        searches.append(bool(result[0]))
+        return result
 
     monkeypatch.setattr(morphisms, "_search_isomorphisms", counted)
     for s in (zero_semigroup(6), elementary_abelian_two_group(4), sym_group_table(4), partition_monoid(2)):
@@ -434,12 +435,25 @@ def test_chain_searches_once_per_new_orbit_point(monkeypatch):
             for point, u in level.items():
                 assert u[gens[i]] == point and all(u[g] == g for g in gens[:i])
                 assert is_homomorphism(u, s, s)
-        # a candidate is searched unless it is already in its orbit: those
-        # outside the orbit miss, and each hit adds one strong generator
-        missed = sum(len(c) - len(level) for c, level in zip(cand, chain.transversals))
-        assert len(searches) == missed + len(chain.generators)
+        # per level, one search per hit, each adding one strong generator,
+        # and one last search that misses exactly when a candidate outside
+        # the orbit remains after the level's last hit
+        misses = 0
+        for i, (c, level) in enumerate(zip(cand, chain.transversals)):
+            hits = [u[gens[i]] for u in chain.generators
+                    if min(j for j, g in enumerate(gens) if u[g] != g) == i]
+            rest = c[c.index(hits[-1]) + 1:] if hits else c
+            misses += any(h not in level for h in rest)
+        assert searches.count(True) == len(chain.generators)
+        assert searches.count(False) == misses
         # each hit at least doubles the group found so far
         assert len(chain.generators) <= log2(chain.order)
+
+
+def test_the_chain_places_each_level_prefix_once_per_search():
+    # one search per candidate re-placed g_0..g_{i-1} each time, and took
+    # 36,217 nodes for Sym(6); one search per level and hit takes 5,550
+    assert len(enumerate_automorphisms(sym_group_table(6), budget=6000)) == 1440
 
 
 def test_one_node_budget_bounds_the_whole_chain(monkeypatch):
