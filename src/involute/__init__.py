@@ -34,8 +34,8 @@ from .semigroups import (
     validate,
 )
 from .morphisms import (
-    AutomorphismChain,
     MorphismSet,
+    StabiliserChain,
     automorphism_chain,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,

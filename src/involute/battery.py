@@ -92,8 +92,9 @@ def _z2_times_sym(n: int) -> FiniteSemigroup:
 
 
 def _aut_as_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
-    auts = enumerate_automorphisms(s, budget=budget, cap=cap)
-    return PermGroup(s.n, automorphism_chain(s, budget=budget).generators, auts.array)
+    enumerate_automorphisms(s, budget=budget, cap=cap)  # Aut(S) within the cap
+    aut = automorphism_chain(s, budget=budget)
+    return PermGroup(aut, aut.generators)
 
 
 # --- the Klein four-group -------------------------------------------------

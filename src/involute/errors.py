@@ -54,18 +54,18 @@ class BudgetExceededError(AlgebraError):
 
 
 class SearchBudgetExceededError(BudgetExceededError):
-    def __init__(self, limit):
-        super().__init__(limit, "morphism search extension steps")
+    """Past a node budget; ``layer`` names the search that ran out."""
+
+    def __init__(self, limit, *, layer: str = "morphism"):
+        super().__init__(limit, layer, f"{layer} search exceeded the node budget of {limit}")
 
 
 class OrderBudgetExceededError(BudgetExceededError):
-    """Past a size cap; ``layer`` names what was refused, and ``order`` its
-    order when that is known before it is built."""
+    """Past a size cap; ``layer`` names what was refused, with its ``order``."""
 
     def __init__(self, limit, *, layer: str | None = None, order: int | None = None):
         self.order = order
-        size = "grew" if order is None else f"has order {order},"
-        message = None if layer is None else f"{layer} {size} past the cap of {limit}"
+        message = None if layer is None else f"{layer} has order {order}, past the cap of {limit}"
         super().__init__(limit, "group or table size", message)
 
 

@@ -7,20 +7,19 @@ anti-isomorphism S -> T is an isomorphism S -> dual(T), so the same engine
 serves both directions; the documented R/L and left/right fingerprint swap
 falls out of computing fingerprints on the dual table.
 
-Aut(S) is not enumerated leaf by leaf.  A generating set of S is a base for
-Aut(S), since an automorphism is fixed by the images of the generators, so
+Every group is a :class:`StabiliserChain`.  A generating set of S is a base
+for Aut(S), as an automorphism is fixed by the images of the generators, so
 the levels of the search tree form a stabiliser chain.
 :func:`automorphism_chain` runs one ``limit=1`` search per level over the
 candidates outside the orbit, resumed after each hit (the orbit pruning of
-Leon's partition backtrack in its simplest form);
-|Aut(S)| is the product of the orbit lengths, and Aut(S) is listed as the
-products of the level transversals.  Aut(S), Aut⁻(S), I(S) and J(S) are
-each a :class:`MorphismSet`, one int32 array of maps, one map per row.
+Leon's partition backtrack in its simplest form), and adds each hit by the
+chain's orbit step; the groups of :mod:`~involute.permgroups` fill the same
+type by Schreier–Sims.  Aut(S), Aut⁻(S), I(S) and J(S) are each a
+:class:`MorphismSet`, one int32 array of maps, one map per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
@@ -32,36 +31,18 @@ from .errors import (
     OrderBudgetExceededError,
     SearchBudgetExceededError,
 )
-from .perms import as_mapping, compose, cycle_string, identity_tuple, is_involution
+from .perms import as_mapping, compose, cycle_string, invert, is_involution
 from .semigroups import (
     DEFAULT_ORDER_BUDGET,
     FiniteSemigroup,
     _row_labels,
     _row_tuples,
-    close_under,
     generating_set,
 )
 
 #: Default cap on the nodes of one search, or of one automorphism chain
 #: summed over its searches (configurable per call).
 DEFAULT_NODE_BUDGET = 10**8
-
-
-def _keys(images: np.ndarray, degree: int) -> np.ndarray:
-    """An exact key per row of ``images`` (the last axis), of points below
-    ``degree``: the row as a number, bits(degree - 1) bits per point, first
-    point most significant, while that fits 63 bits; otherwise its bytes.
-    A small input takes one product; a large one is folded point by point,
-    so that it is never copied whole as int64."""
-    bits, k = max(1, (degree - 1).bit_length()), images.shape[-1]
-    if k * bits > 63:
-        return np.ascontiguousarray(images, dtype=np.int32).view(np.dtype((np.void, 4 * k)))[..., 0]
-    if images.size <= 1 << 16:
-        return images @ (1 << np.arange((k - 1) * bits, -1, -bits, dtype=np.int64))
-    keys = np.zeros(images.shape[:-1], dtype=np.int64)
-    for c in range(k):
-        keys = (keys << bits) | images[..., c]
-    return keys
 
 
 def _sorted_rows(x: np.ndarray) -> np.ndarray:
@@ -106,7 +87,7 @@ class MorphismSet:
         return _row_tuples(self.array)
 
     def __len__(self):
-        return len(self.array)
+        return self.order
 
     def __iter__(self):
         return iter(self.elements)
@@ -117,6 +98,104 @@ class MorphismSet:
 
     def __repr__(self):
         return f"{type(self).__name__}(degree={self.degree}, order={self.order})"
+
+
+class StabiliserChain:
+    """A permutation group G as a stabiliser chain along ``base``, points
+    whose images tell its members apart.  ``transversals[i]`` maps each point
+    p of the orbit of base[i] under G_i, the members fixing base[:i], to one
+    taking base[i] to p, so each member is one product u_0 ... u_{k-1}, and
+    ``order`` is the product of the orbit lengths, with strong ``generators``."""
+
+    def __init__(self, degree: int, base):
+        self.degree, self.base = degree, tuple(base)
+        self.transversals = tuple({b: tuple(range(degree))} for b in self.base)
+        self.generators: list = []
+        self._strong = [[] for _ in self.base]  # the strong generators of each level
+        self._inverses = [{} for _ in self.base]  # made when a sift first needs one
+        self._sifted = [{} for _ in self.base]  # per orbit point, the Schreier generators sifted
+
+    @property
+    def order(self) -> int:
+        return prod(map(len, self.transversals))
+
+    def maps(self) -> np.ndarray:
+        """Every member, one per row, unsorted: one gather per level."""
+        maps = np.arange(self.degree, dtype=np.int32)[None]
+        for level in reversed(self.transversals):
+            if len(level) > 1:
+                u = np.array(list(level.values()), dtype=np.int32)
+                maps = np.take(u, maps, axis=1).reshape(-1, self.degree)  # row (i, j) is u_i o maps_j
+        return maps
+
+    def _inverse(self, i: int, p: int) -> tuple:
+        if p not in self._inverses[i]:
+            self._inverses[i][p] = invert(self.transversals[i][p])
+        return self._inverses[i][p]
+
+    def sift(self, images, i: int = 0, h: tuple | None = None):
+        """Divides a map of G_i, given by its base images, by transversal
+        inverses down the levels from i; returns the level where its image
+        leaves the orbit, or len(base), and ``h``, if given, divided alike."""
+        images = list(images)
+        for level in range(i, len(self.base)):
+            p = images[level]
+            if p != self.base[level]:
+                if p not in self.transversals[level]:
+                    return level, h
+                if h is not None or level + 1 < len(self.base):
+                    v = self._inverse(level, p)
+                    images[level + 1:] = [v[x] for x in images[level + 1:]]
+                    h = None if h is None else compose(v, h)
+        return len(self.base), h
+
+    def extend(self, a: tuple, lo: int, hi: int) -> None:
+        """The orbit step: ``a``, fixing base[:lo], joins the strong
+        generators of levels lo..hi, each orbit grown through a on its old
+        points and every generator of the level on its new ones."""
+        self.generators.append(a)
+        for level in range(lo, hi + 1):
+            orbit, strong = self.transversals[level], self._strong[level]
+            strong.append(a)
+            todo = [(p, [a]) for p in orbit]
+            for p, maps in todo:  # grows while it is walked
+                for b in maps:
+                    if b[p] not in orbit:
+                        orbit[b[p]] = compose(b, orbit[p])
+                        todo.append((b[p], strong))
+
+    def add(self, images, row: np.ndarray) -> bool:
+        """Whether the map ``row``, an int array with base images ``images``,
+        lies outside G; if so G becomes <G, row> by incremental Schreier–Sims
+        (Holt, Eick & O'Brien 2005, 4.4.2): what the sift leaves joins
+        levels 0..j, and levels j, ..., 0 are completed in turn.  Level i is
+        complete once every Schreier generator u_q^-1 s u_p (s a strong
+        generator, q = s(p)) sifts to the identity from level i + 1, as they
+        generate the stabiliser of base[i] (Schreier's lemma)."""
+        level = self.sift(images)[0]
+        if level == len(self.base):
+            return False
+        self.extend(self.sift(images, 0, tuple(row.tolist()))[1], 0, level)
+        while level >= 0:
+            level = self._complete(level)
+        return True
+
+    def _complete(self, i: int) -> int:
+        """Sifts level i's Schreier generators not sifted before (none at the
+        last: they fix the base); the first left over joins levels i+1..j,
+        and j is returned, else i - 1."""
+        orbit, strong, sifted = self.transversals[i], self._strong[i], self._sifted[i]
+        for p, u in list(orbit.items()) if i + 1 < len(self.base) else ():
+            for k in range(sifted.get(p, 0), len(strong)):
+                sifted[p] = k + 1
+                s = strong[k]
+                v = self._inverse(i, s[p])
+                images = [v[s[u[b]]] for b in self.base]
+                j = self.sift(images, i + 1)[0]
+                if j < len(self.base):
+                    self.extend(self.sift(images, i + 1, compose(v, compose(s, u)))[1], i + 1, j)
+                    return j
+        return i - 1
 
 
 def _preserves_products(alpha, s: FiniteSemigroup, t: FiniteSemigroup, anti: bool) -> bool:
@@ -181,7 +260,7 @@ def _generator_certificate(s: FiniteSemigroup, t: FiniteSemigroup, gens, anti: b
     return holds
 
 
-def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, steps=0):
+def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, layer, steps=0):
     """Core backtracking loop.
 
     Returns the mapping tuples, lexicographically sorted, and the node count:
@@ -198,7 +277,8 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, steps=0):
 
     ``budget`` caps the nodes: one per generator image tried (each ``place``
     call, so a branch that dies on its first assignment still costs one)
-    plus one per element dequeued while saturating.
+    plus one per element dequeued while saturating; past it the error names
+    ``layer``.
     """
     n = s.n
     tab_s, tab_t = s.table, t.table
@@ -230,7 +310,7 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, steps=0):
         nonlocal steps
         steps += 1
         if steps > budget:
-            raise SearchBudgetExceededError(budget)
+            raise SearchBudgetExceededError(budget, layer=layer)
         base = len(known)
         if not assign(g, h):
             return False
@@ -254,7 +334,7 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, steps=0):
             fx = image[x]
             steps += 1
             if steps > budget:
-                raise SearchBudgetExceededError(budget)
+                raise SearchBudgetExceededError(budget, layer=layer)
             for gg, hh in placed:
                 if not (
                     assign(tab_s[x][gg], tab_t[fx][hh])
@@ -320,47 +400,30 @@ def enumerate_isomorphism_mappings(
     *,
     budget: int | None = None,
     limit: int | None = None,
+    layer: str = "morphism",
 ) -> list[tuple[int, ...]]:
-    """All isomorphisms S -> T as mapping tuples (or the first ``limit``)."""
+    """All isomorphisms S -> T as mapping tuples (or the first ``limit``);
+    past ``budget`` nodes the error names ``layer``."""
     budget = DEFAULT_NODE_BUDGET if budget is None else budget
     plan = _search_plan(s, t)
     if plan is None:
         return []
-    return _search_isomorphisms(s, t, *plan, budget, limit)[0]
+    return _search_isomorphisms(s, t, *plan, budget, limit, layer)[0]
 
 
-@dataclass(frozen=True)
-class AutomorphismChain:
-    """Aut(S) as a stabiliser chain along the search's generators.
-
-    ``base`` is g_0..g_{k-1}; ``transversals[i]`` maps each point of the
-    orbit of g_i under Aut_{g<i} (the automorphisms fixing g_0..g_{i-1}) to
-    a member of Aut_{g<i} that takes g_i there; ``generators`` are the
-    strong generators the searches found.
-    """
-
-    base: tuple[int, ...]
-    transversals: tuple[dict, ...]
-    generators: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return prod(len(level) for level in self.transversals)
-
-
-def automorphism_chain(s: FiniteSemigroup, *, budget: int | None = None) -> AutomorphismChain:
+def automorphism_chain(s: FiniteSemigroup, *, budget: int | None = None) -> StabiliserChain:
     """Aut(S) as a stabiliser chain, one ``limit=1`` search per level and hit.
 
     The levels run deepest first, i = k-1 down to 0.  At level i one search,
     with g_0..g_{i-1} fixed, takes as the images of g_i the
     fingerprint-compatible candidates not yet in the orbit of g_i, in order.
-    A hit g_i -> h is a certified automorphism in Aut_{g<i}, kept as a
-    strong generator; the orbit and its transversal grow through every
-    generator found at levels >= i, and the search resumes from the
-    candidates after h, orbit points skipped.  A miss ends the level, as
-    does running out of candidates.  The fixed prefix is placed and
+    A hit g_i -> h is a certified automorphism in Aut_{g<i}, which the
+    chain's orbit step makes a strong generator, growing the orbit of g_i
+    through every generator found at levels >= i; the search resumes from
+    the candidates after h, orbit points skipped.  A miss ends the level,
+    as does running out of candidates.  The fixed prefix is placed and
     saturated once per search.  ``budget`` caps the nodes summed over all
-    the searches.
+    the searches.  The proof below makes a Schreier test needless.
 
     Proof that after level i the generators found at levels >= i generate
     A_i = Aut_{g<i} (so at level 0 they generate Aut(S)), by induction from
@@ -378,33 +441,29 @@ def automorphism_chain(s: FiniteSemigroup, *, budget: int | None = None) -> Auto
 
     def build():
         gens, cand, sid, tid = _search_plan(s, s)
-        one = identity_tuple(s.n)
-        levels: list[dict] = []  # deepest first
-        found: list[tuple[int, ...]] = []  # the generators of levels >= i
+        chain = StabiliserChain(s.n, gens)
         steps = 0
         for i in reversed(range(len(gens))):
-            orbit, points = {gens[i]: one}, {gens[i]}
-
-            def step(p, a):  # a new point q = a(p) gets the map a o orbit[p]
-                q = a[p]
-                if q not in orbit:
-                    orbit[q] = compose(a, orbit[p])
-                return q
-
             fixed, rest = [[g] for g in gens[:i]], cand[i]
-            while rest := [h for h in rest if h not in points]:
+            while rest := [h for h in rest if h not in chain.transversals[i]]:
                 hit, steps = _search_isomorphisms(
-                    s, s, gens, fixed + [rest] + cand[i + 1:], sid, tid, budget, 1, steps
+                    s, s, gens, fixed + [rest] + cand[i + 1:], sid, tid, budget, 1, "Aut(S)", steps
                 )
                 if not hit:
                     break
-                found.append(hit[0])
-                close_under([step(p, hit[0]) for p in points], found, step, members=points)
+                chain.extend(hit[0], 0, i)
                 rest = rest[rest.index(hit[0][gens[i]]) + 1:]
-            levels.append(orbit)
-        return AutomorphismChain(tuple(gens), tuple(reversed(levels)), tuple(found))
+        return chain
 
     return _memo(s, "chain", build)
+
+
+def _capped(order: int, cap: int | None, layer: str | None = None) -> int:
+    """``order``, or, past ``cap`` (default 10^6), an error naming ``layer``."""
+    limit = DEFAULT_ORDER_BUDGET if cap is None else cap
+    if order > limit:
+        raise OrderBudgetExceededError(limit, layer=layer, order=order)
+    return order
 
 
 def _memo(s: FiniteSemigroup, key: str, build):
@@ -424,10 +483,8 @@ def enumerate_automorphisms(
 ) -> MorphismSet:
     """The complete automorphism group of S, canonically sorted.
 
-    Listed from :func:`automorphism_chain` as the products u_0 u_1 ... u_{k-1},
-    u_i in ``transversals[i]``, one gather per level: a = u_0 a' with u_0 =
-    transversals[0][a(g_0)] and a' in Aut_{g_0}, and so on down the chain,
-    so each automorphism is exactly one such product.  Raises
+    Listed from :func:`automorphism_chain` by its
+    :meth:`~StabiliserChain.maps`, one gather per level.  Raises
     :class:`OrderBudgetExceededError` before any listing if |Aut(S)| is past
     ``cap`` (default :data:`DEFAULT_ORDER_BUDGET`).  A list already cached is
     returned whatever the cap.
@@ -435,14 +492,8 @@ def enumerate_automorphisms(
 
     def build():
         aut = automorphism_chain(s, budget=budget)
-        limit = DEFAULT_ORDER_BUDGET if cap is None else cap
-        if aut.order > limit:
-            raise OrderBudgetExceededError(limit, layer="Aut(S)", order=aut.order)
-        maps = np.arange(s.n, dtype=np.int32)[None]
-        for level in reversed(aut.transversals):
-            u = np.array(list(level.values()), dtype=np.int32)
-            maps = np.take(u, maps, axis=1).reshape(-1, s.n)  # row (i, j) is u_i o maps_j
-        return MorphismSet(s.n, maps)
+        _capped(aut.order, cap, "Aut(S)")
+        return MorphismSet(s.n, aut.maps())
 
     return _memo(s, "aut", build)
 
@@ -462,7 +513,7 @@ def enumerate_anti_automorphisms(
     def build():
         if s.is_commutative:
             return MorphismSet(s.n, enumerate_automorphisms(s, budget=budget, cap=cap).array)
-        found = enumerate_isomorphism_mappings(s, s.dual(), budget=budget, limit=1)
+        found = enumerate_isomorphism_mappings(s, s.dual(), budget=budget, limit=1, layer="Aut⁻(S)")
         if not found:
             return MorphismSet(s.n, ())
         auts = enumerate_automorphisms(s, budget=budget, cap=cap)

@@ -1,17 +1,13 @@
 """Permutation groups from their generators: closures, fingerprints, C(S), G(S),
 the involution laws, K_G.
 
-A group is materialized as one int32 (|G|, degree) array, one element per
-row, with a ``base``: points whose images tell the elements apart (every
-point for :func:`closure`; for C(S) and G(S) see :func:`_signed_base`).  A
-closure is a breadth-first frontier that gathers only the base images of
-the products, and keeps those whose exact keys are new.  Each group carries
-a generating set: a candidate is kept only if it is not in the group built
-so far, so C(Sym(6)) keeps 7 of its 112 involutions.  The centre is the
-centralizer of the generators and the derived subgroup the normal closure
-of their commutators, so nothing costs O(|G|^2).  Element orders come from
-numpy pointer doubling over all elements at once.  Aut(S) itself is a
-stabiliser chain (:func:`~involute.morphisms.automorphism_chain`).
+Every group is a :class:`~involute.morphisms.StabiliserChain`, built by
+Schreier–Sims on a fixed base: candidates are sifted in order, and one is
+kept only if it lies outside the group built before it, so C(Sym(6)) keeps
+7 of its 112 involutions.  A cap is checked on the chain's order before
+anything is listed.  The centre is the centralizer of the generators and
+the derived subgroup the normal closure of their commutators, so nothing
+costs O(|G|^2).  Element orders come from numpy pointer doubling.
 """
 
 from __future__ import annotations
@@ -19,14 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import inf, lcm
 
 import numpy as np
 
 from .errors import NotAGroupError, OrderBudgetExceededError
 from .morphisms import (
     MorphismSet,
-    _keys,
+    StabiliserChain,
+    _capped,
+    _sorted_rows,
     automorphism_chain,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
@@ -35,7 +33,6 @@ from .morphisms import (
 )
 from .perms import as_mapping, compose, cycles
 from .semigroups import (
-    DEFAULT_ORDER_BUDGET,
     TABLE_CAP,
     FiniteSemigroup,
     close_under,
@@ -44,106 +41,53 @@ from .semigroups import (
 )
 
 
-def _inside(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Whether each of ``keys`` occurs in the nonempty ``sorted_keys``."""
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[pos] == keys
-
-
 class PermGroup(MorphismSet):
-    """A permutation group: a :class:`~involute.morphisms.MorphismSet` whose
-    ``generators``, mapping tuples, generate it; :func:`group_fingerprint`
-    relies on that.  The images of ``base`` (every point by default) tell
-    the elements apart, and membership and :func:`to_cayley_table` look
-    elements up by their keys.
-    """
+    """A :class:`~involute.morphisms.StabiliserChain`, ``chain``, with its
+    order and ``base``, plus the ``generators`` kept for it, mapping tuples.
+    The sorted ``array`` of a MorphismSet is listed when first read."""
 
-    def __init__(self, degree, generators, elements, base=None):
-        super().__init__(degree, elements)
+    def __init__(self, chain: StabiliserChain, generators):
+        self.chain, self.degree = chain, chain.degree
+        self.base = np.asarray(chain.base, dtype=np.intp)
         self.generators = tuple(generators)
-        self.base = np.arange(degree) if base is None else np.asarray(base, dtype=np.intp)
+
+    @property
+    def order(self) -> int:
+        return self.chain.order
 
     @cached_property
-    def _lookup(self):
-        keys = _keys(self.array[:, self.base], self.degree)
-        order = np.argsort(keys, kind="stable")
-        return keys[order], order
-
-    def _rows_of(self, images: np.ndarray) -> np.ndarray:
-        """The row of each element of the group whose base images are given
-        along the last axis of ``images``."""
-        keys, order = self._lookup
-        return order[np.minimum(np.searchsorted(keys, _keys(images, self.degree)), len(keys) - 1)]
+    def array(self) -> np.ndarray:
+        return _sorted_rows(self.chain.maps())
 
     def __contains__(self, perm):
-        row = np.asarray(perm)
-        return row.shape == (self.degree,) and bool(
-            (self.array[self._rows_of(row[self.base])] == row).all())
+        """Sifted, then checked whole: the base tells apart only members."""
+        h = tuple(perm)
+        if sorted(h) != list(range(self.degree)):
+            return False
+        level, h = self.chain.sift([h[b] for b in self.chain.base], 0, h)
+        return level == len(self.base) and h == tuple(range(self.degree))
 
 
-def _generated(degree, batches, base, cap, kept: list) -> PermGroup:
-    """The group the candidates generate, ``kept`` getting, as mapping
-    tuples, those outside the group built before them.  ``batches`` yields
-    int arrays of candidates, one per row, and may read ``kept``.  The
-    identity counts against the cap."""
-    cap = DEFAULT_ORDER_BUDGET if cap is None else cap
-    if cap < 1:
-        raise OrderBudgetExceededError(cap)
-    base = np.arange(degree) if base is None else np.asarray(base, dtype=np.intp)
-    x = np.arange(degree, dtype=np.int32)[None]
-    keys = _keys(x[:, base], degree)
-    gens = np.empty((0, degree), dtype=np.int32)
-    for batch in batches:
-        batch = np.asarray(batch, dtype=np.int32)
-        batch_keys = _keys(batch[:, base], degree)
-        i = 0
-        while True:
-            outside = np.flatnonzero(~_inside(keys, batch_keys[i:]))
-            if not outside.size:
-                break
-            i += int(outside[0])
-            kept.append(tuple(batch[i].tolist()))
-            gens = np.vstack([gens, batch[i]])
-            x, keys = _adjoin(x, keys, gens, base, cap)
-            i += 1
-    return PermGroup(degree, kept, x, base)
-
-
-def _adjoin(x, keys, gens, base, cap):
-    """The rows and sorted keys of <gens>, from those of the group x that
-    gens[:-1] generate, gens[-1] lying outside it.  The coset x gens[-1] is
-    new; then each round multiplies the new rows by every generator and
-    keeps the distinct products with new keys.  That is closed, so it is
-    the group (g^-1 is a power of g): an old row times an old generator is
-    old, times gens[-1] it is in the coset, and each new row meets each
-    generator.  The cap is checked as each round arrives."""
-    degree = x.shape[1]
-    front = x[:, gens[-1]]
-    keys = np.sort(np.concatenate([keys, _keys(front[:, base], degree)]), kind="stable")
-    parts, at_base = [x], gens[:, base]
-    while len(front):
-        if sum(map(len, parts)) + len(front) > cap:
-            raise OrderBudgetExceededError(cap)
-        parts.append(front)
-        # (y g)(p) = y(g(p)): the products' keys from their base images alone
-        step, first = np.unique(_keys(front[:, at_base], degree), return_index=True)
-        new = ~_inside(keys, step)
-        row, g = np.divmod(first[new], len(gens))
-        front = front[row[:, None], gens[g]]
-        # two sorted runs; a stable sort merges them
-        keys = np.sort(np.concatenate([keys, step[new]]), kind="stable")
-    return np.concatenate(parts), keys
+def _group(chain: StabiliserChain, batches, kept: list, cap, layer=None, stop=None) -> PermGroup:
+    """The group that ``batches``, int32 arrays of candidates, one per row,
+    generate on ``chain``; a candidate is ``kept`` (which ``batches`` may
+    read) only if it sifts outside the group so far, and sifting stops at
+    order ``stop``.  Past ``cap`` the error names ``layer``."""
+    for images, row in ((i, r) for b in batches for i, r in zip(b[:, chain.base].tolist(), b)):
+        if chain.order == stop:
+            break
+        if chain.add(images, row):
+            kept.append(tuple(row.tolist()))
+    _capped(chain.order, cap, layer)
+    return PermGroup(chain, kept)
 
 
 def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
     """The subgroup generated by the given permutations, each a sequence of
-    images (see :func:`~involute.perms.as_mapping`).
-
-    The result's ``generators`` are the non-redundant ones: each given
-    permutation is kept only if it lies outside the group generated by
-    those kept before it.  An empty generator list yields the trivial group
-    (the degree must then be supplied).  Raises
-    :class:`OrderBudgetExceededError` past ``cap``.
+    images (see :func:`~involute.perms.as_mapping`), on the base of every
+    point; its ``generators`` are those kept by the greedy rule.  An empty
+    list yields the trivial group (the degree must then be supplied).
+    Raises :class:`OrderBudgetExceededError` if the order is past ``cap``.
     """
     gens = [as_mapping(g) for g in generators]
     if degree is None:
@@ -152,7 +96,8 @@ def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
         degree = len(gens[0])
     if any(len(g) != degree for g in gens):
         raise ValueError("generators act on different degrees")
-    return _generated(degree, [gens] if gens else [], None, cap, [])
+    rows = np.array(gens, dtype=np.int32).reshape(len(gens), degree)
+    return _group(StabiliserChain(degree, range(degree)), [rows], [], cap)
 
 
 def _noncommuting_pair(s: FiniteSemigroup, gens):
@@ -160,39 +105,37 @@ def _noncommuting_pair(s: FiniteSemigroup, gens):
     return next(((x, y) for x, y in combinations(gens, 2) if t[x][y] != t[y][x]), None)
 
 
-def _signed_base(s: FiniteSemigroup, *, budget=None) -> list[int]:
-    """A base for Aut±(S): the points of the Aut(S) chain whose orbit has
-    more than one point, then, on a non-commutative S, the first pair x, y
-    of its generators with xy != yx, and xy.  A level whose orbit is one
-    point is fixed by the stabiliser of the levels before it, so what fixes
-    the kept points fixes every generator, and two maps of one kind that
-    agree on them agree on every product of generators, which is
-    everything.  An automorphism alpha and an anti-automorphism beta that
-    agree on x and y differ at xy: beta(xy) = beta(y)beta(x) = alpha(yx),
-    and alpha(yx) != alpha(xy) as alpha is injective."""
+def _signed_chain(s: FiniteSemigroup, budget) -> StabiliserChain:
+    """An empty chain on a base for Aut±(S): the points of the Aut(S) chain
+    whose orbit has more than one point, then, on a non-commutative S, those
+    of the first pair x, y of its generators with xy != yx, and xy, not yet
+    in it.  A level whose orbit is one point is fixed by the stabiliser of
+    the levels before it, so what fixes the kept points fixes every
+    generator, and two maps of one kind that agree on them agree on every
+    product of generators, which is everything.  An automorphism alpha and
+    an anti-automorphism beta that agree on x and y differ at xy: beta(xy)
+    = beta(y)beta(x) = alpha(yx), and alpha(yx) != alpha(xy) as alpha is
+    injective."""
     aut = automorphism_chain(s, budget=budget)
     base = [g for g, level in zip(aut.base, aut.transversals) if len(level) > 1]
     pair = _noncommuting_pair(s, aut.base)
-    return base if pair is None else base + [*pair, s.table[pair[0]][pair[1]]]
-
-
-def _layer_closure(layer: str, maps, s: FiniteSemigroup, budget, cap) -> PermGroup:
-    """The group ``maps(s)`` generates, on the base of Aut±(S); its cap error names ``layer``."""
-    gens = maps(s, budget=budget, cap=cap).array
-    try:
-        return _generated(s.n, [gens], _signed_base(s, budget=budget), cap, [])
-    except OrderBudgetExceededError as exc:
-        raise OrderBudgetExceededError(exc.limit, layer=layer) from exc
+    extra = () if pair is None else (*pair, s.table[pair[0]][pair[1]])
+    return StabiliserChain(s.n, base + [p for p in dict.fromkeys(extra) if p not in base])
 
 
 def c_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
-    """C(S): the subgroup of Sym(S) generated by all involutions of S."""
-    return _layer_closure("C(S)", involutions, s, budget, cap)
+    """C(S): the subgroup of Sym(S) generated by all involutions of S, on the
+    base of Aut±(S), sifted until it has the order of Aut±(S), counted from
+    the lists the involutions came from."""
+    invs = involutions(s, budget=budget, cap=cap)
+    return _group(_signed_chain(s, budget), [invs.array], [], cap, "C(S)", signed_aut_order(s, cap=inf))
 
 
 def g_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
-    """G(S): the subgroup generated by the order-at-most-2 automorphisms."""
-    return _layer_closure("G(S)", order_two_automorphisms, s, budget, cap)
+    """G(S): the subgroup generated by the order-at-most-2 automorphisms, on
+    the base of Aut±(S), sifted until it has the order of Aut(S)."""
+    j_set = order_two_automorphisms(s, budget=budget, cap=cap)
+    return _group(_signed_chain(s, budget), [j_set.array], [], cap, "G(S)", len(enumerate_automorphisms(s)))
 
 
 def involution_laws(s: FiniteSemigroup, invs, j_set, c: PermGroup, g: PermGroup):
@@ -210,7 +153,7 @@ def involution_laws(s: FiniteSemigroup, invs, j_set, c: PermGroup, g: PermGroup)
     is onto, so S is commutative; on a commutative S every
     anti-automorphism is an automorphism.  C lies in Aut±(S), so a row
     alpha of C is an automorphism iff alpha(xy) = alpha(x)alpha(y) for the
-    pair of :func:`_signed_base`.  Centrality is tested on the
+    pair of :func:`_signed_chain`.  Centrality is tested on the
     strong generators of :func:`~involute.morphisms.automorphism_chain`, a
     cache hit once Aut(S) is listed, each filtering the rows of I(S) left:
     what commutes with a and b commutes with ab, so with every product of
@@ -233,20 +176,11 @@ def involution_laws(s: FiniteSemigroup, invs, j_set, c: PermGroup, g: PermGroup)
 
 
 def signed_aut_order(s: FiniteSemigroup, *, budget=None, cap=None) -> int:
-    """|Aut±(S)|, the order of Aut(S) together with all anti-automorphisms.
-
-    On a commutative semigroup the two sets coincide, so the order is
-    |Aut(S)|; otherwise they are disjoint and the order is their sum.
-    Raises :class:`OrderBudgetExceededError` if that order is past ``cap``
-    (default :data:`DEFAULT_ORDER_BUDGET`).
-    """
+    """|Aut±(S)|: |Aut(S)| on a commutative S, where Aut⁻(S) is Aut(S), else
+    |Aut(S)| + |Aut⁻(S)|, checked against ``cap`` like Aut(S)."""
     auts = len(enumerate_automorphisms(s, budget=budget, cap=cap))
     antis = len(enumerate_anti_automorphisms(s, budget=budget, cap=cap))
-    order = auts if s.is_commutative else auts + antis
-    limit = DEFAULT_ORDER_BUDGET if cap is None else cap
-    if order > limit:
-        raise OrderBudgetExceededError(limit, layer="Aut±(S)", order=order)
-    return order
+    return _capped(auts if s.is_commutative else auts + antis, cap, "Aut±(S)")
 
 
 def derived_subgroup(g: PermGroup) -> PermGroup:
@@ -256,12 +190,12 @@ def derived_subgroup(g: PermGroup) -> PermGroup:
     It is the normal closure N of {[a, b] : a, b in X}.  N lies in [G, G],
     which is normal and holds those commutators.  In G/N the images of the
     generators commute pairwise, so G/N is abelian and [G, G] lies in N.
-    N is built by closing the commutators and then adjoining x k x^-1 for
-    each generator k of the subgroup K so far and each x in X until nothing
+    N is built by sifting the commutators and then x k x^-1 for each kept
+    generator k of the subgroup K so far and each x in X until nothing
     new appears.  Conjugation by x is an automorphism, so x K x^-1 is
     generated by those images; it lies in K and has the order of K, so it
     is K.  Every element of G is a product of the x, so K is normal.
-    It takes no cap: [G, G] lies in G, which is already materialized.
+    It takes no cap: [G, G] lies in G, and nothing of it is listed.
     """
     x = np.asarray(g.generators, dtype=np.int32).reshape(len(g.generators), g.degree)
     x_inv = np.argsort(x, axis=1).astype(np.int32)
@@ -274,7 +208,7 @@ def derived_subgroup(g: PermGroup) -> PermGroup:
         for k in kept:  # grows while it is walked
             yield np.take_along_axis(x, np.asarray(k)[x_inv], axis=1)
 
-    return _generated(g.degree, batches(), g.base, None, kept)
+    return _group(StabiliserChain(g.degree, g.chain.base), batches(), kept, g.order)
 
 
 @dataclass(frozen=True)
@@ -289,12 +223,11 @@ class GroupFingerprint:
     derived_order: int
 
 
-def _center_order(g: PermGroup) -> int:
-    """|Z(G)| as the number of elements that commute with every generator:
-    such an element commutes with every product of generators, which is
-    every element of G.  a g and g a lie in G, so they are equal iff they
-    agree on the base.  Each generator filters the rows left."""
-    central = g.array
+def _center_order(g: PermGroup, central: np.ndarray) -> int:
+    """|Z(G)| as the number of rows of ``central``, all of G, that commute
+    with every generator, and so with every product of generators.  a g and
+    g a lie in G, so they are equal iff they agree on the base.  Each
+    generator filters the rows left."""
     for a in g.generators:
         a = np.asarray(a, dtype=np.intp)
         central = central[(a[central[:, g.base]] == central[:, a[g.base]]).all(axis=1)]
@@ -334,9 +267,11 @@ def _block_orders(m: np.ndarray) -> np.ndarray:
 
 
 def group_fingerprint(g: PermGroup) -> GroupFingerprint:
-    orders, counts = np.unique(_element_orders(g.array), return_counts=True)
+    """Over the elements listed unsorted; [G, G] from its own chain."""
+    m = g.chain.maps()
+    orders, counts = np.unique(_element_orders(m), return_counts=True)
     hist = dict(zip(orders.tolist(), counts.tolist()))
-    center = _center_order(g)
+    center = _center_order(g, m)
     return GroupFingerprint(
         order=g.order,
         abelian=center == g.order,
@@ -347,18 +282,30 @@ def group_fingerprint(g: PermGroup) -> GroupFingerprint:
     )
 
 
+def _keys(images: np.ndarray, degree: int) -> np.ndarray:
+    """An exact key per row of ``images`` (the last axis), of points below
+    ``degree``: the row as a number, bits(degree - 1) bits per point, first
+    point most significant, while that fits 63 bits; otherwise its bytes."""
+    bits, k = max(1, (degree - 1).bit_length()), images.shape[-1]
+    if k * bits > 63:
+        return np.ascontiguousarray(images, dtype=np.int32).view(np.dtype((np.void, 4 * k)))[..., 0]
+    return images @ (1 << np.arange((k - 1) * bits, -1, -bits, dtype=np.int64))
+
+
 def to_cayley_table(g: PermGroup) -> FiniteSemigroup:
     """The group's Cayley table over its sorted elements, checked by
     :func:`~involute.semigroups.validate`.  Entry (i, j) is the row of
-    g_i o g_j, found by the key of g_i(g_j(base)), with rows i in blocks of
-    about 2^16 images.  Raises :class:`OrderBudgetExceededError` past
+    g_i o g_j, found by the key of g_i(g_j(base)), rows i in blocks of about
+    2^16 images.  Raises :class:`OrderBudgetExceededError` past
     :data:`~involute.semigroups.TABLE_CAP` elements."""
     if g.order > TABLE_CAP:
         raise OrderBudgetExceededError(TABLE_CAP)
     m = g.array
     at_base = m[:, g.base]
+    keys = _keys(at_base, g.degree)
+    order = np.argsort(keys)
     step = max(1, 2**16 // max(1, at_base.size))
-    return validate(np.concatenate([g._rows_of(m[i:i + step][:, at_base])
+    return validate(np.concatenate([order[np.searchsorted(keys[order], _keys(m[i:i + step][:, at_base], g.degree))]
                                     for i in range(0, len(m), step)]))
 
 

@@ -95,7 +95,7 @@ def identify_group(g: PermGroup, fp: GroupFingerprint | None = None, *,
         if orders == hist and table is None:
             table = to_cayley_table(g)
         verdicts.append((name, orders == hist and bool(
-            enumerate_isomorphism_mappings(table, build(), budget=budget, limit=1))))
+            enumerate_isomorphism_mappings(table, build(), budget=budget, limit=1, layer="identification"))))
     return verdicts
 
 

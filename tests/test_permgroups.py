@@ -20,9 +20,11 @@ from involute.families import (
     klein_four,
     rectangular_band,
     sym_group_table,
+    zero_semigroup,
 )
 from involute.morphisms import (
-    _keys,
+    StabiliserChain,
+    _sorted_rows,
     automorphism_chain,
     enumerate_automorphisms,
     find_isomorphism,
@@ -33,6 +35,7 @@ from involute.morphisms import (
 from involute.perms import compose, cycles, identity_tuple, parity
 from involute.permgroups import (
     GroupFingerprint,
+    _keys,
     c_group,
     closure,
     derived_subgroup,
@@ -212,6 +215,8 @@ def test_closure_matches_the_tuple_closure():
         assert list(g.generators) == kept, gens
         assert g.elements == tuple(sorted(members)), gens
         assert all(p in g for p in members)
+        if degree <= 5:
+            assert not any(p in g for p in permutations(range(degree)) if p not in members), gens
 
 
 @pytest.mark.parametrize("table", sorted(_INVARIANT_TABLES) + ["Sym(4)", "Sym(5)", "D_6"])
@@ -244,6 +249,47 @@ def test_c_of_sym5_needs_the_product_base_point():
     assert len(np.unique(c.array[:, c.base], axis=0)) == 240
 
 
+def test_a_chain_on_a_shorter_base_matches_the_closure():
+    # all points but one, in a random order, still form a base; the deep
+    # levels then have stabilisers that only their Schreier generators show
+    rng = random.Random(0x5C)
+    for gens in _random_generator_sets(0x5C, count=80):
+        degree = len(gens[0])
+        base = rng.sample(range(degree), degree - 1)
+        chain = StabiliserChain(degree, base)
+        for row in np.array(gens, dtype=np.int32):
+            chain.add(row[base].tolist(), row)
+        g = closure(gens, degree=degree)
+        assert chain.order == g.order, gens
+        assert np.array_equal(_sorted_rows(chain.maps()), g.array), gens
+
+
+def test_membership_checks_the_whole_map_after_the_sift():
+    # the base of Aut±(S) tells apart only the maps of Aut±(S): a member of
+    # C with two points off the base swapped sifts to the identity there
+    c = c_group(sym_group_table(5))
+    x, y = sorted(set(range(120)) - set(c.base.tolist()))[:2]
+    member = list(c.elements[7])
+    assert tuple(member) in c
+    member[x], member[y] = member[y], member[x]
+    assert tuple(member) not in c
+
+
+def test_derived_subgroup_of_sym_10_is_read_off_its_chain():
+    # |Sym(10)| = 3,628,800 is past the default cap of 10^6; [G, G] takes
+    # its order from its chain, under the caller's cap, with nothing listed
+    start = time.perf_counter()
+    g = closure([(1, 0, *range(2, 10)), (*range(1, 10), 0)], cap=10**7)
+    assert derived_subgroup(g).order == 1_814_400
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.stretch
+def test_the_fingerprint_of_c_zero_10_obeys_the_callers_cap():
+    # C(zero 10) = Sym(10); its fingerprint once closed [C, C] under the default cap
+    assert group_fingerprint(c_group(zero_semigroup(10), cap=10**8)).derived_order == 1_814_400
+
+
 def test_closure_past_the_cap_stops_with_o_of_cap_rows():
     # |Sym(12)| = 479001600; the closure must stop near 10^4 elements
     swap, cycle = (1, 0, *range(2, 12)), (*range(1, 12), 0)
@@ -261,8 +307,8 @@ def test_closure_past_the_cap_stops_with_o_of_cap_rows():
 
 
 def test_keys_agree_on_small_and_large_inputs():
-    # a small input takes one product, a large one is folded point by point;
-    # membership compares keys made both ways, so the numbers must agree
+    # to_cayley_table keys the rows whole and their products block by block,
+    # so a row's key must not depend on the rows keyed with it
     rng = np.random.default_rng(0x4B)
     for degree, shape in ((9, (30000, 10)), (200, (20000, 4, 7))):
         x = rng.integers(0, degree, size=shape, dtype=np.int32)
@@ -285,15 +331,15 @@ def test_c_and_g_closures_name_their_layer_past_the_cap():
     # |Aut(Sym(4))| = |Aut-| = 24 fit a cap of 24; C, of order 48, does not
     with pytest.raises(OrderBudgetExceededError) as exc:
         c_group(sym_group_table(4), cap=24)
-    assert str(exc.value) == "C(S) grew past the cap of 24"
-    assert exc.value.limit == 24 and exc.value.order is None
+    assert str(exc.value) == "C(S) has order 48, past the cap of 24"
+    assert exc.value.limit == 24 and exc.value.order == 48
     # G lies in Aut(S), so only a J(S) listed before, under a larger cap, can
     # let G outgrow the cap: the 10 maps of J generate all 24 automorphisms
     s4 = sym_group_table(4)
     assert len(order_two_automorphisms(s4)) == 10
     with pytest.raises(OrderBudgetExceededError) as exc:
         g_group(s4, cap=10)
-    assert str(exc.value) == "G(S) grew past the cap of 10"
+    assert str(exc.value) == "G(S) has order 24, past the cap of 10"
 
 
 def test_g_group_examples():

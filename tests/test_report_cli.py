@@ -25,7 +25,8 @@ from involute.families import (
     zero_semigroup,
 )
 from involute.graphs import frucht_semigroup, path_graph
-from involute.permgroups import closure, g_group, group_fingerprint
+from involute.morphisms import enumerate_anti_automorphisms, enumerate_automorphisms
+from involute.permgroups import c_group, closure, g_group, group_fingerprint
 from involute.report import _catalog_for_order, analyze, identify_group, report_to_text
 from involute.semigroups import TABLE_CAP, dump_table, load_table, validate
 
@@ -159,6 +160,21 @@ def test_identify_group_decides_equal_element_orders_by_a_budgeted_search(monkey
     assert identify_group(c) == [("Z_4 x| Z_4", False)]
     with pytest.raises(SearchBudgetExceededError):
         identify_group(c, budget=1)
+
+
+def test_a_node_budget_error_names_its_layer():
+    with pytest.raises(SearchBudgetExceededError) as exc:
+        analyze(sym_group_table(4), budget=5)
+    assert str(exc.value) == "Aut(S) search exceeded the node budget of 5"
+    # a search already cached does no work, so the budget reaches the next one
+    s = sym_group_table(4)
+    enumerate_automorphisms(s)
+    with pytest.raises(SearchBudgetExceededError) as exc:
+        enumerate_anti_automorphisms(s, budget=1)
+    assert str(exc.value) == "Aut⁻(S) search exceeded the node budget of 1"
+    with pytest.raises(SearchBudgetExceededError) as exc:
+        identify_group(c_group(s), budget=1)  # Z_2 x Sym(4): its table is searched
+    assert str(exc.value) == "identification search exceeded the node budget of 1"
 
 
 @pytest.mark.stretch
@@ -522,7 +538,7 @@ def test_cli_analyze_names_the_c_layer_past_the_cap(tmp_path, capsys):
     assert main(["construct", "sym", "5", "-o", str(path)]) == 0
     capsys.readouterr()
     assert main(["analyze", str(path), "--json", "--budget-order", "120"]) == 3
-    assert capsys.readouterr() == ("", "budget exceeded: C(S) grew past the cap of 120\n")
+    assert capsys.readouterr() == ("", "budget exceeded: C(S) has order 240, past the cap of 120\n")
 
 
 @pytest.mark.parametrize(
