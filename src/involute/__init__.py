@@ -50,7 +50,6 @@ from .morphisms import (
 from .permgroups import (
     GroupFingerprint,
     PairGroup,
-    PermGroup,
     c_group,
     closure,
     derived_subgroup,

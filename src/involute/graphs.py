@@ -3,10 +3,12 @@ construction whose automorphism group reproduces the graph's."""
 
 from __future__ import annotations
 
+import re
+
 from .errors import InputFormatError, NoEdgesError, OrderBudgetExceededError, SearchBudgetExceededError
-from .morphisms import MorphismSet, _squares_to_one
+from .morphisms import MorphismSet, StabiliserChain, _squares_to_one
 from .perms import as_mapping
-from .permgroups import PermGroup, closure
+from .permgroups import closure
 from .semigroups import TABLE_CAP, FiniteSemigroup, cayley_table, read_json
 
 GRAPH_NODE_BUDGET = 10**7
@@ -159,7 +161,7 @@ def graph_automorphisms(g: SimpleGraph) -> MorphismSet:
     return MorphismSet(g.n, results)
 
 
-def graph_involution_group(g: SimpleGraph, *, cap=None) -> PermGroup:
+def graph_involution_group(g: SimpleGraph, *, cap=None) -> StabiliserChain:
     """C(Gamma): the subgroup generated by order-2 graph automorphisms."""
     auts = graph_automorphisms(g).array
     return closure(auts[_squares_to_one(auts)], degree=g.n, cap=cap)  # closure skips the identity
@@ -199,17 +201,17 @@ def load_graph(path) -> SimpleGraph:
 
 
 def parse_edge_list(text: str, n: int | None = None) -> SimpleGraph:
-    """Parse inline edges like ``0-1,1-2``; vertex count defaults to max+1."""
+    """Parse inline edges like ``0-1,1-2``, each two ASCII-digit numbers
+    joined by one ``-``; ``-`` alone is no edges.  Vertex count defaults to
+    max+1."""
     edges = []
     text = text.strip()
     if text and text != "-":
         for part in text.split(","):
-            bits = part.replace("-", " ").split()
-            try:
-                u, v = map(int, bits)
-            except ValueError as exc:
-                raise InputFormatError(f"bad edge {part!r}; expected like 0-1") from exc
-            edges.append((u, v))
+            m = re.fullmatch(r"\s*([0-9]+)-([0-9]+)\s*", part)
+            if m is None:
+                raise InputFormatError(f"bad edge {part!r}; expected like 0-1")
+            edges.append((int(m[1]), int(m[2])))
     top = max((max(e) for e in edges), default=-1) + 1
     return _input_graph(n if n is not None else top, edges)
 

@@ -14,8 +14,9 @@ the levels of the search tree form a stabiliser chain.
 candidates outside the orbit, resumed after each hit (the orbit pruning of
 Leon's partition backtrack in its simplest form), and adds each hit by the
 chain's orbit step; the groups of :mod:`~involute.permgroups` fill the same
-type by Schreier–Sims.  Aut(S), Aut⁻(S), I(S) and J(S) are each a
-:class:`MorphismSet`, one int32 array of maps, one map per row.
+type by Schreier–Sims.  A chain is a :class:`MorphismSet`, one int32 array
+of maps, one map per row, listed when first read, so Aut(S) is its chain and
+Aut⁻(S), I(S) and J(S) are each a MorphismSet.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class MorphismSet:
     in is sorted in place), so equal sets compare equal and all derived
     output is deterministic.  ``elements`` and iteration give mapping tuples:
     those handed in, or built once from the array, each point one shared
-    int object.  :class:`~involute.permgroups.PermGroup` adds generators."""
+    int object."""
 
     def __init__(self, degree, elements):
         self.degree = degree
@@ -100,12 +101,15 @@ class MorphismSet:
         return f"{type(self).__name__}(degree={self.degree}, order={self.order})"
 
 
-class StabiliserChain:
+class StabiliserChain(MorphismSet):
     """A permutation group G as a stabiliser chain along ``base``, points
     whose images tell its members apart.  ``transversals[i]`` maps each point
     p of the orbit of base[i] under G_i, the members fixing base[:i], to one
     taking base[i] to p, so each member is one product u_0 ... u_{k-1}, and
-    ``order`` is the product of the orbit lengths, with strong ``generators``."""
+    ``order`` is the product of the orbit lengths.  ``generators`` are the
+    maps G was built from, mapping tuples; ``len`` and ``in`` read the chain,
+    and the sorted ``array`` of a MorphismSet is listed when first read, once
+    the chain is built."""
 
     def __init__(self, degree: int, base):
         self.degree, self.base = degree, tuple(base)
@@ -118,6 +122,18 @@ class StabiliserChain:
     @property
     def order(self) -> int:
         return prod(map(len, self.transversals))
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        return _sorted_rows(self.maps())
+
+    def __contains__(self, perm):
+        """Sifted, then checked whole: the base tells apart only members."""
+        h = tuple(perm)
+        if sorted(h) != list(range(self.degree)):
+            return False
+        level, h = self.sift([h[b] for b in self.base], 0, h)
+        return level == len(self.base) and h == tuple(range(self.degree))
 
     def maps(self) -> np.ndarray:
         """Every member, one per row, unsorted: one gather per level."""
@@ -153,7 +169,6 @@ class StabiliserChain:
         """The orbit step: ``a``, fixing base[:lo], joins the strong
         generators of levels lo..hi, each orbit grown through a on its old
         points and every generator of the level on its new ones."""
-        self.generators.append(a)
         for level in range(lo, hi + 1):
             orbit, strong = self.transversals[level], self._strong[level]
             strong.append(a)
@@ -166,16 +181,18 @@ class StabiliserChain:
 
     def add(self, images, row: np.ndarray) -> bool:
         """Whether the map ``row``, an int array with base images ``images``,
-        lies outside G; if so G becomes <G, row> by incremental Schreier–Sims
-        (Holt, Eick & O'Brien 2005, 4.4.2): what the sift leaves joins
-        levels 0..j, and levels j, ..., 0 are completed in turn.  Level i is
-        complete once every Schreier generator u_q^-1 s u_p (s a strong
-        generator, q = s(p)) sifts to the identity from level i + 1, as they
-        generate the stabiliser of base[i] (Schreier's lemma)."""
+        lies outside G; if so it joins the ``generators`` and G becomes
+        <G, row> by incremental Schreier–Sims (Holt, Eick & O'Brien 2005,
+        4.4.2): what the sift leaves joins levels 0..j, and levels j, ..., 0
+        are completed in turn.  Level i is complete once every Schreier
+        generator u_q^-1 s u_p (s a strong generator, q = s(p)) sifts to the
+        identity from level i + 1, as they generate the stabiliser of
+        base[i] (Schreier's lemma)."""
         level = self.sift(images)[0]
         if level == len(self.base):
             return False
-        self.extend(self.sift(images, 0, tuple(row.tolist()))[1], 0, level)
+        self.generators.append(tuple(row.tolist()))
+        self.extend(self.sift(images, 0, self.generators[-1])[1], 0, level)
         while level >= 0:
             level = self._complete(level)
         return True
@@ -451,6 +468,7 @@ def automorphism_chain(s: FiniteSemigroup, *, budget: int | None = None) -> Stab
                 )
                 if not hit:
                     break
+                chain.generators.append(hit[0])
                 chain.extend(hit[0], 0, i)
                 rest = rest[rest.index(hit[0][gens[i]]) + 1:]
         return chain
@@ -480,20 +498,18 @@ def _memo(s: FiniteSemigroup, key: str, build):
 
 def enumerate_automorphisms(
     s: FiniteSemigroup, *, budget: int | None = None, cap: int | None = None
-) -> MorphismSet:
-    """The complete automorphism group of S, canonically sorted.
-
-    Listed from :func:`automorphism_chain` by its
-    :meth:`~StabiliserChain.maps`, one gather per level.  Raises
-    :class:`OrderBudgetExceededError` before any listing if |Aut(S)| is past
-    ``cap`` (default :data:`DEFAULT_ORDER_BUDGET`).  A list already cached is
-    returned whatever the cap.
+) -> StabiliserChain:
+    """The complete automorphism group of S: :func:`automorphism_chain`, once
+    its order is within ``cap`` (default :data:`DEFAULT_ORDER_BUDGET`), else
+    :class:`OrderBudgetExceededError`.  Its sorted array is listed when first
+    read, one gather per level.  An Aut(S) returned before is returned
+    whatever the cap.
     """
 
     def build():
         aut = automorphism_chain(s, budget=budget)
         _capped(aut.order, cap, "Aut(S)")
-        return MorphismSet(s.n, aut.maps())
+        return aut
 
     return _memo(s, "aut", build)
 
@@ -512,7 +528,7 @@ def enumerate_anti_automorphisms(
 
     def build():
         if s.is_commutative:
-            return MorphismSet(s.n, enumerate_automorphisms(s, budget=budget, cap=cap).array)
+            return enumerate_automorphisms(s, budget=budget, cap=cap)
         found = enumerate_isomorphism_mappings(s, s.dual(), budget=budget, limit=1, layer="Aut⁻(S)")
         if not found:
             return MorphismSet(s.n, ())

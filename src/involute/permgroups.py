@@ -13,7 +13,6 @@ costs O(|G|^2).  Element orders come from numpy pointer doubling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from math import inf, lcm
 
@@ -24,7 +23,6 @@ from .morphisms import (
     MorphismSet,
     StabiliserChain,
     _capped,
-    _sorted_rows,
     automorphism_chain,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
@@ -41,48 +39,22 @@ from .semigroups import (
 )
 
 
-class PermGroup(MorphismSet):
-    """A :class:`~involute.morphisms.StabiliserChain`, ``chain``, with its
-    order and ``base``, plus the ``generators`` kept for it, mapping tuples.
-    The sorted ``array`` of a MorphismSet is listed when first read."""
-
-    def __init__(self, chain: StabiliserChain, generators):
-        self.chain, self.degree = chain, chain.degree
-        self.base = np.asarray(chain.base, dtype=np.intp)
-        self.generators = tuple(generators)
-
-    @property
-    def order(self) -> int:
-        return self.chain.order
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return _sorted_rows(self.chain.maps())
-
-    def __contains__(self, perm):
-        """Sifted, then checked whole: the base tells apart only members."""
-        h = tuple(perm)
-        if sorted(h) != list(range(self.degree)):
-            return False
-        level, h = self.chain.sift([h[b] for b in self.chain.base], 0, h)
-        return level == len(self.base) and h == tuple(range(self.degree))
-
-
-def _group(chain: StabiliserChain, batches, kept: list, cap, layer=None, stop=None) -> PermGroup:
-    """The group that ``batches``, int32 arrays of candidates, one per row,
-    generate on ``chain``; a candidate is ``kept`` (which ``batches`` may
-    read) only if it sifts outside the group so far, and sifting stops at
-    order ``stop``.  Past ``cap`` the error names ``layer``."""
-    for images, row in ((i, r) for b in batches for i, r in zip(b[:, chain.base].tolist(), b)):
+def _group(chain: StabiliserChain, batches, cap, layer=None, stop=None) -> StabiliserChain:
+    """``chain`` grown to the group that ``batches``, int32 arrays of
+    candidates, one per row, generate; a candidate joins its ``generators``
+    (which ``batches`` may read) only if it sifts outside the group so far,
+    and sifting stops at order ``stop``.  Past ``cap`` the error names
+    ``layer``."""
+    base = list(chain.base)
+    for images, row in ((i, r) for b in batches for i, r in zip(b[:, base].tolist(), b)):
         if chain.order == stop:
             break
-        if chain.add(images, row):
-            kept.append(tuple(row.tolist()))
+        chain.add(images, row)
     _capped(chain.order, cap, layer)
-    return PermGroup(chain, kept)
+    return chain
 
 
-def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
+def closure(generators, degree=None, *, cap: int | None = None) -> StabiliserChain:
     """The subgroup generated by the given permutations, each a sequence of
     images (see :func:`~involute.perms.as_mapping`), on the base of every
     point; its ``generators`` are those kept by the greedy rule.  An empty
@@ -97,7 +69,7 @@ def closure(generators, degree=None, *, cap: int | None = None) -> PermGroup:
     if any(len(g) != degree for g in gens):
         raise ValueError("generators act on different degrees")
     rows = np.array(gens, dtype=np.int32).reshape(len(gens), degree)
-    return _group(StabiliserChain(degree, range(degree)), [rows], [], cap)
+    return _group(StabiliserChain(degree, range(degree)), [rows], cap)
 
 
 def _noncommuting_pair(s: FiniteSemigroup, gens):
@@ -123,22 +95,23 @@ def _signed_chain(s: FiniteSemigroup, budget) -> StabiliserChain:
     return StabiliserChain(s.n, base + [p for p in dict.fromkeys(extra) if p not in base])
 
 
-def c_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
+def c_group(s: FiniteSemigroup, *, budget=None, cap=None) -> StabiliserChain:
     """C(S): the subgroup of Sym(S) generated by all involutions of S, on the
     base of Aut±(S), sifted until it has the order of Aut±(S), counted from
     the lists the involutions came from."""
     invs = involutions(s, budget=budget, cap=cap)
-    return _group(_signed_chain(s, budget), [invs.array], [], cap, "C(S)", signed_aut_order(s, cap=inf))
+    return _group(_signed_chain(s, budget), [invs.array], cap, "C(S)", signed_aut_order(s, cap=inf))
 
 
-def g_group(s: FiniteSemigroup, *, budget=None, cap=None) -> PermGroup:
+def g_group(s: FiniteSemigroup, *, budget=None, cap=None) -> StabiliserChain:
     """G(S): the subgroup generated by the order-at-most-2 automorphisms, on
     the base of Aut±(S), sifted until it has the order of Aut(S)."""
     j_set = order_two_automorphisms(s, budget=budget, cap=cap)
-    return _group(_signed_chain(s, budget), [j_set.array], [], cap, "G(S)", len(enumerate_automorphisms(s)))
+    stop = automorphism_chain(s, budget=budget).order
+    return _group(_signed_chain(s, budget), [j_set.array], cap, "G(S)", stop)
 
 
-def involution_laws(s: FiniteSemigroup, invs, j_set, c: PermGroup, g: PermGroup):
+def involution_laws(s: FiniteSemigroup, invs, j_set, c: StabiliserChain, g: StabiliserChain):
     """The paper's laws for C(S) from I(S), J(S), C(S) and G(S), as
     ``(split, central)``; each is ``None`` where its hypothesis is absent.
 
@@ -154,8 +127,8 @@ def involution_laws(s: FiniteSemigroup, invs, j_set, c: PermGroup, g: PermGroup)
     anti-automorphism is an automorphism.  C lies in Aut±(S), so a row
     alpha of C is an automorphism iff alpha(xy) = alpha(x)alpha(y) for the
     pair of :func:`_signed_chain`.  Centrality is tested on the
-    strong generators of :func:`~involute.morphisms.automorphism_chain`, a
-    cache hit once Aut(S) is listed, each filtering the rows of I(S) left:
+    generators of :func:`~involute.morphisms.automorphism_chain`, its
+    search hits, each filtering the rows of I(S) left:
     what commutes with a and b commutes with ab, so with every product of
     generators, which is every automorphism.  Psi is injective, so it maps
     J(S) onto I(S) iff the sorted rows a o iota are those of I(S).
@@ -183,7 +156,7 @@ def signed_aut_order(s: FiniteSemigroup, *, budget=None, cap=None) -> int:
     return _capped(auts if s.is_commutative else auts + antis, cap, "Aut±(S)")
 
 
-def derived_subgroup(g: PermGroup) -> PermGroup:
+def derived_subgroup(g: StabiliserChain) -> StabiliserChain:
     """The commutator subgroup [G, G], from the generators X of G, on the
     base of G.
 
@@ -199,16 +172,16 @@ def derived_subgroup(g: PermGroup) -> PermGroup:
     """
     x = np.asarray(g.generators, dtype=np.int32).reshape(len(g.generators), g.degree)
     x_inv = np.argsort(x, axis=1).astype(np.int32)
-    kept: list = []
+    h = StabiliserChain(g.degree, g.base)
 
     def batches():  # row i of take_along_axis(p, q) is p_i o q_i
         a, b = np.triu_indices(len(x), 1)  # the pairs of combinations(X, 2)
         ab = np.take_along_axis(x[a], x[b], axis=1)
         yield np.take_along_axis(ab, np.take_along_axis(x_inv[a], x_inv[b], axis=1), axis=1)
-        for k in kept:  # grows while it is walked
+        for k in h.generators:  # grows while it is walked
             yield np.take_along_axis(x, np.asarray(k)[x_inv], axis=1)
 
-    return _group(StabiliserChain(g.degree, g.chain.base), batches(), kept, g.order)
+    return _group(h, batches(), g.order)
 
 
 @dataclass(frozen=True)
@@ -223,14 +196,15 @@ class GroupFingerprint:
     derived_order: int
 
 
-def _center_order(g: PermGroup, central: np.ndarray) -> int:
+def _center_order(g: StabiliserChain, central: np.ndarray) -> int:
     """|Z(G)| as the number of rows of ``central``, all of G, that commute
     with every generator, and so with every product of generators.  a g and
     g a lie in G, so they are equal iff they agree on the base.  Each
-    generator filters the rows left."""
+    generator, held as int32 like the rows, filters the rows left."""
+    base = list(g.base)
     for a in g.generators:
-        a = np.asarray(a, dtype=np.intp)
-        central = central[(a[central[:, g.base]] == central[:, a[g.base]]).all(axis=1)]
+        a = np.asarray(a, dtype=np.int32)
+        central = central[(a[central[:, base]] == central[:, a[base]]).all(axis=1)]
     return len(central)
 
 
@@ -266,9 +240,9 @@ def _block_orders(m: np.ndarray) -> np.ndarray:
     return np.lcm.reduce(lengths, axis=1, initial=1)
 
 
-def group_fingerprint(g: PermGroup) -> GroupFingerprint:
+def group_fingerprint(g: StabiliserChain) -> GroupFingerprint:
     """Over the elements listed unsorted; [G, G] from its own chain."""
-    m = g.chain.maps()
+    m = g.maps()
     orders, counts = np.unique(_element_orders(m), return_counts=True)
     hist = dict(zip(orders.tolist(), counts.tolist()))
     center = _center_order(g, m)
@@ -292,7 +266,7 @@ def _keys(images: np.ndarray, degree: int) -> np.ndarray:
     return images @ (1 << np.arange((k - 1) * bits, -1, -bits, dtype=np.int64))
 
 
-def to_cayley_table(g: PermGroup) -> FiniteSemigroup:
+def to_cayley_table(g: StabiliserChain) -> FiniteSemigroup:
     """The group's Cayley table over its sorted elements, checked by
     :func:`~involute.semigroups.validate`.  Entry (i, j) is the row of
     g_i o g_j, found by the key of g_i(g_j(base)), rows i in blocks of about
@@ -301,7 +275,7 @@ def to_cayley_table(g: PermGroup) -> FiniteSemigroup:
     if g.order > TABLE_CAP:
         raise OrderBudgetExceededError(TABLE_CAP)
     m = g.array
-    at_base = m[:, g.base]
+    at_base = m[:, list(g.base)]
     keys = _keys(at_base, g.degree)
     order = np.argsort(keys)
     step = max(1, 2**16 // max(1, at_base.size))

@@ -14,6 +14,7 @@ from math import factorial, gcd, lcm
 
 from . import families
 from .morphisms import (
+    StabiliserChain,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
     enumerate_isomorphism_mappings,
@@ -22,7 +23,6 @@ from .morphisms import (
 )
 from .permgroups import (
     GroupFingerprint,
-    PermGroup,
     c_group,
     g_group,
     group_fingerprint,
@@ -77,7 +77,7 @@ def _catalog_for_order(m: int):
     return [(name, tuple(sorted(orders.items())), build) for name, orders, build in out]
 
 
-def identify_group(g: PermGroup, fp: GroupFingerprint | None = None, *,
+def identify_group(g: StabiliserChain, fp: GroupFingerprint | None = None, *,
                    budget=None) -> list[tuple[str, bool]]:
     """Match a materialized group against the named catalog of its order,
     as (descriptor, matched) verdicts.  A candidate whose element-order
@@ -154,8 +154,7 @@ def analyze(
         "identification": dict(identify_group(c, fp, budget=budget)),
         "morphisms": {
             "automorphisms": auts.elements,
-            # on a commutative S the two lists are one: share the tuples
-            "antiAutomorphisms": (auts if s.is_commutative else antis).elements,
+            "antiAutomorphisms": antis.elements,
             "involutions": invs.elements,
         },
     }

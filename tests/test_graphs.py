@@ -140,6 +140,14 @@ def test_parse_edge_list():
     assert parse_edge_list("", n=4).n == 4
     with pytest.raises(InputFormatError):
         parse_edge_list("0-1-2")
+    assert parse_edge_list(" 0-1 , 1-2 ").edges == g.edges
+    assert parse_edge_list("-").edges == set() and parse_edge_list("-", n=2).n == 2
+
+
+@pytest.mark.parametrize("text", ["-1-2", "0--1", "0 1", "0-1-", "+1-2"])
+def test_parse_edge_list_rejects_malformed_edges(text):
+    with pytest.raises(InputFormatError, match="bad edge"):
+        parse_edge_list(text)
 
 
 def _networkx_automorphisms(g):

@@ -238,7 +238,7 @@ def test_atoms_are_preserved_by_all_morphisms():
 
 def test_commutative_collapse():
     z12 = cyclic_group(12)
-    assert enumerate_anti_automorphisms(z12).elements == enumerate_automorphisms(z12).elements
+    assert enumerate_anti_automorphisms(z12) is enumerate_automorphisms(z12)
     expected = {p for p in order_two_automorphisms(z12) if p != identity_tuple(12)}
     assert set(involutions(z12).elements) == expected
 
@@ -488,3 +488,35 @@ def test_involutions_and_j_are_kept_like_aut(monkeypatch):
     c_group(s), g_group(s)
     assert s.search_cache["involutions"] is invs and s.search_cache["order_two"] is j_set
     assert len(invs) == len(j_set) == 4
+
+
+def test_aut_is_its_chain_and_keeps_the_cap_it_passed(monkeypatch):
+    # |Aut(band 1x5)| = 5! = 120, past a default cap of 100: G(S) and a
+    # later default-cap call read the Aut(S) that passed the caller's cap
+    monkeypatch.setattr(morphisms, "DEFAULT_ORDER_BUDGET", 100)
+    s = rectangular_band(1, 5)
+    assert not s.is_commutative
+    with pytest.raises(OrderBudgetExceededError):
+        enumerate_automorphisms(rectangular_band(1, 5))
+    assert g_group(s, cap=1000).order == 120
+    aut = enumerate_automorphisms(s, cap=1000)
+    assert enumerate_automorphisms(s) is aut is automorphism_chain(s)
+    assert tuple(range(s.n)) in enumerate_automorphisms(s)
+
+
+def test_aut_answers_len_and_membership_without_listing():
+    s = rectangular_band(1, 6)
+    aut = enumerate_automorphisms(s)
+    assert len(aut) == 720 and (1, 0, 2, 3, 4, 5) in aut
+    assert "array" not in vars(aut)
+    # the base, a generating set, tells apart only automorphisms: a swap of
+    # two points off it fixes the base, and the whole-map check refuses it
+    t = full_transformation_monoid(3)
+    aut = enumerate_automorphisms(t)
+    x, y = sorted(set(range(t.n)) - set(aut.base))[:2]
+    swapped = list(range(t.n))
+    swapped[x], swapped[y] = y, x
+    rng = random.Random(3)
+    perms = [tuple(swapped), *aut, *(tuple(rng.sample(range(t.n), t.n)) for _ in range(20))]
+    assert [p in aut for p in perms] == [is_homomorphism(p, t, t) for p in perms]
+    assert sum(p in aut for p in perms) == 6

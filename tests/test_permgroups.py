@@ -8,7 +8,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from involute.battery import _aut_as_group, _completeness_corpus, _split_law_corpus
+from involute.battery import _completeness_corpus, _split_law_corpus
 from involute.errors import NotAGroupError, OrderBudgetExceededError
 from involute.families import (
     alternating_group_table,
@@ -111,7 +111,7 @@ _GROUP_SOURCES = {
     "closure": lambda s: closure(enumerate_automorphisms(s).elements, degree=s.n),
     "c_group": c_group,
     "g_group": g_group,
-    "aut_as_group": _aut_as_group,
+    "enumerate_automorphisms": enumerate_automorphisms,
 }
 
 
@@ -246,7 +246,7 @@ def test_c_of_sym5_needs_the_product_base_point():
     # anti-automorphism, so those points alone tell only 120 maps apart
     gens = list(automorphism_chain(s).base)
     assert len(np.unique(c.array[:, gens], axis=0)) == 120
-    assert len(np.unique(c.array[:, c.base], axis=0)) == 240
+    assert len(np.unique(c.array[:, list(c.base)], axis=0)) == 240
 
 
 def test_a_chain_on_a_shorter_base_matches_the_closure():
@@ -268,7 +268,7 @@ def test_membership_checks_the_whole_map_after_the_sift():
     # the base of Aut±(S) tells apart only the maps of Aut±(S): a member of
     # C with two points off the base swapped sifts to the identity there
     c = c_group(sym_group_table(5))
-    x, y = sorted(set(range(120)) - set(c.base.tolist()))[:2]
+    x, y = sorted(set(range(120)) - set(c.base))[:2]
     member = list(c.elements[7])
     assert tuple(member) in c
     member[x], member[y] = member[y], member[x]

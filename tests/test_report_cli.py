@@ -301,6 +301,7 @@ def test_cli_construct_frucht(capsys):
         ["z2^k", "-1"],
         ["frucht", "x", "0-1"],
         ["frucht", "3", "0-a"],
+        ["frucht", "3", "--", "-1-2"],
         ["sym", "0"],
         ["alt", "0"],
         ["transformation", "0"],
