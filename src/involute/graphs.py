@@ -50,10 +50,11 @@ class SimpleGraph:
 
     def is_automorphism(self, perm) -> bool:
         """Whether ``perm`` (see :func:`~involute.perms.as_mapping`) keeps the edges."""
-        m = as_mapping(perm)
-        if len(m) != self.n:
-            return False
-        return all((min(m[u], m[v]), max(m[u], m[v])) in self.edges for u, v in self.edges)
+        return self._keeps_edges(as_mapping(perm))
+
+    def _keeps_edges(self, m: tuple) -> bool:
+        """Whether a mapping tuple, already checked, is of degree n and keeps the edges."""
+        return len(m) == self.n and all((min(m[u], m[v]), max(m[u], m[v])) in self.edges for u, v in self.edges)
 
     def __eq__(self, other):
         return isinstance(other, SimpleGraph) and self.n == other.n and self.edges == other.edges

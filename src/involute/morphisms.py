@@ -3,9 +3,9 @@
 The engine finds isomorphisms S -> T by branching over the images of a
 generating set of S, restricted to fingerprint-compatible targets, and
 extending every partial assignment by product saturation.  An
-anti-isomorphism S -> T is an isomorphism S -> dual(T), so the same engine
-serves both directions; the documented R/L and left/right fingerprint swap
-falls out of computing fingerprints on the dual table.
+anti-isomorphism S -> T is an isomorphism onto the opposite of T, so the
+same engine serves both directions: ``anti`` reads T's rows transposed and
+its fingerprints with the R/L and left/right fields swapped, on T itself.
 
 Every group is a :class:`StabiliserChain`.  A generating set of S is a base
 for Aut(S), as an automorphism is fixed by the images of the generators, so
@@ -36,6 +36,7 @@ from .perms import as_mapping, compose, cycle_string, invert, is_involution
 from .semigroups import (
     DEFAULT_ORDER_BUDGET,
     FiniteSemigroup,
+    _SWAPPED,
     _row_labels,
     _row_tuples,
     generating_set,
@@ -129,8 +130,11 @@ class StabiliserChain(MorphismSet):
 
     def __contains__(self, perm):
         """Sifted, then checked whole: the base tells apart only members."""
-        h = tuple(perm)
-        if sorted(h) != list(range(self.degree)):
+        try:
+            h = as_mapping(perm)
+        except ValueError:
+            return False
+        if len(h) != self.degree:
             return False
         level, h = self.sift([h[b] for b in self.base], 0, h)
         return level == len(self.base) and h == tuple(range(self.degree))
@@ -237,16 +241,6 @@ def is_anti_homomorphism(alpha, s: FiniteSemigroup, t: FiniteSemigroup) -> bool:
     return _preserves_products(alpha, s, t, anti=True)
 
 
-def _fingerprint_ids(s: FiniteSemigroup, t: FiniteSemigroup):
-    """Shared class ids for the rows of the two fingerprint arrays, or None
-    if the multisets of rows differ (then no isomorphism exists)."""
-    ids = _row_labels(np.concatenate((s.fingerprint_rows, t.fingerprint_rows)))
-    sid, tid = ids[:s.n], ids[s.n:]
-    if not np.array_equal(np.bincount(sid, minlength=s.n), np.bincount(tid, minlength=s.n)):
-        return None
-    return sid.tolist(), tid.tolist()
-
-
 def _generator_certificate(s: FiniteSemigroup, t: FiniteSemigroup, gens, anti: bool):
     """A test that a map f: S -> T preserves products, in O(n |gens|).
 
@@ -277,8 +271,9 @@ def _generator_certificate(s: FiniteSemigroup, t: FiniteSemigroup, gens, anti: b
     return holds
 
 
-def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, layer, steps=0):
-    """Core backtracking loop.
+def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, layer, steps=0, anti=False):
+    """Core backtracking loop; with ``anti`` it finds anti-isomorphisms,
+    reading T's rows transposed, tuples of the int objects of ``t.table``.
 
     Returns the mapping tuples, lexicographically sorted, and the node count:
     ``steps`` (the nodes already spent by earlier searches under the same
@@ -298,8 +293,8 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, layer, steps
     ``layer``.
     """
     n = s.n
-    tab_s, tab_t = s.table, t.table
-    certified = _generator_certificate(s, t, gens, anti=False)
+    tab_s, tab_t = s.table, tuple(zip(*t.table)) if anti else t.table
+    certified = _generator_certificate(s, t, gens, anti)
     image = [-1] * n
     preim = [-1] * n
     known: list[int] = []
@@ -392,16 +387,19 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, layer, steps
     return results, steps
 
 
-def _search_plan(s: FiniteSemigroup, t: FiniteSemigroup):
+def _search_plan(s: FiniteSemigroup, t: FiniteSemigroup, anti: bool = False):
     """The search's generators, most-constrained first, with their
-    fingerprint-compatible candidate images and the shared fingerprint class
-    ids; None if no isomorphism S -> T can exist."""
+    fingerprint-compatible candidate images and the class ids shared by the
+    rows of S's and T's fingerprints, T's with the columns swapped if
+    ``anti``; None if no isomorphism S -> T (anti: anti-isomorphism) can
+    exist, as when the multisets of rows differ."""
     if s.n != t.n:
         return None
-    pair = _fingerprint_ids(s, t)
-    if pair is None:
+    t_rows = t.fingerprint_rows[:, _SWAPPED] if anti else t.fingerprint_rows
+    ids = _row_labels(np.concatenate((s.fingerprint_rows, t_rows)))
+    if not np.array_equal(np.sort(ids[:s.n]), np.sort(ids[s.n:])):
         return None
-    sid, tid = pair
+    sid, tid = ids[:s.n].tolist(), ids[s.n:].tolist()
     by_class: dict[int, list[int]] = {}
     for y, c in enumerate(tid):
         by_class.setdefault(c, []).append(y)
@@ -421,11 +419,14 @@ def enumerate_isomorphism_mappings(
 ) -> list[tuple[int, ...]]:
     """All isomorphisms S -> T as mapping tuples (or the first ``limit``);
     past ``budget`` nodes the error names ``layer``."""
+    return _isomorphisms(s, t, False, budget, limit, layer)
+
+
+def _isomorphisms(s, t, anti: bool, budget, limit, layer) -> list[tuple[int, ...]]:
+    """The (``anti``: anti-)isomorphisms S -> T as sorted mapping tuples, the first ``limit``."""
     budget = DEFAULT_NODE_BUDGET if budget is None else budget
-    plan = _search_plan(s, t)
-    if plan is None:
-        return []
-    return _search_isomorphisms(s, t, *plan, budget, limit, layer)[0]
+    plan = _search_plan(s, t, anti)
+    return [] if plan is None else _search_isomorphisms(s, t, *plan, budget, limit, layer, anti=anti)[0]
 
 
 def automorphism_chain(s: FiniteSemigroup, *, budget: int | None = None) -> StabiliserChain:
@@ -520,16 +521,16 @@ def enumerate_anti_automorphisms(
     """The complete set of anti-automorphisms of S; ``cap`` as for Aut(S).
 
     On a commutative S this is Aut(S) itself.  Otherwise one
-    anti-automorphism beta is found by searching for an isomorphism onto the
-    dual table, and the rest are produced as {alpha o beta}, one column
-    gather of Aut(S); every composite is re-verified by the anti form of
+    anti-automorphism beta is found by the anti search on S's own table,
+    and the rest are produced as {alpha o beta}, one column gather of
+    Aut(S); every composite is re-verified by the anti form of
     :func:`_generator_certificate` over a generating set of S.
     """
 
     def build():
         if s.is_commutative:
             return enumerate_automorphisms(s, budget=budget, cap=cap)
-        found = enumerate_isomorphism_mappings(s, s.dual(), budget=budget, limit=1, layer="Aut⁻(S)")
+        found = _isomorphisms(s, s, True, budget, 1, "Aut⁻(S)")
         if not found:
             return MorphismSet(s.n, ())
         auts = enumerate_automorphisms(s, budget=budget, cap=cap)
@@ -588,4 +589,5 @@ def find_isomorphism(
 def find_anti_isomorphism(
     s: FiniteSemigroup, t: FiniteSemigroup, *, budget: int | None = None
 ) -> tuple[int, ...] | None:
-    return find_isomorphism(s, t.dual(), budget=budget)
+    """One anti-isomorphism S -> T as a mapping tuple, or None if there is none."""
+    return next(iter(_isomorphisms(s, t, True, budget, 1, "morphism")), None)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .errors import InputFormatError
 
 
@@ -32,8 +34,13 @@ def identity_tuple(n):
 
 def as_mapping(p) -> tuple[int, ...]:
     """The mapping tuple of a sequence of images, the one form the library
-    holds a map in; ValueError unless a bijection."""
+    holds a map in; ValueError unless its images are integers (Python or
+    numpy, returned as ints; not bools) that form a bijection."""
     m = tuple(p)
+    if not {int}.issuperset(map(type, m)):
+        if not all(isinstance(x, np.integer) for x in m if type(x) is not int):
+            raise ValueError(f"images must be integers: {m}")
+        m = tuple(map(int, m))
     if sorted(m) != list(range(len(m))):
         raise ValueError(f"not a permutation of 0..{len(m) - 1}: {m}")
     return m

@@ -34,17 +34,14 @@ class FiniteSemigroup:
 
     ``np_table``, the table as an int32 array, is trusted and made read-only
     by the constructor; ``table``, its rows as tuples, is built on first read.
-    ``dual_of``, if given, is the semigroup whose transposed table this is:
-    the Green labels and fingerprints are then read off it, not recomputed.
     """
 
-    def __init__(self, np_table, names, identity, dual_of: "FiniteSemigroup | None" = None):
+    def __init__(self, np_table, names, identity):
         np_table.flags.writeable = False
         self.np_table = np_table
         self.n = len(np_table)
         self.names = names
         self.identity = identity
-        self.dual_of = dual_of
         #: results of searches on this table, filled by :mod:`involute.morphisms`
         self.search_cache: dict = {}
 
@@ -59,12 +56,8 @@ class FiniteSemigroup:
 
     @cached_property
     def green_labels(self) -> tuple:
-        """The R, L and D labels and the left and right translation ranks of
-        :func:`_green_labels`; a dual trades R for L and left for right."""
-        if self.dual_of is None:
-            return _green_labels(self.np_table)
-        r, l, d, left, right = self.dual_of.green_labels
-        return l, r, d, right, left
+        """The R, L and D labels and translation ranks of :func:`_green_labels`."""
+        return _green_labels(self.np_table)
 
     @cached_property
     def green(self) -> "GreenStructure":
@@ -72,12 +65,8 @@ class FiniteSemigroup:
 
     @cached_property
     def fingerprint_rows(self) -> np.ndarray:
-        """The element fingerprints as an (n, 8) int array, fields in
-        :class:`ElementFingerprint` order; a dual's are the original's
-        with the columns swapped as by :meth:`ElementFingerprint.swapped`."""
-        if self.dual_of is None:
-            return _compute_fingerprints(self.np_table, self.green_labels)
-        return self.dual_of.fingerprint_rows[:, _SWAPPED]
+        """The element fingerprints, an (n, 8) int array in field order."""
+        return _compute_fingerprints(self.np_table, self.green_labels)
 
     @cached_property
     def fingerprints(self) -> tuple["ElementFingerprint", ...]:
@@ -93,7 +82,7 @@ class FiniteSemigroup:
 
     def dual(self) -> "FiniteSemigroup":
         """The opposite semigroup: the transposed table, a new instance."""
-        return FiniteSemigroup(np.ascontiguousarray(self.np_table.T), self.names, self.identity, self)
+        return FiniteSemigroup(np.ascontiguousarray(self.np_table.T), self.names, self.identity)
 
     def name_of(self, x: int) -> str:
         return self.names[x] if self.names is not None else str(x)
@@ -130,10 +119,12 @@ def validate(table, names=None) -> FiniteSemigroup:
 
     Associativity is checked by Light's test in O(n^2 |A|) rather than
     O(n^3): ``A`` is a set whose right closure (close A under x -> x*a for
-    a in A) is all of the table, picked by :func:`greedy_generators`.  That
-    closure is plain lookups in the columns of A, so it is sound before
-    associativity is known.  Then (x*a)*y = x*(a*y) is checked for every a
-    in A and all x, y, each a as soon as it is picked and its column read.
+    a in A) is all of the table, picked by :func:`greedy_generators` in
+    index order, as :func:`cayley_table` picks, so on a table it built A is
+    its set of column generators.  That closure is plain lookups in the
+    columns of A, so it is sound before associativity is known.  Then
+    (x*a)*y = x*(a*y) is checked for every a in A and all x, y, each a as
+    soon as it is picked and its column read.
     Proof that this suffices: let B = {b : (xb)y = x(by) for all x, y}.  If
     b, c are in B then for all x, y
     (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y),
@@ -172,7 +163,7 @@ def validate(table, names=None) -> FiniteSemigroup:
         raise IndexOutOfRangeError(f"table entries must lie in 0..{n - 1}")
     arr = np.ascontiguousarray(arr, dtype=np.int32)
     cols: dict = {}
-    for a in greedy_generators(_spread_order(arr), lambda x, g: cols[g][x]):
+    for a in greedy_generators(range(n), lambda x, g: cols[g][x]):
         cols[a] = arr[:, a].tolist()
         # [x, y] -> (x*a)*y against x*(a*y), in one expression so that
         # neither n x n side outlives the comparison
@@ -242,13 +233,6 @@ def cayley_table(elems, mult, names=None) -> FiniteSemigroup:
     return validate(cols.T, names=None if names is None else list(names))
 
 
-def _spread_order(arr) -> list[int]:
-    """The elements, most distinct row plus column entries first, then by index."""
-    left, right = _translation_ranks(*_occurrence_masks(arr))
-    spread = (left + right).tolist()
-    return sorted(range(len(arr)), key=lambda x: (-spread[x], x))
-
-
 def atoms(s: FiniteSemigroup) -> frozenset[int]:
     """Elements with no factorization into non-identity elements.
 
@@ -292,12 +276,6 @@ def _occurrence_masks(arr) -> tuple[np.ndarray, np.ndarray]:
     return in_row, in_col
 
 
-def _translation_ranks(in_row, in_col) -> tuple[np.ndarray, np.ndarray]:
-    """(|Sx|, |xS|) for every x, from the occurrence masks: the number of
-    distinct values in x's column and in x's row."""
-    return in_col.sum(axis=1), in_row.sum(axis=1)
-
-
 def _row_labels(a) -> np.ndarray:
     """Labels 0..k-1 of the rows of a 2-d array, equal rows alike, numbered
     in order of first appearance.  Each row is hashed as one byte string: a
@@ -339,7 +317,8 @@ def _join(r, l) -> np.ndarray:
 
 def _green_labels(arr) -> tuple:
     """Labels of the R, L and D classes of every element, and its translation
-    ranks (|Sx|, |xS|), from one pass of :func:`_occurrence_masks`.
+    ranks (|Sx|, |xS|), the number of distinct values in its column and in
+    its row, from one pass of :func:`_occurrence_masks`.
 
     The identity of S^1 is adjoined virtually: the masks R[x] = xS^1 and
     L[y] = S^1y are the row and column occurrence masks with the element
@@ -360,7 +339,7 @@ def _green_labels(arr) -> tuple:
     """
     n = len(arr)
     in_row, in_col = _occurrence_masks(arr)
-    left_rank, right_rank = _translation_ranks(in_row, in_col)
+    left_rank, right_rank = in_col.sum(axis=1), in_row.sum(axis=1)
     diag = np.arange(n)
     in_row[diag, diag] = True
     in_col[diag, diag] = True

@@ -70,10 +70,10 @@ def test_help_that_cannot_be_written_exits_2(argv, tmp_path):
 def test_cli_reports_a_closed_pipe_without_a_traceback(tmp_path):
     # the report is about 140 KB, more than a pipe holds
     dump_table(zero_semigroup(6), tmp_path / "zero6.json")
-    proc = _run(["analyze", "zero6.json", "--json"], subprocess.PIPE, cwd=tmp_path)
-    assert proc.stdout.read(8) == '{\n  "che'
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.wait(timeout=60)
+    with _run(["analyze", "zero6.json", "--json"], subprocess.PIPE, cwd=tmp_path) as proc:
+        assert proc.stdout.read(8) == '{\n  "che'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
     _assert_one_write_error(proc, err)
     assert "Broken pipe" in err

@@ -22,6 +22,7 @@ from involute.families import (
     symmetric_inverse_monoid,
     zero_semigroup,
 )
+from involute.morphisms import enumerate_anti_automorphisms, find_anti_isomorphism
 from involute.perms import compose
 from involute.semigroups import (
     ElementFingerprint,
@@ -174,9 +175,22 @@ def test_kernels_match_the_reference_on_cyclic_groups():
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_TABLES))
-def test_kernels_match_the_reference_on_named_tables(name):
+def test_kernels_match_the_reference_on_named_tables(name, monkeypatch):
+    picks = []
+    real = semigroups.greedy_generators
+
+    def spy(candidates, product):
+        picks.append([])
+        for a in real(candidates, product):
+            picks[-1].append(a)
+            yield a
+
+    monkeypatch.setattr(semigroups, "greedy_generators", spy)
     build, *args = NAMED_TABLES[name]
     s = build(*args)
+    # Light's set in validate is the set of columns cayley_table computed
+    assert picks[-1] == picks[-2]
+    monkeypatch.undo()
     _assert_matches_reference(s)
     _assert_dual_matches_the_reference(s)
 
@@ -206,10 +220,9 @@ def test_kernels_match_the_reference_on_random_transformation_semigroups():
         _assert_matches_reference(s)
 
 
-def test_a_dual_reads_its_green_structure_off_the_original(monkeypatch):
+def test_a_dual_reads_its_green_structure_off_the_original():
     s = full_transformation_monoid(3)
     g = s.green
-    monkeypatch.setattr(semigroups, "_occurrence_masks", None)  # a kernel would now raise
     d = s.dual()
     assert d.green == GreenStructure(g.l_classes, g.r_classes, g.h_classes, g.d_classes, g.j_classes)
     assert d.fingerprints == tuple(fp.swapped() for fp in s.fingerprints)
@@ -227,15 +240,14 @@ def test_a_broken_d_join_fails_the_fingerprints(monkeypatch):
 @pytest.fixture(scope="module")
 def battery_work():
     """One pass of the battery, with every table it builds, the tables each
-    occurrence-mask pass, Green kernel and power walk ran on, and each
-    greedy pick of a generating set."""
-    work = {"tables": [], "masks": [], "kernels": [], "powers": [], "picks": []}
+    occurrence-mask pass ran on, and each greedy pick of a generating set."""
+    work = {"tables": [], "masks": [], "picks": []}
 
-    def spying(name, key, arg=lambda a: a):
+    def spying(name, key):
         real = getattr(semigroups, name)
 
         def spy(*args):
-            work[key].append(arg(args[0]))
+            work[key].append(args[0])
             return real(*args)
 
         return spy
@@ -248,26 +260,38 @@ def battery_work():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semigroups.FiniteSemigroup, "__init__", init)
-        for name, key in (("_occurrence_masks", "masks"), ("_green_labels", "kernels"),
-                          ("_indices_and_periods", "powers"), ("_greedy_generating_set", "picks")):
+        for name, key in (("_occurrence_masks", "masks"), ("_greedy_generating_set", "picks")):
             mp.setattr(semigroups, name, spying(name, key))
         assert all(r.passed for r in run_battery())
     return work
 
 
-def test_each_table_runs_the_occurrence_masks_at_most_twice(battery_work):
+def test_each_table_runs_the_occurrence_masks_at_most_once(battery_work):
     passes = Counter(map(id, battery_work["masks"]))
-    # once in validate, once for the fingerprints; the random tables that
-    # validate rejects run it once
-    assert max(passes.values()) == 2
-    assert sum(passes[id(s.np_table)] == 2 for s in battery_work["tables"]) >= 300
+    # once, for the fingerprints; validate runs none
+    assert max(passes.values()) == 1
+    assert sum(passes[id(s.np_table)] == 1 for s in battery_work["tables"]) >= 300
 
 
-def test_a_dual_runs_no_green_kernel(battery_work):
-    duals = [s for s in battery_work["tables"] if s.dual_of is not None]
-    ran = Counter(map(id, battery_work["masks"] + battery_work["kernels"] + battery_work["powers"]))
-    assert sum("fingerprint_rows" in vars(d) for d in duals) >= 50
-    assert not any(ran[id(d.np_table)] for d in duals)
+def test_an_anti_search_constructs_no_instance(monkeypatch):
+    band, co_band, right_zero = rectangular_band(2, 3), rectangular_band(3, 2), rectangular_band(1, 6)
+    # the tables with their numbers of anti-automorphisms
+    counts = {band: 0, full_transformation_monoid(3): 0, sym_group_table(3): 6,
+              symmetric_inverse_monoid(3): 6, rectangular_band(3, 3): 36}
+    made = []
+    real_init = semigroups.FiniteSemigroup.__init__
+
+    def init(self, *args, **kwargs):
+        made.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(semigroups.FiniteSemigroup, "__init__", init)
+    for s, count in counts.items():
+        assert len(enumerate_anti_automorphisms(s)) == count
+        assert (find_anti_isomorphism(s, s) is None) == (count == 0)
+    assert find_anti_isomorphism(band, co_band) is not None
+    assert find_anti_isomorphism(band, right_zero) is None
+    assert made == []
 
 
 def test_each_table_picks_its_generating_set_once(battery_work):

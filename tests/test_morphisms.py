@@ -57,6 +57,12 @@ def test_is_homomorphism_examples(klein):
     assert is_homomorphism(negation, z5, z5)
     with pytest.raises(DegreeMismatchError):
         is_homomorphism((0, 1), z5, z5)
+    z3 = cyclic_group(3)
+    for check in (is_homomorphism, is_anti_homomorphism):  # images are integers, not coerced
+        with pytest.raises(ValueError, match="integers"):
+            check((0.0, 2.0, 1.0), z3, z3)
+    with pytest.raises(ValueError, match="integers"):
+        is_proper_involution((0.0, 2.0, 1.0), z3)
 
 
 def test_is_anti_homomorphism_examples():
@@ -284,30 +290,30 @@ def test_search_budget_counts_dead_branches():
 
 
 def test_every_caller_shares_one_search(monkeypatch):
-    # Aut(S) is one automorphism chain; Aut-(S) adds one limit=1 search of the dual
+    # Aut(S) is one automorphism chain; Aut-(S) adds one limit=1 anti search
     s = sym_group_table(4)  # a fresh instance with an empty cache
     calls = []
-    search = morphisms.enumerate_isomorphism_mappings
+    search = morphisms._isomorphisms
     chain = morphisms.automorphism_chain
 
-    def counted(src, dst, **kwargs):
+    def counted(src, dst, anti, budget, limit, layer):
         if src is s:
-            calls.append(f"dual limit={kwargs.get('limit')}")
-        return search(src, dst, **kwargs)
+            calls.append(f"{'anti' if anti else 'iso'} limit={limit}")
+        return search(src, dst, anti, budget, limit, layer)
 
     def counted_chain(src, **kwargs):
         if src is s:
             calls.append("aut")
         return chain(src, **kwargs)
 
-    monkeypatch.setattr(morphisms, "enumerate_isomorphism_mappings", counted)
+    monkeypatch.setattr(morphisms, "_isomorphisms", counted)
     monkeypatch.setattr(morphisms, "automorphism_chain", counted_chain)
     enumerate_automorphisms(s)
     c_group(s)
     g_group(s)
     signed_aut_order(s)
     analyze(s)
-    assert sorted(calls) == ["aut", "dual limit=1"]
+    assert sorted(calls) == ["anti limit=1", "aut"]
 
 
 def test_a_check_searches_the_same_whatever_ran_before(monkeypatch):
@@ -320,7 +326,7 @@ def test_a_check_searches_the_same_whatever_ran_before(monkeypatch):
 
         return counted
 
-    for name in ("enumerate_isomorphism_mappings", "automorphism_chain"):
+    for name in ("_isomorphisms", "automorphism_chain"):
         monkeypatch.setattr(morphisms, name, counting(getattr(morphisms, name)))
     for name in ("involution_split_laws", "partition_monoids", "involution_split_laws"):
         searches.append(0)

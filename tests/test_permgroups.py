@@ -69,6 +69,26 @@ def test_closure_examples():
     assert kl.order == 4
 
 
+def test_closure_rejects_what_is_not_a_set_of_maps_of_one_degree():
+    with pytest.raises(ValueError, match="degree is required"):
+        closure([])
+    with pytest.raises(ValueError, match="different degrees"):
+        closure([(1, 0), (1, 2, 0)])
+    for bad in ([(1.0, 0.0)], [(True, False)], [(1, 0), ("0", "1")]):
+        with pytest.raises(ValueError, match="integers"):
+            closure(bad)
+    # numpy rows are maps too, and the kept generators are ints
+    g = closure(np.array([(1, 0, 2), (0, 2, 1)], dtype=np.int32))
+    assert g.order == 6 and all(set(map(type, p)) == {int} for p in g.generators)
+
+
+def test_membership_is_false_for_what_is_not_a_map_of_the_degree():
+    g = closure([(1, 0, 2), (0, 2, 1)])         # Sym(3)
+    assert (1, 0, 2) in g and np.array([1, 0, 2]) in g
+    for bad in ((1, 0), (1, 0, 2, 3), (0, 0, 1), (1, 1, 1), (1.0, 0.0, 2.0), (True, False, 2), "102"):
+        assert bad not in g
+
+
 def test_closure_budget():
     with pytest.raises(OrderBudgetExceededError):
         closure([(1, 2, 3, 4, 0)], cap=3)

@@ -1,5 +1,6 @@
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,7 +38,13 @@ def test_identity_and_involution_predicates():
 def test_as_mapping_accepts_any_sequence_of_images():
     assert as_mapping([1, 2, 0]) == (1, 2, 0)
     assert as_mapping(range(3)) == (0, 1, 2)
-    for bad in ([0, 0], [1, 2], [-1, 0]):
+    # numpy integers come back as ints
+    for images in (np.array([1, 2, 0], dtype=np.int32), [np.int64(1), 2, np.uint8(0)]):
+        m = as_mapping(images)
+        assert m == (1, 2, 0) and set(map(type, m)) == {int}
+    bad_images = ([0, 0], [1, 2], [-1, 0], (1.0, 0.0), (0, 2.0, 1), (True, False), (1, False),
+                  np.array([True, False]), ("1", "0"), "10", [None, 0])
+    for bad in bad_images:
         with pytest.raises(ValueError):
             as_mapping(bad)
 

@@ -85,6 +85,9 @@ def test_gamma_delta_examples():
     assert trace_equal(gamma_map(swap, ctx.parse("ab")), ctx.parse("ab"))
     with pytest.raises(NotGraphAutomorphismError):
         gamma_map((0, 2, 1), w)  # does not preserve the edge {a,b}
+    for bad in ((True, False, 2), (1.0, 0.0, 2.0)):  # images are integers, not coerced
+        with pytest.raises(ValueError, match="integers"):
+            gamma_map(bad, ctx.parse("ab"))
 
 
 @settings(max_examples=150, deadline=None)
