@@ -578,16 +578,16 @@ def run_battery(
     order_cap: int | None = None,
     on_result=None,
 ) -> list[CheckResult]:
-    """Run the acceptance checks; ``stretch`` adds Sym(6) and T_4.
+    """Run the acceptance checks: those named in ``only``, stretch checks
+    included, or else every check, where ``stretch`` adds Sym(6) and T_4.
 
     ``on_result`` is called with each :class:`CheckResult` as it finishes.
     """
     kw = {"budget": budget, "cap": order_cap}
     results = []
     for name, bound, is_stretch, fn in _CHECKS:
-        if is_stretch and not stretch:
-            continue
-        if only and name not in only:
+        wanted = name in only if only else stretch or not is_stretch
+        if not wanted:
             continue
         result = _run(name, bound, lambda fn=fn: fn(kw))
         if on_result is not None:

@@ -16,7 +16,8 @@ from . import families
 from .battery import check_names, run_battery
 from .errors import AlgebraError, BudgetExceededError, InputFormatError, OrderBudgetExceededError
 from .graphs import frucht_semigroup, load_graph, parse_edge_list
-from .perms import compose, cycle_bodies, cycle_string, from_cycles, identity_tuple, parse_cycles
+from .perms import compose, cycle_bodies, cycle_string, from_cycles, identity_tuple
+from .perms import parse_cycles, parse_natural
 from .permgroups import two_involution_factorization
 from .report import analyze, report_to_text, write_json
 from .semigroups import FiniteSemigroup, load_table, to_json_dict
@@ -71,10 +72,7 @@ def _parse_construct(tokens: list[str]) -> tuple[FiniteSemigroup, list[str]]:
             return frucht_semigroup(load_graph(rest[0])), rest[1:]
         if len(rest) < 2:
             raise InputFormatError("inline frucht needs '<n> <edges like 0-1,1-2>'")
-        try:
-            n = int(rest[0])
-        except ValueError as exc:
-            raise InputFormatError("frucht vertex count must be an integer") from exc
+        n = parse_natural(rest[0], "the frucht vertex count")
         return frucht_semigroup(parse_edge_list(rest[1], n=n)), rest[2:]
     if head == "file":
         if not rest:
@@ -85,10 +83,7 @@ def _parse_construct(tokens: list[str]) -> tuple[FiniteSemigroup, list[str]]:
     build, arity = _FAMILIES[head]
     if len(rest) < arity:
         raise InputFormatError(f"{head} needs {arity} integer argument(s)")
-    try:
-        args = [int(tok) for tok in rest[:arity]]
-    except ValueError as exc:
-        raise InputFormatError(f"{head} arguments must be integers") from exc
+    args = [parse_natural(tok, f"a {head} argument") for tok in rest[:arity]]
     rest = rest[arity:]
     try:
         return build(*args), rest
@@ -141,9 +136,18 @@ def _letter_permutation(text: str, ctx: TraceContext) -> tuple[int, ...]:
 
 # --- subcommand implementations ---------------------------------------------
 
+def _requested(build, *args):
+    """``build(*args)``, with a table past a size limit refused as bad input:
+    the input asked for that size, and no flag sets the limit."""
+    try:
+        return build(*args)
+    except OrderBudgetExceededError as exc:
+        raise InputFormatError(f"the requested table exceeds the limit of {exc.limit} elements") from exc
+
+
 def _cmd_analyze(args) -> int:
     doc = analyze(
-        load_table(args.file),
+        _requested(load_table, args.file),
         name=args.file,
         budget=args.budget_nodes,
         order_cap=args.budget_order,
@@ -157,12 +161,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_construct(args) -> int:
     try:
-        s, rest = _parse_construct(list(args.spec))
-    except OrderBudgetExceededError as exc:
-        # the arguments asked for a table past a size limit: bad input, not a budget
-        raise InputFormatError(
-            f"the requested table exceeds the limit of {exc.limit} elements"
-        ) from exc
+        s, rest = _requested(_parse_construct, list(args.spec))
     except RecursionError as exc:
         raise InputFormatError("the construct spec is nested too deeply") from exc
     if rest:
@@ -245,19 +244,12 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _int_at_least(minimum: int):
-    """An argparse type for integers no smaller than ``minimum``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
-
-    return parse
+def _count(text: str) -> int:
+    """An argparse type for the counts of budgets, degrees and bounds."""
+    try:
+        return parse_natural(text, "the value")
+    except InputFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def budgets(p):
-        p.add_argument("--budget-nodes", type=_int_at_least(0), default=None, metavar="N",
+        p.add_argument("--budget-nodes", type=_count, default=None, metavar="N",
                        help="cap on morphism-search nodes")
-        p.add_argument("--budget-order", type=_int_at_least(0), default=None, metavar="N",
+        p.add_argument("--budget-order", type=_count, default=None, metavar="N",
                        help="cap on materialized group order")
 
     p = sub.add_parser("analyze", help="full report for a Cayley-table JSON file")
@@ -304,15 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--stretch", action="store_true",
-                   help="include Sym(6) and T_4")
-    p.add_argument("--only", help="comma-separated subset of check names")
+                   help="add Sym(6) and T_4 to a full run")
+    p.add_argument("--only", help="comma-separated check names to run, stretch checks included")
     p.add_argument("--json", action="store_true")
     budgets(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("factor", help="write a permutation as a product of two involutions")
     p.add_argument("perm", help="cycle notation, e.g. '(0 1 2)(3 4)'")
-    p.add_argument("--degree", type=_int_at_least(0), default=None)
+    p.add_argument("--degree", type=_count, default=None)
     p.set_defaults(fn=_cmd_factor)
 
     p = sub.add_parser("trace", help="partially commutative word tools")
@@ -326,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         if action == "eq":
             tp.add_argument("word2")
         if action != "map":  # gamma_map and delta_map are linear in the word
-            tp.add_argument("--bound", type=_int_at_least(0), default=16, help="word length cap")
+            tp.add_argument("--bound", type=_count, default=16, help="word length cap")
         tp.add_argument("--edges", default="", help="commuting pairs, e.g. ab,bc")
         tp.add_argument("--alphabet", default=None)
         tp.set_defaults(fn=_cmd_trace)

@@ -122,19 +122,32 @@ def cycle_bodies(text: str) -> list[str]:
     return _CYCLE_RE.findall(text)
 
 
+def parse_natural(text: str, what: str) -> int:
+    """The number in ``text``: ASCII digits, with optional whitespace around
+    them.  Anything else (a sign, an underscore, other digits, more digits
+    than ``int`` converts) raises :class:`InputFormatError`, naming ``what``."""
+    m = re.fullmatch(r"\s*([0-9]+)\s*", text)
+    try:
+        if m is not None:
+            return int(m[1])
+    except ValueError:                      # past int()'s digit limit
+        pass
+    raise InputFormatError(f"{what} must be a whole number in ASCII digits, not {text!r}")
+
+
 def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     """Parse cycle notation like ``(0 1 2)(3 4)``; ``()`` or ``id`` is the identity.
 
-    Points may be separated by spaces or commas.  The degree defaults to one
-    more than the largest point mentioned.  A degree past
-    :data:`MAX_PARSED_DEGREE` raises :class:`InputFormatError`.
+    Points are read by :func:`parse_natural` and separated by whitespace or
+    by one comma between two points.  The degree defaults to one more than
+    the largest point mentioned.  A degree past :data:`MAX_PARSED_DEGREE`
+    raises :class:`InputFormatError`.
     """
     cycles = []
     for body in cycle_bodies(text):
-        try:
-            cyc = [int(p) for p in re.split(r"[,\s]+", body.strip()) if p]
-        except ValueError as exc:
-            raise InputFormatError(f"bad cycle point in {text.strip()!r}") from exc
+        body = body.strip()
+        points = re.split(r"\s*,\s*|\s+", body) if body else []
+        cyc = [parse_natural(p, f"a cycle point of {text.strip()!r}") for p in points]
         if cyc:
             cycles.append(cyc)
     top = max((max(c) for c in cycles), default=-1) + 1

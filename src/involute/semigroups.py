@@ -2,7 +2,8 @@
 
 Elements are the dense indices 0..n-1; ``table[i][j]`` is the product i*j.
 Optional names are display-only metadata.  A table does not change after
-construction; what is derived from it is cached on the instance.
+construction; :func:`validate` derives its Green labels, fingerprints and
+generating set, and the rest is cached on the instance when first read.
 """
 
 from __future__ import annotations
@@ -34,14 +35,21 @@ class FiniteSemigroup:
 
     ``np_table``, the table as an int32 array, is trusted and made read-only
     by the constructor; ``table``, its rows as tuples, is built on first read.
+    ``green_labels`` (the R, L and D labels and translation ranks of
+    :func:`_green_labels`), ``fingerprint_rows`` (the element fingerprints,
+    an (n, 8) int array in field order) and ``generators`` (the generating
+    set of :func:`generating_set`, a tuple) are made by :func:`validate`.
     """
 
-    def __init__(self, np_table, names, identity):
+    def __init__(self, np_table, names, identity, green_labels, fingerprint_rows, generators):
         np_table.flags.writeable = False
         self.np_table = np_table
         self.n = len(np_table)
         self.names = names
         self.identity = identity
+        self.green_labels = green_labels
+        self.fingerprint_rows = fingerprint_rows
+        self.generators = generators
         #: results of searches on this table, filled by :mod:`involute.morphisms`
         self.search_cache: dict = {}
 
@@ -55,18 +63,8 @@ class FiniteSemigroup:
         return bool((a == a.T).all())
 
     @cached_property
-    def green_labels(self) -> tuple:
-        """The R, L and D labels and translation ranks of :func:`_green_labels`."""
-        return _green_labels(self.np_table)
-
-    @cached_property
     def green(self) -> "GreenStructure":
         return green_relations(self)
-
-    @cached_property
-    def fingerprint_rows(self) -> np.ndarray:
-        """The element fingerprints, an (n, 8) int array in field order."""
-        return _compute_fingerprints(self.np_table, self.green_labels)
 
     @cached_property
     def fingerprints(self) -> tuple["ElementFingerprint", ...]:
@@ -75,14 +73,9 @@ class FiniteSemigroup:
             for row in self.fingerprint_rows.tolist()
         )
 
-    @cached_property
-    def generators(self) -> tuple[int, ...]:
-        """The generating set of :func:`generating_set`, picked once."""
-        return tuple(_greedy_generating_set(self))
-
     def dual(self) -> "FiniteSemigroup":
-        """The opposite semigroup: the transposed table, a new instance."""
-        return FiniteSemigroup(np.ascontiguousarray(self.np_table.T), self.names, self.identity)
+        """The opposite semigroup: the transposed table, validated afresh."""
+        return validate(np.ascontiguousarray(self.np_table.T), self.names)
 
     def name_of(self, x: int) -> str:
         return self.names[x] if self.names is not None else str(x)
@@ -108,7 +101,8 @@ def _row_tuples(a: np.ndarray) -> tuple:
 
 
 def validate(table, names=None) -> FiniteSemigroup:
-    """Check a square index table for associativity and wrap it.
+    """Check a square index table for associativity and wrap it, with the
+    data derived from it: its Green labels, fingerprints and generators.
 
     The table is a list (or tuple) of rows of plain integers, or a 2-d
     integer array (kept, not copied, and made read-only if it is
@@ -117,14 +111,16 @@ def validate(table, names=None) -> FiniteSemigroup:
     :class:`IndexOutOfRangeError`.  ``names``, if given, must be a list of
     n strings.  Detects and records an identity element, if any.
 
+    The labels of :func:`_green_labels` and the powers of every element
+    are computed first, by lookups alone, so on any table; they give the
+    fingerprints, and those the preference order of :func:`generating_set`.
     Associativity is checked by Light's test in O(n^2 |A|) rather than
     O(n^3): ``A`` is a set whose right closure (close A under x -> x*a for
     a in A) is all of the table, picked by :func:`greedy_generators` in
-    index order, as :func:`cayley_table` picks, so on a table it built A is
-    its set of column generators.  That closure is plain lookups in the
-    columns of A, so it is sound before associativity is known.  Then
-    (x*a)*y = x*(a*y) is checked for every a in A and all x, y, each a as
-    soon as it is picked and its column read.
+    that order, and it is the instance's generating set.  That closure is
+    plain lookups in the columns of A, so it is sound before associativity
+    is known.  Then (x*a)*y = x*(a*y) is checked for every a in A and all
+    x, y, each a as soon as it is picked and its column read.
     Proof that this suffices: let B = {b : (xb)y = x(by) for all x, y}.  If
     b, c are in B then for all x, y
     (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y),
@@ -133,6 +129,8 @@ def validate(table, names=None) -> FiniteSemigroup:
     in particular every element of the right closure of A, which is the
     whole table.  So B is everything and the table is associative.  On
     failure :class:`NotAssociativeError` carries a genuine witness (x, a, y).
+    Only then is D = J asserted: a table that is not associative may have
+    D != J, and it is bad input, not a computation bug.
     """
     is_array = isinstance(table, np.ndarray)
     if is_array and (table.ndim != 2 or table.dtype.kind not in "iu"):
@@ -162,8 +160,14 @@ def validate(table, names=None) -> FiniteSemigroup:
     if not in_range:
         raise IndexOutOfRangeError(f"table entries must lie in 0..{n - 1}")
     arr = np.ascontiguousarray(arr, dtype=np.int32)
+    *green_labels, j = _green_labels(arr)
+    fps = _compute_fingerprints(arr, green_labels)
+    cls = _row_labels(fps)
+    orbit, spread = fps[:, 1] + fps[:, 2], fps[:, 6] + fps[:, 7]    # index + period, both ranks
+    # generating_set's preference order; the stable lexsort keeps ties in index order
+    order = np.lexsort((np.bincount(cls)[cls], -spread, -orbit))
     cols: dict = {}
-    for a in greedy_generators(range(n), lambda x, g: cols[g][x]):
+    for a in greedy_generators(order.tolist(), lambda x, g: cols[g][x]):
         cols[a] = arr[:, a].tolist()
         # [x, y] -> (x*a)*y against x*(a*y), in one expression so that
         # neither n x n side outlives the comparison
@@ -171,6 +175,7 @@ def validate(table, names=None) -> FiniteSemigroup:
         if bad.any():
             x, y = map(int, np.argwhere(bad)[0])
             raise NotAssociativeError(x, a, y)
+    assert np.array_equal(green_labels[2], j), "D != J on a finite semigroup: computation bug"
     if names is not None:
         if not isinstance(names, _SEQUENCES):
             raise InputFormatError("names must be a list")
@@ -182,7 +187,7 @@ def validate(table, names=None) -> FiniteSemigroup:
     ident = np.arange(n, dtype=np.int32)
     hits = np.flatnonzero((arr == ident).all(axis=1) & (arr.T == ident).all(axis=1))
     identity = int(hits[0]) if hits.size else None
-    return FiniteSemigroup(arr, names, identity)
+    return FiniteSemigroup(arr, names, identity, tuple(green_labels), fps, tuple(cols))
 
 
 def cayley_table(elems, mult, names=None) -> FiniteSemigroup:
@@ -316,9 +321,10 @@ def _join(r, l) -> np.ndarray:
 
 
 def _green_labels(arr) -> tuple:
-    """Labels of the R, L and D classes of every element, and its translation
+    """Labels of the R, L and D classes of every element, its translation
     ranks (|Sx|, |xS|), the number of distinct values in its column and in
-    its row, from one pass of :func:`_occurrence_masks`.
+    its row, and labels of its J class, in that order, from one pass of
+    :func:`_occurrence_masks`.
 
     The identity of S^1 is adjoined virtually: the masks R[x] = xS^1 and
     L[y] = S^1y are the row and column occurrence masks with the element
@@ -334,8 +340,8 @@ def _green_labels(arr) -> tuple:
     members, and shared by the whole L class.
 
     D is the join of R and L, from a union-find over the R labels.  On a
-    finite semigroup D and J must agree, which is asserted here, so on
-    every computation of the fingerprints or of :func:`green_relations`.
+    finite semigroup D and J agree, which :func:`validate` asserts once the
+    table has passed Light's test.
     """
     n = len(arr)
     in_row, in_col = _occurrence_masks(arr)
@@ -351,9 +357,7 @@ def _green_labels(arr) -> tuple:
     # numbered by first appearance too: the L labels are, and the labels of
     # j_bits follow the L labels
     j = _row_labels(j_bits)[l]
-    d = _join(r, l)
-    assert np.array_equal(d, j), "D != J on a finite semigroup: computation bug"
-    return r, l, d, left_rank, right_rank
+    return r, l, _join(r, l), left_rank, right_rank, j
 
 
 def green_relations(s: FiniteSemigroup) -> GreenStructure:
@@ -533,20 +537,10 @@ def generating_set(s: FiniteSemigroup) -> list[int]:
     Preference order for the next generator: largest monogenic subsemigroup,
     then most distinct row/column values, then rarest fingerprint, then
     lowest index.  The ties matter only for search speed downstream.  The
-    pick is made once per instance, and each call returns a new list.
+    pick is the one :func:`validate` made for Light's test, and each call
+    returns a new list.
     """
     return list(s.generators)
-
-
-def _greedy_generating_set(s: FiniteSemigroup) -> list[int]:
-    fps = s.fingerprint_rows
-    cls = _row_labels(fps)
-    class_size = np.bincount(cls)[cls].tolist()
-    orbit = (fps[:, 1] + fps[:, 2] - 1).tolist()    # index + period - 1
-    spread = (fps[:, 6] + fps[:, 7]).tolist()       # left + right translation rank
-    order = sorted(range(s.n), key=lambda x: (-orbit[x], -spread[x], class_size[x], x))
-    t = s.table
-    return list(greedy_generators(order, lambda x, g: t[x][g]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ references: principal ideals as sets, the element-by-element fingerprints
 the kernels replaced (which take each element's index and period from
 ``index_and_period``), and the generator order built from them."""
 
+import json
 import random
 from collections import Counter
 
@@ -11,6 +12,8 @@ import pytest
 
 from involute import semigroups
 from involute.battery import _completeness_corpus, run_battery
+from involute.cli import main
+from involute.errors import NotAssociativeError
 from involute.families import (
     cyclic_group,
     direct_product_table,
@@ -139,12 +142,17 @@ NAMED_TABLES = {
 }
 
 
-def reference_generating_set(s, fps) -> list[int]:
+def reference_order(fps) -> list[int]:
+    """The preference order of ``generating_set``, from a tuple of
+    :class:`ElementFingerprint`s."""
     class_size = Counter(fps)
     orbit = [fp.index + fp.period - 1 for fp in fps]
     spread = [fp.left_mult_rank + fp.right_mult_rank for fp in fps]
-    order = sorted(range(s.n), key=lambda x: (-orbit[x], -spread[x], class_size[fps[x]], x))
-    return list(greedy_generators(order, lambda x, g: s.table[x][g]))
+    return sorted(range(len(fps)), key=lambda x: (-orbit[x], -spread[x], class_size[fps[x]], x))
+
+
+def reference_generating_set(s, fps) -> list[int]:
+    return list(greedy_generators(reference_order(fps), lambda x, g: s.table[x][g]))
 
 
 def _assert_matches_reference(s):
@@ -188,9 +196,9 @@ def test_kernels_match_the_reference_on_named_tables(name, monkeypatch):
     monkeypatch.setattr(semigroups, "greedy_generators", spy)
     build, *args = NAMED_TABLES[name]
     s = build(*args)
-    # Light's set in validate is the set of columns cayley_table computed
-    assert picks[-1] == picks[-2]
     monkeypatch.undo()
+    # the last pick is validate's, for Light's test
+    assert picks[-1] == reference_generating_set(s, reference_fingerprints(s, reference_green(s)))
     _assert_matches_reference(s)
     _assert_dual_matches_the_reference(s)
 
@@ -229,48 +237,110 @@ def test_a_dual_reads_its_green_structure_off_the_original():
 
 
 def test_a_broken_d_join_fails_the_fingerprints(monkeypatch):
-    monkeypatch.setattr(semigroups, "_join", lambda r, l: np.arange(len(r)))
     s = rectangular_band(2, 2)              # one D class of four elements
+    monkeypatch.setattr(semigroups, "_join", lambda r, l: np.arange(len(r)))
     with pytest.raises(AssertionError, match="D != J"):
-        s.fingerprint_rows
+        rectangular_band(2, 2)
     with pytest.raises(AssertionError, match="D != J"):
-        s.dual().fingerprint_rows
+        validate(s.np_table.T)
+    with pytest.raises(AssertionError, match="D != J"):
+        s.dual()
+
+
+#: a non-associative table whose D and J labels differ
+D_NOT_J = [[2, 0, 1], [0, 1, 1], [1, 2, 1]]
+
+
+def test_a_table_with_d_not_j_is_not_associative():
+    r, l, d, _, _, j = semigroups._green_labels(np.array(D_NOT_J))
+    assert not np.array_equal(d, j)
+    rng = random.Random(24)
+    tables = [D_NOT_J]
+    for _ in range(400):
+        n = rng.randint(2, 4)
+        tables.append([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    refused = 0
+    for t in tables:
+        r, l, d, _, _, j = semigroups._green_labels(np.array(t))
+        if not np.array_equal(d, j):
+            with pytest.raises(NotAssociativeError):
+                validate(t)
+            refused += 1
+    assert refused >= 100
+
+
+def test_analyze_refuses_a_table_with_d_not_j_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "d_not_j.json"
+    path.write_text(json.dumps({"table": D_NOT_J}))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: (0*0)*2 != 0*(0*2)\n")
+
+
+def test_t4_validates_with_three_generators():
+    s = full_transformation_monoid(4)
+    assert len(validate(s.np_table).generators) == 3
+    assert generating_set(s) == list(s.generators) == [108, 114, 6]
+
+
+def test_validate_picks_once_and_cayley_table_twice(monkeypatch):
+    picks = []
+    real = semigroups.greedy_generators
+
+    def spy(candidates, product):
+        picks.append(candidates)
+        return real(candidates, product)
+
+    monkeypatch.setattr(semigroups, "greedy_generators", spy)
+    s = sym_group_table(4)
+    assert generating_set(s) == list(s.generators)
+    assert len(picks) == 2                  # cayley_table's columns, then Light's set
+    for t in (s.np_table, s.table, s.np_table.T):
+        picks.clear()
+        u = validate(t)
+        assert generating_set(u) == list(u.generators)
+        assert len(picks) == 1              # Light's set is the generating set
 
 
 @pytest.fixture(scope="module")
 def battery_work():
-    """One pass of the battery, with every table it builds, the tables each
-    occurrence-mask pass ran on, and each greedy pick of a generating set."""
+    """One pass of the battery: every table it builds, with the number of
+    greedy picks made since the table before it and the generators the last
+    one kept, and the tables each occurrence-mask pass ran on."""
     work = {"tables": [], "masks": [], "picks": []}
+    real_masks = semigroups._occurrence_masks
+    real_pick = semigroups.greedy_generators
 
-    def spying(name, key):
-        real = getattr(semigroups, name)
+    def masks(arr):
+        work["masks"].append(arr)
+        return real_masks(arr)
 
-        def spy(*args):
-            work[key].append(args[0])
-            return real(*args)
-
-        return spy
+    def pick(candidates, product):
+        kept: list = []
+        work["picks"].append(kept)
+        for a in real_pick(candidates, product):
+            kept.append(a)
+            yield a
 
     real_init = semigroups.FiniteSemigroup.__init__
 
     def init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
-        work["tables"].append(self)
+        work["tables"].append((self, len(work["picks"]), work["picks"][-1]))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semigroups.FiniteSemigroup, "__init__", init)
-        for name, key in (("_occurrence_masks", "masks"), ("_greedy_generating_set", "picks")):
-            mp.setattr(semigroups, name, spying(name, key))
+        mp.setattr(semigroups, "_occurrence_masks", masks)
+        mp.setattr(semigroups, "greedy_generators", pick)
         assert all(r.passed for r in run_battery())
     return work
 
 
-def test_each_table_runs_the_occurrence_masks_at_most_once(battery_work):
+def test_each_table_runs_the_occurrence_masks_once(battery_work):
     passes = Counter(map(id, battery_work["masks"]))
-    # once, for the fingerprints; validate runs none
-    assert max(passes.values()) == 1
-    assert sum(passes[id(s.np_table)] == 1 for s in battery_work["tables"]) >= 300
+    tables = [s for s, *_ in battery_work["tables"]]
+    # once, in validate, for the labels and the fingerprints
+    assert len(battery_work["masks"]) == len(tables) >= 300
+    assert all(passes[id(s.np_table)] == 1 for s in tables)
 
 
 def test_an_anti_search_constructs_no_instance(monkeypatch):
@@ -295,10 +365,13 @@ def test_an_anti_search_constructs_no_instance(monkeypatch):
 
 
 def test_each_table_picks_its_generating_set_once(battery_work):
-    picks = Counter(map(id, battery_work["picks"]))
-    assert max(picks.values()) == 1
-    assert len(picks) >= 300
-    s = battery_work["picks"][0]
+    made = 0
+    for s, picks, kept in battery_work["tables"]:
+        # validate's pick, after cayley_table's on a built table
+        assert picks - made in (1, 2)
+        assert s.generators == tuple(kept)
+        made = picks
+    s = battery_work["tables"][0][0]
     gens = generating_set(s)
     gens.append(-1)
     gens[0] = -1

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from sympy import combinatorics
 
 from conftest import brute_morphisms
 from involute.battery import _completeness_corpus, _split_law_corpus, run_battery
@@ -408,7 +409,6 @@ def test_chain_orders_match_the_closed_forms_without_listing():
 
 
 def test_chain_order_matches_sympy():
-    combinatorics = pytest.importorskip("sympy.combinatorics")
     for s in (
         sym_group_table(5),
         partition_monoid(3),

@@ -7,6 +7,7 @@ from math import lcm
 
 import numpy as np
 import pytest
+from sympy import combinatorics
 
 from involute.battery import _completeness_corpus, _split_law_corpus
 from involute.errors import NotAGroupError, OrderBudgetExceededError
@@ -95,7 +96,6 @@ def test_closure_budget():
 
 
 def test_closure_order_matches_sympy():
-    combinatorics = pytest.importorskip("sympy.combinatorics")
     rng = random.Random(0x5E17)
     for _ in range(40):
         degree = rng.randint(1, 7)
@@ -195,7 +195,6 @@ def test_group_fingerprint_matches_the_quadratic_reference():
 
 
 def test_group_fingerprint_matches_sympy():
-    combinatorics = pytest.importorskip("sympy.combinatorics")
     for gens, degree in _fingerprint_cases(max_degree=7):
         fp = group_fingerprint(closure(gens, degree=degree))
         sg = combinatorics.PermutationGroup(

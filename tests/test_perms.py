@@ -80,6 +80,15 @@ def test_parse_cycles_roundtrip():
         from_cycles([[0, 3]], 3)
 
 
+def test_parse_cycles_reads_ascii_digits_and_commas_between_points():
+    assert parse_cycles(" ( 0 ,1\t2 ) (3, 4) ") == (1, 2, 0, 4, 3)
+    assert parse_cycles("( )", degree=2) == identity_tuple(2)
+    for bad in ("(+1 2)", "(1_0 2)", "(\u0663 1)", "(-1 2)", "(0,,1)", "(0 1,)", "(,0 1)",
+                "(,)", "(0 , , 1)", "(1.0 2)", "(0x1 2)", "(" + "9" * 5000 + ")"):
+        with pytest.raises(InputFormatError, match="must be a whole number in ASCII digits"):
+            parse_cycles(bad)
+
+
 def test_cycle_bodies_reads_the_groups_of_a_literal():
     assert cycle_bodies(" (0 1 2)(3,4)() ") == ["0 1 2", "3,4", ""]
     assert cycle_bodies("(a b)(c)") == ["a b", "c"]

@@ -243,6 +243,18 @@ def test_cli_analyze_rejects_unreadable_json_without_a_traceback(content, tmp_pa
     assert main(["construct", "frucht", str(path)]) == 2
 
 
+def test_cli_refuses_an_oversized_table_file_as_bad_input(tmp_path):
+    path = tmp_path / "big.json"
+    row = "[" + ",".join(["0"] * (TABLE_CAP + 1)) + "]"
+    path.write_text('{"table": [' + ",".join([row] * (TABLE_CAP + 1)) + "]}")
+    env = dict(os.environ, PYTHONPATH=str(Path(involute.__file__).resolve().parents[1]))
+    for argv in (["analyze", str(path)], ["construct", "file", str(path)]):
+        proc = subprocess.run([sys.executable, "-m", "involute", *argv], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: the requested table exceeds the limit of {TABLE_CAP} elements\n")
+
+
 def test_cli_construct_reports_an_unwritable_output(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     assert main(["construct", "cyclic", "1", "--output", str(target)]) == 2
@@ -571,6 +583,52 @@ def test_cli_factor(capsys):
     assert main(["factor", "(0 1 1)"]) == 2  # a repeated point, not the transposition
 
 
+@pytest.mark.parametrize("perm", ["(+1 2)", "(1_0 2)", "(\u0663 1)", "(0,,1)", "(0 1,)", "(,)"])
+def test_cli_factor_refuses_points_that_are_not_ascii_digits(perm, capsys):
+    assert main(["factor", perm]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: a cycle point of ")
+
+
+@pytest.mark.parametrize("count", ["\u0663", "+3", "1_0", " 3x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "cyclic", "{}"],
+        ["construct", "band", "2", "{}"],
+        ["construct", "frucht", "{}", "0-1"],
+    ],
+)
+def test_cli_construct_refuses_integers_that_are_not_ascii_digits(argv, count, capsys):
+    assert main([arg.format(count) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "must be a whole number in ASCII digits" in err
+
+
+@pytest.mark.parametrize("count", ["\u0663", "+3", "1_0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "(0 1)", "--degree"],
+        ["trace", "nf", "ab", "--bound"],
+        ["analyze", "x.json", "--budget-nodes"],
+        ["verify", "--budget-order"],
+    ],
+)
+def test_cli_refuses_counts_that_are_not_ascii_digits(argv, count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, count])
+    assert exc.value.code == 2
+    assert "must be a whole number in ASCII digits" in capsys.readouterr().err
+
+
+def test_cli_accepts_whitespace_around_ascii_digits(capsys):
+    assert main(["construct", "cyclic", " 3 "]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
+    assert main(["factor", "(0 1)", "--degree", " 3"]) == 0
+    assert capsys.readouterr().out.startswith("pi    = (0 1)\n")
+
+
 def test_cli_trace(capsys):
     assert main(["trace", "nf", "ba", "--edges", "ab"]) == 0
     assert capsys.readouterr().out.strip() == "ab"
@@ -630,6 +688,17 @@ def test_cli_verify_single_check(capsys):
     out = capsys.readouterr().out
     assert "[PASS] klein" in out
     assert main(["verify", "--only", "definitely_not_a_check"]) == 2
+
+
+def test_cli_verify_only_runs_the_stretch_checks_it_names(capsys):
+    assert main(["verify", "--only", "t4_stretch", "--json"]) == 0
+    assert [r["name"] for r in json.loads(capsys.readouterr().out)] == ["t4_stretch"]
+    assert main(["verify", "--only", "klein,t4_stretch"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] t4_stretch" in out and out.endswith("2/2 checks passed\n")
+    # --stretch adds the stretch checks to a full run only
+    assert main(["verify", "--only", "klein", "--stretch", "--json"]) == 0
+    assert [r["name"] for r in json.loads(capsys.readouterr().out)] == ["klein"]
 
 
 def test_cli_verify_reports_failure_with_exit_one(capsys):
