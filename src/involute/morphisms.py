@@ -32,7 +32,7 @@ from .errors import (
     OrderBudgetExceededError,
     SearchBudgetExceededError,
 )
-from .perms import as_mapping, compose, cycle_string, invert, is_involution
+from .perms import as_mapping, cycle_string, is_involution
 from .semigroups import (
     DEFAULT_ORDER_BUDGET,
     FiniteSemigroup,
@@ -105,18 +105,19 @@ class MorphismSet:
 class StabiliserChain(MorphismSet):
     """A permutation group G as a stabiliser chain along ``base``, points
     whose images tell its members apart.  ``transversals[i]`` maps each point
-    p of the orbit of base[i] under G_i, the members fixing base[:i], to one
-    taking base[i] to p, so each member is one product u_0 ... u_{k-1}, and
-    ``order`` is the product of the orbit lengths.  ``generators`` are the
-    maps G was built from, mapping tuples; ``len`` and ``in`` read the chain,
-    and the sorted ``array`` of a MorphismSet is listed when first read, once
-    the chain is built."""
+    p of the orbit of base[i] under G_i, the members fixing base[:i], to u_p,
+    one taking base[i] to p, so each member is one product u_0 ... u_{k-1},
+    and ``order`` is the product of the orbit lengths.  Each u_p, strong
+    generator and inverse is a C-contiguous int32 row, composed by ``take``
+    (``b.take(u)`` is b o u).  ``generators``, the maps G was built from, are
+    mapping tuples; ``len`` and ``in`` read the chain, and the sorted
+    ``array`` of a MorphismSet is listed when first read."""
 
     def __init__(self, degree: int, base):
-        self.degree, self.base = degree, tuple(base)
-        self.transversals = tuple({b: tuple(range(degree))} for b in self.base)
+        self.degree, self.base, self._one = degree, tuple(base), np.arange(degree, dtype=np.int32)
+        self.transversals = tuple({b: self._one} for b in self.base)
         self.generators: list = []
-        self._strong = [[] for _ in self.base]  # the strong generators of each level
+        self._strong = [[] for _ in self.base]  # the strong generators of each level, rows
         self._inverses = [{} for _ in self.base]  # made when a sift first needs one
         self._sifted = [{} for _ in self.base]  # per orbit point, the Schreier generators sifted
 
@@ -136,27 +137,27 @@ class StabiliserChain(MorphismSet):
             return False
         if len(h) != self.degree:
             return False
-        level, h = self.sift([h[b] for b in self.base], 0, h)
-        return level == len(self.base) and h == tuple(range(self.degree))
+        level, h = self.sift([h[b] for b in self.base], 0, np.array(h, dtype=np.int32))
+        return level == len(self.base) and bool((h == self._one).all())
 
     def maps(self) -> np.ndarray:
         """Every member, one per row, unsorted: one gather per level."""
         maps = np.arange(self.degree, dtype=np.int32)[None]
         for level in reversed(self.transversals):
-            if len(level) > 1:
-                u = np.array(list(level.values()), dtype=np.int32)
-                maps = np.take(u, maps, axis=1).reshape(-1, self.degree)  # row (i, j) is u_i o maps_j
+            if len(level) > 1:  # row (i, j) is u_i o maps_j
+                maps = np.stack(list(level.values())).take(maps, axis=1).reshape(-1, self.degree)
         return maps
 
-    def _inverse(self, i: int, p: int) -> tuple:
-        if p not in self._inverses[i]:
-            self._inverses[i][p] = invert(self.transversals[i][p])
+    def _inverse(self, i: int, p: int) -> np.ndarray:
+        if p not in self._inverses[i]:  # one scatter
+            v = self._inverses[i][p] = np.empty_like(self._one)
+            v[self.transversals[i][p]] = self._one
         return self._inverses[i][p]
 
-    def sift(self, images, i: int = 0, h: tuple | None = None):
+    def sift(self, images, i: int = 0, h: np.ndarray | None = None):
         """Divides a map of G_i, given by its base images, by transversal
         inverses down the levels from i; returns the level where its image
-        leaves the orbit, or len(base), and ``h``, if given, divided alike."""
+        leaves the orbit, or len(base), and the int32 row ``h`` divided alike."""
         images = list(images)
         for level in range(i, len(self.base)):
             p = images[level]
@@ -165,12 +166,12 @@ class StabiliserChain(MorphismSet):
                     return level, h
                 if h is not None or level + 1 < len(self.base):
                     v = self._inverse(level, p)
-                    images[level + 1:] = [v[x] for x in images[level + 1:]]
-                    h = None if h is None else compose(v, h)
+                    images[level + 1:] = v.take(images[level + 1:]).tolist()
+                    h = None if h is None else v.take(h)
         return len(self.base), h
 
-    def extend(self, a: tuple, lo: int, hi: int) -> None:
-        """The orbit step: ``a``, fixing base[:lo], joins the strong
+    def extend(self, a: np.ndarray, lo: int, hi: int) -> None:
+        """The orbit step: ``a``, a row fixing base[:lo], joins the strong
         generators of levels lo..hi, each orbit grown through a on its old
         points and every generator of the level on its new ones."""
         for level in range(lo, hi + 1):
@@ -179,9 +180,9 @@ class StabiliserChain(MorphismSet):
             todo = [(p, [a]) for p in orbit]
             for p, maps in todo:  # grows while it is walked
                 for b in maps:
-                    if b[p] not in orbit:
-                        orbit[b[p]] = compose(b, orbit[p])
-                        todo.append((b[p], strong))
+                    if (q := b.item(p)) not in orbit:
+                        orbit[q] = b.take(orbit[p])
+                        todo.append((q, strong))
 
     def add(self, images, row: np.ndarray) -> bool:
         """Whether the map ``row``, an int array with base images ``images``,
@@ -196,7 +197,7 @@ class StabiliserChain(MorphismSet):
         if level == len(self.base):
             return False
         self.generators.append(tuple(row.tolist()))
-        self.extend(self.sift(images, 0, self.generators[-1])[1], 0, level)
+        self.extend(self.sift(images, 0, np.array(row, dtype=np.int32))[1], 0, level)
         while level >= 0:
             level = self._complete(level)
         return True
@@ -210,11 +211,11 @@ class StabiliserChain(MorphismSet):
             for k in range(sifted.get(p, 0), len(strong)):
                 sifted[p] = k + 1
                 s = strong[k]
-                v = self._inverse(i, s[p])
-                images = [v[s[u[b]]] for b in self.base]
+                v = self._inverse(i, s.item(p))
+                images = v.take(s.take(u.take(self.base))).tolist()
                 j = self.sift(images, i + 1)[0]
                 if j < len(self.base):
-                    self.extend(self.sift(images, i + 1, compose(v, compose(s, u)))[1], i + 1, j)
+                    self.extend(self.sift(images, i + 1, v.take(s.take(u)))[1], i + 1, j)
                     return j
         return i - 1
 
@@ -470,7 +471,7 @@ def automorphism_chain(s: FiniteSemigroup, *, budget: int | None = None) -> Stab
                 if not hit:
                     break
                 chain.generators.append(hit[0])
-                chain.extend(hit[0], 0, i)
+                chain.extend(np.array(hit[0], dtype=np.int32), 0, i)
                 rest = rest[rest.index(hit[0][gens[i]]) + 1:]
         return chain
 

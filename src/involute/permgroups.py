@@ -202,8 +202,7 @@ def _center_order(g: StabiliserChain, central: np.ndarray) -> int:
     g a lie in G, so they are equal iff they agree on the base.  Each
     generator, held as int32 like the rows, filters the rows left."""
     base = list(g.base)
-    for a in g.generators:
-        a = np.asarray(a, dtype=np.int32)
+    for a in np.asarray(g.generators, dtype=np.int32).reshape(len(g.generators), g.degree):
         central = central[(a[central[:, base]] == central[:, a[base]]).all(axis=1)]
     return len(central)
 

@@ -32,15 +32,20 @@ def identity_tuple(n):
     return tuple(range(n))
 
 
-def as_mapping(p) -> tuple[int, ...]:
-    """The mapping tuple of a sequence of images, the one form the library
-    holds a map in; ValueError unless its images are integers (Python or
-    numpy, returned as ints; not bools) that form a bijection."""
+def as_integers(p) -> tuple[int, ...]:
+    """The items of ``p`` as ints; ValueError unless each is an int or a numpy integer."""
     m = tuple(p)
     if not {int}.issuperset(map(type, m)):
         if not all(isinstance(x, np.integer) for x in m if type(x) is not int):
-            raise ValueError(f"images must be integers: {m}")
+            raise ValueError(f"must be integers: {m}")
         m = tuple(map(int, m))
+    return m
+
+
+def as_mapping(p) -> tuple[int, ...]:
+    """The mapping tuple of a sequence of images; ValueError unless its
+    images are integers (see :func:`as_integers`) that form a bijection."""
+    m = as_integers(p)
     if sorted(m) != list(range(len(m))):
         raise ValueError(f"not a permutation of 0..{len(m) - 1}: {m}")
     return m

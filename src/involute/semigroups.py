@@ -400,6 +400,8 @@ _SWAPPED = [0, 1, 2, 4, 3, 5, 7, 6]
 
 def index_and_period(s: FiniteSemigroup, x: int) -> tuple[int, int]:
     """Minimal (i, p) with x^(i+p) = x^i; bounded by n via pigeonhole."""
+    if type(x) is not int or not 0 <= x < s.n:  # type(): a bool is not an element
+        raise IndexOutOfRangeError(f"elements are ints in 0..{s.n - 1}, not {x!r}")
     seen = {x: 1}
     y = x
     for k in range(2, s.n + 2):
@@ -518,7 +520,7 @@ def greedy_generators(candidates, product) -> Iterator:
 
 
 def closure_of_subset(s: FiniteSemigroup, seed) -> frozenset[int]:
-    """Smallest subsemigroup containing ``seed``.
+    """Smallest subsemigroup containing ``seed``, elements as ints in 0..n-1.
 
     The subsemigroup <A> is the set of all products a1*a2*...*ak with every
     ai in A.  Each such product is a1 right-multiplied by a2, ..., ak in
@@ -527,6 +529,8 @@ def closure_of_subset(s: FiniteSemigroup, seed) -> frozenset[int]:
     table lookups rather than |<A>|^2.
     """
     seed = list(seed)
+    if any(type(x) is not int or not 0 <= x < s.n for x in seed):
+        raise IndexOutOfRangeError(f"elements are ints in 0..{s.n - 1}: {seed}")
     t = s.table
     return frozenset(close_under(seed, seed, lambda x, g: t[x][g]))
 

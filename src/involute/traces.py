@@ -19,7 +19,7 @@ from .errors import (
     NotGraphAutomorphismError,
 )
 from .graphs import SimpleGraph
-from .perms import as_mapping
+from .perms import as_integers, as_mapping
 
 DEFAULT_LENGTH_BOUND = 16
 
@@ -30,6 +30,7 @@ class TraceContext:
     def __init__(self, graph: SimpleGraph, letters: str | None = None):
         self.graph = graph
         self.m = graph.n
+        self.letter_set = frozenset(range(self.m))  # what a TraceWord may hold
         if letters is not None and len(letters) != graph.n:
             raise ValueError("letter list length differs from alphabet size")
         self.letters = letters
@@ -73,10 +74,10 @@ class TraceWord:
     letters: tuple
 
     def __post_init__(self):
-        if not self.letters:
-            raise ValueError("trace words must be non-empty")
-        if any(not 0 <= x < self.context.m for x in self.letters):
-            raise ValueError("letter outside the alphabet")
+        if not {int}.issuperset(map(type, self.letters)):  # ints, not floats or bools
+            object.__setattr__(self, "letters", as_integers(self.letters))
+        if not self.letters or not self.context.letter_set.issuperset(self.letters):
+            raise ValueError(f"a trace word is a non-empty word over the letters 0..{self.context.m - 1}")
 
     def __len__(self):
         return len(self.letters)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import combinatorics
 
-from conftest import brute_morphisms
+from conftest import brute_morphisms, check_chain
 from involute.battery import _completeness_corpus, _split_law_corpus, run_battery
-from involute import morphisms
+from involute import morphisms, permgroups
 from involute.errors import (
     DegreeMismatchError,
     NotAnInvolutionError,
@@ -42,7 +42,7 @@ from involute.morphisms import (
     is_proper_involution,
     order_two_automorphisms,
 )
-from involute.permgroups import c_group, g_group, signed_aut_order
+from involute.permgroups import c_group, closure, g_group, signed_aut_order
 from involute.perms import compose, identity_tuple, invert, is_involution
 from involute.report import analyze
 from involute.semigroups import atoms, cayley_table, close_under, generating_set, validate
@@ -420,6 +420,37 @@ def test_chain_order_matches_sympy():
         chain = automorphism_chain(s)
         gens = [combinatorics.Permutation(list(g)) for g in chain.generators]
         assert combinatorics.PermutationGroup(gens).order() == chain.order
+
+
+def test_aut_chains_keep_their_invariants():
+    for s in (
+        zero_semigroup(6),
+        elementary_abelian_two_group(4),
+        sym_group_table(4),
+        partition_monoid(2),
+        cyclic_group(210),
+    ):
+        check_chain(automorphism_chain(s), list_up_to=720)  # |Aut(zero 6)| = 6!
+
+
+def test_chains_compose_and_invert_no_mapping_tuples(monkeypatch):
+    # a chain's maps are int32 rows, composed by take and inverted by a scatter
+    z200, s4 = cyclic_group(200), sym_group_table(4)
+    gens = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+    expected = [automorphism_chain(z200).generators, c_group(s4).order, g_group(s4).order]
+    z200.search_cache.clear()
+    s4.search_cache.clear()
+
+    def refuse(*args):
+        raise AssertionError("a chain composed or inverted mapping tuples")
+
+    for module in (morphisms, permgroups):
+        for name in ("compose", "invert"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert [automorphism_chain(z200).generators, c_group(s4).order, g_group(s4).order] == expected
+    g = closure(gens)
+    assert g.order == 120 and (4, 3, 2, 1, 0) in g and (1, 0, 3, 2, 4) in g
+    assert (1, 0, 2, 3, 4) not in closure(gens[:1])
 
 
 def test_chain_searches_once_per_new_orbit_point(monkeypatch):

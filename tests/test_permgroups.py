@@ -7,7 +7,10 @@ from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import combinatorics
+
+from conftest import check_chain
 
 from involute.battery import _completeness_corpus, _split_law_corpus
 from involute.errors import NotAGroupError, OrderBudgetExceededError
@@ -104,6 +107,18 @@ def test_closure_order_matches_sympy():
             [combinatorics.Permutation(g) for g in gens]
         ).order()
         assert closure(gens).order == expected  # lists of images
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3)))
+def test_closures_keep_the_chain_invariants(gens):
+    check_chain(closure(gens, cap=10**9), list_up_to=5040)  # |Sym(12)| < 10^9; none listed past 5040
+
+
+def test_c_and_g_of_sym4_keep_the_chain_invariants():
+    s4 = sym_group_table(4)
+    for g in (c_group(s4), g_group(s4)):
+        check_chain(g)
 
 
 def test_closure_keeps_only_generators_outside_the_group_so_far():

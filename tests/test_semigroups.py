@@ -378,6 +378,18 @@ def test_index_and_period_bounds():
         assert 1 <= i and 1 <= p and i + p - 1 <= 3
 
 
+def test_closure_and_index_refuse_what_is_not_an_element():
+    s = cyclic_group(6)
+    for bad in (-1, 6, True, False, 1.0, "1", None):
+        with pytest.raises(IndexOutOfRangeError):
+            index_and_period(s, bad)
+        with pytest.raises(IndexOutOfRangeError):
+            closure_of_subset(s, [2, bad])
+    assert index_and_period(s, 5) == (1, 6)
+    assert closure_of_subset(s, iter([2])) == {0, 2, 4}
+    assert closure_of_subset(s, []) == frozenset()
+
+
 def test_json_roundtrip(tmp_path, klein):
     doc = to_json_dict(klein)
     back = from_json_dict(json.loads(json.dumps(doc)))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +72,13 @@ def test_word_validation_and_bounds():
     for text, problem in (("", "at least one letter"), ("ac", "outside alphabet")):
         with pytest.raises(InputFormatError, match=problem):
             ctx.parse(text)
+    ctx3 = TraceContext.from_edges(3, [(0, 1)])
+    for bad in ([0.0, 1], [2, 1.5], [True, 0], [0, False], ["a"], [None], [-1], [3]):
+        with pytest.raises(ValueError):  # letters are ints in 0..m-1, not floats or bools
+            ctx3.word(bad)
+    held = ctx3.word(np.array([2, 0, 1]))  # numpy integers are held as ints
+    assert held.letters == (2, 0, 1) and {type(x) for x in held.letters} == {int}
+    assert str(normal_form(held)) == "cab"
     with pytest.raises(LengthBudgetExceededError):
         normal_form(ctx.word([0] * 20))
     assert normal_form(ctx.word([0] * 20), bound=32).letters == (0,) * 20
