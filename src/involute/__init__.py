@@ -10,7 +10,6 @@ from .errors import (
     InputFormatError,
     LengthBudgetExceededError,
     NoEdgesError,
-    NotAGroupError,
     NotAnInvolutionError,
     NotAssociativeError,
     NotGraphAutomorphismError,
@@ -49,7 +48,6 @@ from .morphisms import (
 )
 from .permgroups import (
     GroupFingerprint,
-    PairGroup,
     c_group,
     closure,
     derived_subgroup,

@@ -25,10 +25,6 @@ class DegreeMismatchError(AlgebraError):
     """A permutation's degree does not match the structure it acts on."""
 
 
-class NotAGroupError(AlgebraError):
-    """An operation that needs a group table was handed a plain semigroup."""
-
-
 class NoEdgesError(AlgebraError):
     """The graph-to-semigroup construction needs at least one edge."""
 

@@ -46,6 +46,9 @@ from .semigroups import (
 #: summed over its searches (configurable per call).
 DEFAULT_NODE_BUDGET = 10**8
 
+#: The most bytes of int32 rows that one listing of a chain may take.
+LISTING_BYTES = 2**32
+
 
 def _sorted_rows(x: np.ndarray) -> np.ndarray:
     """``x``, a C-contiguous int32 array, its rows sorted in place into mapping-tuple
@@ -141,7 +144,12 @@ class StabiliserChain(MorphismSet):
         return level == len(self.base) and bool((h == self._one).all())
 
     def maps(self) -> np.ndarray:
-        """Every member, one per row, unsorted: one gather per level."""
+        """Every member, one per row, unsorted: one gather per level.  Past
+        :data:`LISTING_BYTES` nothing is allocated, and the error's cap is
+        the most maps of this degree that fit."""
+        if (size := 4 * self.order * self.degree) > LISTING_BYTES:
+            raise OrderBudgetExceededError(LISTING_BYTES // (4 * self.degree), order=self.order,
+                                           layer=f"a listing of {self.degree}-point maps ({size} bytes)")
         maps = np.arange(self.degree, dtype=np.int32)[None]
         for level in reversed(self.transversals):
             if len(level) > 1:  # row (i, j) is u_i o maps_j

@@ -1,5 +1,5 @@
 """Permutation groups from their generators: closures, fingerprints, C(S), G(S),
-the involution laws, K_G.
+the involution laws, K_G on two copies of G's points.
 
 Every group is a :class:`~involute.morphisms.StabiliserChain`, built by
 Schreier–Sims on a fixed base: candidates are sifted in order, and one is
@@ -18,7 +18,7 @@ from math import inf, lcm
 
 import numpy as np
 
-from .errors import NotAGroupError, OrderBudgetExceededError
+from .errors import OrderBudgetExceededError
 from .morphisms import (
     MorphismSet,
     StabiliserChain,
@@ -30,13 +30,7 @@ from .morphisms import (
     order_two_automorphisms,
 )
 from .perms import as_mapping, compose, cycles
-from .semigroups import (
-    TABLE_CAP,
-    FiniteSemigroup,
-    close_under,
-    closure_of_subset,
-    validate,
-)
+from .semigroups import TABLE_CAP, FiniteSemigroup, validate
 
 
 def _group(chain: StabiliserChain, batches, cap, layer=None, stop=None) -> StabiliserChain:
@@ -283,55 +277,23 @@ def to_cayley_table(g: StabiliserChain) -> FiniteSemigroup:
 
 
 # ---------------------------------------------------------------------------
-# K_G: the subgroup of G x G generated by the pairs (g, g^-1)
+# K_G: the pairs (g, g^-1) as one chain on two copies of G's points
 
-@dataclass(frozen=True)
-class PairGroup:
-    """A subgroup of G x G stored as element-index pairs."""
+def k_group(g: StabiliserChain) -> StabiliserChain:
+    """K_G, the subgroup of G x G generated by {(g, g^-1) : g in G}, on two
+    copies of G's d points: (a, b) sends x to a(x) and d + y to d + b(y).
+    It is sifted on G's base in each copy, as a pair that fixes both is the
+    identity on both.  Past the default order cap the error names K_G.
 
-    base_order: int
-    generators: tuple
-    elements: frozenset
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def _group_inverses(table: FiniteSemigroup):
-    n = table.n
-    e = table.identity
-    if e is None:
-        raise NotAGroupError("no identity element")
-    inv = []
-    for x, row in enumerate(table.table):
-        if sorted(row) != list(range(n)):
-            raise NotAGroupError("rows are not permutations")
-        inv.append(row.index(e))
-        if table.table[inv[x]][x] != e:
-            raise NotAGroupError(f"element {x} has no two-sided inverse")
-    return inv
-
-
-def k_group(table: FiniteSemigroup) -> PairGroup:
-    """The subgroup of G x G generated by {(g, g^-1)} for a group table G.
-
-    Also computes the characterization {(g, h) : gh in [G, G]} and insists
-    the two sets agree.
+    K_G = {(g, h) : gh in [G, G]}, so |K_G| = |G| |[G, G]|.  The right-hand
+    side is a subgroup, as G/[G, G] is abelian, and holds every (g, g^-1).
+    Conversely (a, a^-1)(b, b^-1)((ab)^-1, ab) = (1, [a, b]), so K_G holds
+    (1, [G, G]), and so every (g, h) = (g, g^-1)(1, gh) with gh in [G, G].
     """
-    inv = _group_inverses(table)
-    t = table.table
-    n = table.n
-    gens = tuple((g, inv[g]) for g in range(n))
-    seen = close_under(gens, gens, lambda x, g: (t[x[0]][g[0]], t[x[1]][g[1]]))
-    # in a finite group the subsemigroup the commutators generate is [G, G]
-    derived = closure_of_subset(
-        table, {t[t[a][b]][t[inv[a]][inv[b]]] for a in range(n) for b in range(n)}
-    )
-    expected = {(g, h) for g in range(n) for h in range(n) if t[g][h] in derived}
-    if seen != expected:
-        raise AssertionError("closure of {(g, g^-1)} differs from the gh-in-[G,G] set")
-    return PairGroup(n, gens, frozenset(seen))
+    d, m = g.degree, g.maps()
+    pairs = np.hstack([m, np.argsort(m, axis=1).astype(np.int32) + d])  # row [a | a^-1]
+    base = g.base + tuple(b + d for b in g.base)
+    return _group(StabiliserChain(2 * d, base), [pairs], None, "K_G")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from sympy import combinatorics
 
 from conftest import check_chain
 
+from involute import morphisms
 from involute.battery import _completeness_corpus, _split_law_corpus
-from involute.errors import NotAGroupError, OrderBudgetExceededError
+from involute.errors import OrderBudgetExceededError
 from involute.families import (
     alternating_group_table,
     cyclic_group,
@@ -22,6 +23,7 @@ from involute.families import (
     elementary_abelian_two_group,
     full_transformation_monoid,
     klein_four,
+    quaternion_group,
     rectangular_band,
     sym_group_table,
     zero_semigroup,
@@ -55,6 +57,7 @@ from involute.semigroups import (
     DEFAULT_ORDER_BUDGET,
     TABLE_CAP,
     close_under,
+    closure_of_subset,
     validate,
 )
 
@@ -96,6 +99,16 @@ def test_membership_is_false_for_what_is_not_a_map_of_the_degree():
 def test_closure_budget():
     with pytest.raises(OrderBudgetExceededError):
         closure([(1, 2, 3, 4, 0)], cap=3)
+
+
+def test_a_listing_past_its_byte_bound_is_refused_before_it_is_made(monkeypatch):
+    monkeypatch.setattr(morphisms, "LISTING_BYTES", 4 * 6 * 3)  # Sym(3): 6 rows of 3 int32 points
+    assert len(closure([(1, 0, 2), (1, 2, 0)]).maps()) == 6
+    monkeypatch.setattr(morphisms, "LISTING_BYTES", 4 * 6 * 3 - 1)
+    with pytest.raises(OrderBudgetExceededError) as exc:
+        closure([(1, 0, 2), (1, 2, 0)]).array
+    assert str(exc.value) == "a listing of 3-point maps (72 bytes) has order 6, past the cap of 5"
+    assert (exc.value.order, exc.value.limit) == (6, 5)  # 5 rows of 3 points fit 71 bytes
 
 
 def test_closure_order_matches_sympy():
@@ -423,27 +436,63 @@ def test_lagrange_style_invariants():
         assert sum(c for _, c in fp.element_order_histogram) == g.order
 
 
+def _regular(table):
+    """The group of a group table as its left-regular representation: its rows."""
+    return closure(table.table, degree=table.n)
+
+
+def _pairs(kg, table):
+    """The element pairs (g, h) of K_G on the regular G: each copy's image of the identity."""
+    e, n = table.identity, table.n
+    return {(r[e], r[n + e] - n) for r in kg.maps().tolist()}
+
+
 def test_k_group_examples():
-    assert k_group(cyclic_group(2)).elements == frozenset({(0, 0), (1, 1)})
-    assert k_group(sym_group_table(3)).order == 18
+    assert _pairs(k_group(_regular(cyclic_group(2))), cyclic_group(2)) == {(0, 0), (1, 1)}
+    assert k_group(_regular(sym_group_table(3))).order == 18
     for m in (3, 4, 5, 6):
-        kg = k_group(cyclic_group(m))
+        z = cyclic_group(m)
+        kg = k_group(_regular(z))
         assert kg.order == m
-        assert all((a + b) % m == 0 for a, b in kg.elements)
+        assert all((a + b) % m == 0 for a, b in _pairs(kg, z))
 
 
 def test_k_group_is_extension_of_g_by_derived():
     for table in (sym_group_table(4), klein_four(), cyclic_group(9)):
-        g = closure(table.table, degree=table.n)
-        kg = k_group(table)
+        g = _regular(table)
+        kg = k_group(g)
         assert kg.order == table.n * derived_subgroup(g).order
 
 
-def test_k_group_rejects_non_groups():
-    with pytest.raises(NotAGroupError):
-        k_group(full_transformation_monoid(2))
-    with pytest.raises(NotAGroupError):
-        k_group(rectangular_band(2, 2))
+@pytest.mark.parametrize("table", [
+    dihedral_group(4),
+    quaternion_group(),
+    sym_group_table(4),
+    alternating_group_table(4),
+    direct_product_table(cyclic_group(2), sym_group_table(3)),
+], ids=["D4", "Q8", "Sym4", "Alt4", "Z2xSym3"])
+def test_k_group_lists_the_pairs_whose_product_lies_in_the_derived_subgroup(table):
+    # the reference: [G, G] as the subsemigroup the n^2 commutators generate
+    t, n = table.table, table.n
+    inv = [row.index(table.identity) for row in t]
+    derived = closure_of_subset(table, {t[t[a][b]][t[inv[a]][inv[b]]] for a in range(n) for b in range(n)})
+    expected = {(g, h) for g in range(n) for h in range(n) if t[g][h] in derived}
+    kg = k_group(_regular(table))
+    assert kg.order == len(expected)
+    assert _pairs(kg, table) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3)))
+def test_k_group_matches_sympy(gens):
+    g = closure(gens)
+    derived = combinatorics.PermutationGroup([combinatorics.Permutation(p) for p in gens]).derived_subgroup()
+    kg = k_group(g)
+    assert kg.order == g.order * derived.order()
+    m, d = kg.maps(), g.degree
+    products = np.take_along_axis(m[:, :d], m[:, d:] - d, axis=1)  # row a o b
+    distinct = products[np.unique(_keys(products, d), return_index=True)[1]]
+    assert all(derived.contains(combinatorics.Permutation(p)) for p in distinct.tolist())
 
 
 def test_factorization_examples():

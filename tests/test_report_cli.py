@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -529,6 +530,25 @@ def test_cli_analyze_refuses_a_huge_aut_before_listing_it(tmp_path, capsys, spec
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"budget exceeded: Aut(S) has order {order}, past the cap of 1000000\n"
+
+
+def test_cli_refuses_a_listing_past_its_byte_bound_without_a_traceback(tmp_path):
+    # zero 12 fits an order cap of 10^9, but listing its Aut(S) takes 24.9 GB
+    path = tmp_path / "zero12.json"
+    assert main(["construct", "zero", "12", "-o", str(path)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(involute.__file__).resolve().parents[1]))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, 4 * 10**9))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "involute", "analyze", str(path), "--json", "--budget-order", "1000000000"],
+        env=env, capture_output=True, text=True, preexec_fn=limit_address_space,
+    )
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", (
+        "budget exceeded: a listing of 13-point maps (24908083200 bytes) has order 479001600, "
+        "past the cap of 82595524\n"))
 
 
 def test_cli_analyze_caps_the_signed_group(tmp_path, capsys):
