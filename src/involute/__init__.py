@@ -18,16 +18,13 @@ from .errors import (
 )
 from .perms import parse_cycles
 from .semigroups import (
-    ElementFingerprint,
     FiniteSemigroup,
-    GreenStructure,
     atoms,
     close_under,
     closure_of_subset,
     dump_table,
     from_json_dict,
     generating_set,
-    green_relations,
     load_table,
     to_json_dict,
     validate,

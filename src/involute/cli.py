@@ -20,7 +20,7 @@ from .perms import compose, cycle_bodies, cycle_string, from_cycles, identity_tu
 from .perms import parse_cycles, parse_natural
 from .permgroups import two_involution_factorization
 from .report import analyze, report_to_text, write_json
-from .semigroups import FiniteSemigroup, load_table, to_json_dict
+from .semigroups import FiniteSemigroup, dump_table, load_table, to_json_dict
 from .traces import TraceContext, delta_map, gamma_map, normal_form, trace_equal
 
 EXIT_OK = 0
@@ -166,16 +166,14 @@ def _cmd_construct(args) -> int:
         raise InputFormatError("the construct spec is nested too deeply") from exc
     if rest:
         raise InputFormatError(f"unused construct arguments: {rest}")
-    doc = json.dumps(to_json_dict(s), sort_keys=True)
     if args.output:
         try:
-            with open(args.output, "w") as fh:
-                fh.write(doc + "\n")
+            dump_table(s, args.output)
         except OSError as exc:
             raise InputFormatError(f"cannot write {args.output}: {exc}") from exc
         print(f"wrote {s.n}x{s.n} table to {args.output}")
     else:
-        print(doc)
+        print(json.dumps(to_json_dict(s), sort_keys=True))
     return EXIT_OK
 
 

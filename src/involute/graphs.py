@@ -4,6 +4,7 @@ construction whose automorphism group reproduces the graph's."""
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 from .errors import InputFormatError, NoEdgesError, OrderBudgetExceededError, SearchBudgetExceededError
 from .morphisms import MorphismSet, StabiliserChain, _squares_to_one
@@ -83,20 +84,9 @@ def star_graph(n: int) -> SimpleGraph:
     return SimpleGraph(n, [(0, i) for i in range(1, n)])
 
 
-def empty_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, [])
-
-
 def rigid_tree() -> SimpleGraph:
     """A 7-vertex asymmetric tree: paths of lengths 1, 2, 3 glued at vertex 0."""
     return SimpleGraph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
-
-
-def petersen_graph() -> SimpleGraph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return SimpleGraph(10, outer + spokes + inner)
 
 
 def _signatures(g: SimpleGraph):
@@ -116,9 +106,7 @@ def graph_automorphisms(g: SimpleGraph) -> MorphismSet:
     """
     n = g.n
     sigs = _signatures(g)
-    freq: dict = {}
-    for s in sigs:
-        freq[s] = freq.get(s, 0) + 1
+    freq = Counter(sigs)
 
     # assign rare signatures early, then stay connected to the assigned set
     order: list[int] = []

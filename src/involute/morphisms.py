@@ -5,7 +5,7 @@ generating set of S, restricted to fingerprint-compatible targets, and
 extending every partial assignment by product saturation.  An
 anti-isomorphism S -> T is an isomorphism onto the opposite of T, so the
 same engine serves both directions: ``anti`` reads T's rows transposed and
-its fingerprints with the R/L and left/right fields swapped, on T itself.
+its fingerprint columns with R/L and left/right swapped, on T itself.
 
 Every group is a :class:`StabiliserChain`.  A generating set of S is a base
 for Aut(S), as an automorphism is fixed by the images of the generators, so
@@ -22,6 +22,7 @@ Aut⁻(S), I(S) and J(S) are each a MorphismSet.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 from math import prod
 
 import numpy as np
@@ -46,7 +47,7 @@ from .semigroups import (
 #: summed over its searches (configurable per call).
 DEFAULT_NODE_BUDGET = 10**8
 
-#: The most bytes of int32 rows that one listing of a chain may take.
+#: The most bytes that one listing of a chain may allocate.
 LISTING_BYTES = 2**32
 
 
@@ -144,17 +145,27 @@ class StabiliserChain(MorphismSet):
         return level == len(self.base) and bool((h == self._one).all())
 
     def maps(self) -> np.ndarray:
-        """Every member, one per row, unsorted: one gather per level.  Past
-        :data:`LISTING_BYTES` nothing is allocated, and the error's cap is
-        the most maps of this degree that fit."""
-        if (size := 4 * self.order * self.degree) > LISTING_BYTES:
-            raise OrderBudgetExceededError(LISTING_BYTES // (4 * self.degree), order=self.order,
-                                           layer=f"a listing of {self.degree}-point maps ({size} bytes)")
-        maps = np.arange(self.degree, dtype=np.int32)[None]
-        for level in reversed(self.transversals):
-            if len(level) > 1:  # row (i, j) is u_i o maps_j
-                maps = np.stack(list(level.values())).take(maps, axis=1).reshape(-1, self.degree)
-        return maps
+        """Every member, one per row, unsorted, filled into one array level by
+        level: with m rows listed, row i*m + j is u_i o row j (u_0, the base
+        point's, is the identity), by ``take`` from blocks of index rows, as it
+        copies its int32 indices to intp.  Past :data:`LISTING_BYTES`, counting
+        the rows, two blocks and 2^12 bytes of objects, nothing is allocated;
+        the error's cap is the most maps of this degree that fit."""
+        d = self.degree
+        block = max(1, 2**12 // max(1, d))  # index rows: 2^12 points, or one row
+        extra = 16 * block * d + 2**12
+        if (size := 4 * self.order * d + extra) > LISTING_BYTES:
+            raise OrderBudgetExceededError((LISTING_BYTES - extra) // (4 * max(1, d)), order=self.order,
+                                           layer=f"a listing of {d}-point maps ({size} bytes)")
+        out = np.empty((self.order, d), dtype=np.int32)
+        out[0], m = self._one, 1
+        for level in (t for t in reversed(self.transversals) if len(t) > 1):
+            for j in range(0, m, block):
+                rows = out[j:min(j + block, m)].astype(np.intp)
+                for i, u in enumerate(islice(level.values(), 1, None), 1):  # "clip": unbuffered out
+                    u.take(rows, out=out[i * m + j:i * m + j + len(rows)], mode="clip")
+            m *= len(level)
+        return out
 
     def _inverse(self, i: int, p: int) -> np.ndarray:
         if p not in self._inverses[i]:  # one scatter

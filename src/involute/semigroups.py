@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -36,9 +35,9 @@ class FiniteSemigroup:
     ``np_table``, the table as an int32 array, is trusted and made read-only
     by the constructor; ``table``, its rows as tuples, is built on first read.
     ``green_labels`` (the R, L and D labels and translation ranks of
-    :func:`_green_labels`), ``fingerprint_rows`` (the element fingerprints,
-    an (n, 8) int array in field order) and ``generators`` (the generating
-    set of :func:`generating_set`, a tuple) are made by :func:`validate`.
+    :func:`_green_labels`), ``fingerprint_rows`` (the (n, 8) int array of
+    :func:`_compute_fingerprints`) and ``generators`` (the generating set of
+    :func:`generating_set`, a tuple) are made by :func:`validate`.
     """
 
     def __init__(self, np_table, names, identity, green_labels, fingerprint_rows, generators):
@@ -61,17 +60,6 @@ class FiniteSemigroup:
     def is_commutative(self) -> bool:
         a = self.np_table
         return bool((a == a.T).all())
-
-    @cached_property
-    def green(self) -> "GreenStructure":
-        return green_relations(self)
-
-    @cached_property
-    def fingerprints(self) -> tuple["ElementFingerprint", ...]:
-        return tuple(
-            ElementFingerprint(bool(row[0]), *row[1:])
-            for row in self.fingerprint_rows.tolist()
-        )
 
     def dual(self) -> "FiniteSemigroup":
         """The opposite semigroup: the transposed table, validated afresh."""
@@ -253,17 +241,6 @@ def atoms(s: FiniteSemigroup) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class GreenStructure:
-    """The five Green partitions, each a tuple of disjoint frozensets."""
-
-    r_classes: tuple
-    l_classes: tuple
-    h_classes: tuple
-    d_classes: tuple
-    j_classes: tuple
-
-
 def _occurrence_masks(arr) -> tuple[np.ndarray, np.ndarray]:
     """Which values occur in each row and in each column of an (n, n) table.
 
@@ -290,15 +267,6 @@ def _row_labels(a) -> np.ndarray:
     keys = a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().tolist()
     first: dict = {}
     return np.array([first.setdefault(k, len(first)) for k in keys])
-
-
-def _partition(labels) -> tuple:
-    """The classes of a labelling, as frozensets sorted by least member."""
-    classes: dict = {}
-    for x, key in enumerate(labels.tolist()):
-        classes.setdefault(key, []).append(x)
-    # each class was opened by its least member, in increasing order
-    return tuple(map(frozenset, classes.values()))
 
 
 def _join(r, l) -> np.ndarray:
@@ -360,44 +328,6 @@ def _green_labels(arr) -> tuple:
     return r, l, _join(r, l), left_rank, right_rank, j
 
 
-def green_relations(s: FiniteSemigroup) -> GreenStructure:
-    """Green's relations of S, read off the labels of :func:`_green_labels`:
-    H is the pair of the R and L labels, and J is D."""
-    r, l, d = s.green_labels[:3]
-    d_part = _partition(d)
-    return GreenStructure(_partition(r), _partition(l), _partition(r * s.n + l), d_part, d_part)
-
-
-@dataclass(frozen=True)
-class ElementFingerprint:
-    """Cheap isomorphism invariants of a single element.
-
-    The translation ranks count where x can move: right_mult_rank = |xS|
-    (distinct entries in x's row), left_mult_rank = |Sx| (x's column).
-    Every isomorphism preserves all fields; an anti-isomorphism preserves
-    them after :meth:`swapped` (R and L classes trade places, as do the two
-    translation ranks).
-    """
-
-    is_idempotent: bool
-    index: int
-    period: int
-    r_class_size: int
-    l_class_size: int
-    d_class_size: int
-    left_mult_rank: int
-    right_mult_rank: int
-
-    def swapped(self) -> "ElementFingerprint":
-        values = astuple(self)
-        return ElementFingerprint(*(values[i] for i in _SWAPPED))
-
-
-#: The field order of a fingerprint on the dual semigroup: R and L class
-#: sizes trade places, as do the left and right translation ranks.
-_SWAPPED = [0, 1, 2, 4, 3, 5, 7, 6]
-
-
 def index_and_period(s: FiniteSemigroup, x: int) -> tuple[int, int]:
     """Minimal (i, p) with x^(i+p) = x^i; bounded by n via pigeonhole."""
     if type(x) is not int or not 0 <= x < s.n:  # type(): a bool is not an element
@@ -446,9 +376,14 @@ def _indices_and_periods(arr) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compute_fingerprints(arr, green_labels) -> np.ndarray:
-    """The element fingerprints as an (n, 8) integer array, one row per
-    element and one column per :class:`ElementFingerprint` field, in field
-    order.  The class sizes are counts of the labels."""
+    """The element fingerprints, cheap isomorphism invariants, as an (n, 8)
+    int array, one row per element x: whether x is idempotent, its index and
+    period, the sizes of its R, L and D classes (counts of the labels), and
+    its translation ranks |Sx| and |xS| (the distinct values in its column
+    and in its row).  An isomorphism preserves each column.  An
+    anti-isomorphism onto T is an isomorphism onto T's opposite, where R and
+    L classes trade places, as do Sx and xS, so it preserves them with T's
+    columns in the order :data:`_SWAPPED`."""
     r, l, d, left_rank, right_rank = green_labels
     index, period = _indices_and_periods(arr)
     return np.column_stack((
@@ -461,6 +396,10 @@ def _compute_fingerprints(arr, green_labels) -> np.ndarray:
         left_rank,
         right_rank,
     )).astype(np.int64)
+
+
+#: The fingerprint columns in the order of the opposite semigroup's.
+_SWAPPED = [0, 1, 2, 4, 3, 5, 7, 6]
 
 
 def close_under(seeds, gens, product, *, cap: int | None = None, members: set | None = None) -> set:

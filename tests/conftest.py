@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from sympy import combinatorics
@@ -35,6 +37,35 @@ def check_chain(chain, list_up_to: int = 10**4) -> None:
         products = chain_products(chain)
         assert len(set(products)) == chain.order
         assert chain.maps().tolist() == [list(m) for m in products]
+
+
+#: The columns of ``FiniteSemigroup.fingerprint_rows``, by name.
+Fingerprint = namedtuple("Fingerprint", "is_idempotent index period r_class_size l_class_size "
+                                        "d_class_size left_mult_rank right_mult_rank")
+
+#: Green's five partitions, each a tuple of frozensets sorted by least member.
+Green = namedtuple("Green", "r_classes l_classes h_classes d_classes j_classes")
+
+
+def fingerprints(s) -> tuple:
+    """The rows of ``s.fingerprint_rows`` as :data:`Fingerprint` tuples."""
+    return tuple(Fingerprint(*row) for row in s.fingerprint_rows.tolist())
+
+
+def partition(labels) -> tuple:
+    """The classes of a labelling, as frozensets sorted by least member."""
+    classes: dict = {}
+    for x, key in enumerate(labels.tolist()):
+        classes.setdefault(key, []).append(x)
+    # each class was opened by its least member, in increasing order
+    return tuple(map(frozenset, classes.values()))
+
+
+def green_classes(s) -> Green:
+    """Green's relations of S, read off ``s.green_labels``: H is the pair of
+    the R and L labels, and J is D, as on every finite semigroup."""
+    r, l, d = s.green_labels[:3]
+    return Green(partition(r), partition(l), partition(r * s.n + l), partition(d), partition(d))
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import Fingerprint, Green, fingerprints, green_classes
 from involute import semigroups
 from involute.battery import _completeness_corpus, run_battery
 from involute.cli import main
@@ -28,12 +29,10 @@ from involute.families import (
 from involute.morphisms import enumerate_anti_automorphisms, find_anti_isomorphism
 from involute.perms import compose
 from involute.semigroups import (
-    ElementFingerprint,
-    GreenStructure,
+    _SWAPPED,
     close_under,
     generating_set,
     greedy_generators,
-    green_relations,
     index_and_period,
     validate,
 )
@@ -46,7 +45,7 @@ def _canonical_partition(class_of: dict) -> tuple:
     return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
 
 
-def reference_green(s) -> GreenStructure:
+def reference_green(s) -> Green:
     """Principal ideals as Python sets, J as the union of the R ideals over
     each L ideal, D by union-find over elements."""
     n, t = s.n, s.table
@@ -79,7 +78,7 @@ def reference_green(s) -> GreenStructure:
                 parent[find(other)] = root
     d_part = _canonical_partition({x: find(x) for x in range(n)})
     assert d_part == j_part, "D != J on a finite semigroup: computation bug"
-    return GreenStructure(r_part, l_part, h_part, d_part, j_part)
+    return Green(r_part, l_part, h_part, d_part, j_part)
 
 
 def reference_fingerprints(s, green) -> tuple:
@@ -95,7 +94,7 @@ def reference_fingerprints(s, green) -> tuple:
         rcs, lcs, dcs = size_of[x]
         idx, per = index_and_period(s, x)
         out.append(
-            ElementFingerprint(
+            Fingerprint(
                 is_idempotent=t[x][x] == x,
                 index=idx,
                 period=per,
@@ -144,7 +143,7 @@ NAMED_TABLES = {
 
 def reference_order(fps) -> list[int]:
     """The preference order of ``generating_set``, from a tuple of
-    :class:`ElementFingerprint`s."""
+    :data:`~conftest.Fingerprint`s."""
     class_size = Counter(fps)
     orbit = [fp.index + fp.period - 1 for fp in fps]
     spread = [fp.left_mult_rank + fp.right_mult_rank for fp in fps]
@@ -157,9 +156,9 @@ def reference_generating_set(s, fps) -> list[int]:
 
 def _assert_matches_reference(s):
     green = reference_green(s)
-    assert green_relations(s) == green
+    assert green_classes(s) == green
     fps = reference_fingerprints(s, green)
-    assert s.fingerprints == fps
+    assert fingerprints(s) == fps
     assert generating_set(s) == reference_generating_set(s, fps)
 
 
@@ -230,10 +229,14 @@ def test_kernels_match_the_reference_on_random_transformation_semigroups():
 
 def test_a_dual_reads_its_green_structure_off_the_original():
     s = full_transformation_monoid(3)
-    g = s.green
+    g = green_classes(s)
     d = s.dual()
-    assert d.green == GreenStructure(g.l_classes, g.r_classes, g.h_classes, g.d_classes, g.j_classes)
-    assert d.fingerprints == tuple(fp.swapped() for fp in s.fingerprints)
+    assert green_classes(d) == Green(g.l_classes, g.r_classes, g.h_classes, g.d_classes, g.j_classes)
+    assert np.array_equal(d.fingerprint_rows, s.fingerprint_rows[:, _SWAPPED])
+    # _SWAPPED trades the R and L class sizes and the two translation ranks
+    assert [Fingerprint._fields[i] for i in _SWAPPED] == [
+        "is_idempotent", "index", "period", "l_class_size", "r_class_size", "d_class_size",
+        "right_mult_rank", "left_mult_rank"]
 
 
 def test_a_broken_d_join_fails_the_fingerprints(monkeypatch):

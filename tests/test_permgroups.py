@@ -102,13 +102,37 @@ def test_closure_budget():
 
 
 def test_a_listing_past_its_byte_bound_is_refused_before_it_is_made(monkeypatch):
-    monkeypatch.setattr(morphisms, "LISTING_BYTES", 4 * 6 * 3)  # Sym(3): 6 rows of 3 int32 points
+    # Sym(3): 6 rows of 3 int32 points, two blocks of 4096 // 3 intp index rows, the objects
+    listing = 4 * 6 * 3 + 2 * 8 * 1365 * 3 + 2**12
+    monkeypatch.setattr(morphisms, "LISTING_BYTES", listing)
     assert len(closure([(1, 0, 2), (1, 2, 0)]).maps()) == 6
-    monkeypatch.setattr(morphisms, "LISTING_BYTES", 4 * 6 * 3 - 1)
+    monkeypatch.setattr(morphisms, "LISTING_BYTES", listing - 1)
     with pytest.raises(OrderBudgetExceededError) as exc:
         closure([(1, 0, 2), (1, 2, 0)]).array
-    assert str(exc.value) == "a listing of 3-point maps (72 bytes) has order 6, past the cap of 5"
-    assert (exc.value.order, exc.value.limit) == (6, 5)  # 5 rows of 3 points fit 71 bytes
+    assert str(exc.value) == "a listing of 3-point maps (69688 bytes) has order 6, past the cap of 5"
+    assert (exc.value.order, exc.value.limit) == (6, 5)  # 5 rows of 3 points fit beside the rest
+
+
+@pytest.mark.parametrize("gens, degree", [
+    *(([(1, 0, *range(2, n)), (*range(1, n), 0)], n) for n in range(2, 10)),  # Sym(n)
+    ([(1, 0, *range(2, 5000))], 5000),      # wider than a block: one index row at a time
+    ([], 0),
+], ids=[*(f"sym{n}" for n in range(2, 10)), "wide", "degree0"])
+def test_a_listing_allocates_no_more_than_its_byte_check_counts(gens, degree, monkeypatch):
+    chain = closure(gens, degree=degree)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        listed = chain.maps()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert listed.shape == (chain.order, degree)
+    assert peak <= 4 * chain.order * degree + 2**17      # the rows and at most 128 KiB more
+    # the check counts at least the peak: under a bound one byte below it, it refuses
+    monkeypatch.setattr(morphisms, "LISTING_BYTES", peak - 1)
+    with pytest.raises(OrderBudgetExceededError):
+        chain.maps()
 
 
 def test_closure_order_matches_sympy():

@@ -280,6 +280,15 @@ def test_cli_construct(tmp_path, capsys):
     assert main(["construct", "band", "2"]) == 2
 
 
+def test_cli_construct_writes_the_bytes_of_dump_table(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["construct", "zero", "6"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert main(["construct", "zero", "6", "-o", str(tmp_path / "cli.json")]) == 0
+    dump_table(zero_semigroup(6), tmp_path / "lib.json")
+    assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes() == stdout
+
+
 #: every family ``construct`` knows, with its smallest valid arguments
 _SMALLEST_FAMILY_ARGS = {
     "cyclic": ["1"], "zn": ["1"], "klein": [], "sym": ["1"], "alt": ["1"],
@@ -533,7 +542,8 @@ def test_cli_analyze_refuses_a_huge_aut_before_listing_it(tmp_path, capsys, spec
 
 
 def test_cli_refuses_a_listing_past_its_byte_bound_without_a_traceback(tmp_path):
-    # zero 12 fits an order cap of 10^9, but listing its Aut(S) takes 24.9 GB
+    # zero 12 fits an order cap of 10^9, but listing its Aut(S) takes 24.9 GB: the rows,
+    # two blocks of 315 intp index rows and 2^12 bytes for the array objects
     path = tmp_path / "zero12.json"
     assert main(["construct", "zero", "12", "-o", str(path)]) == 0
     env = dict(os.environ, PYTHONPATH=str(Path(involute.__file__).resolve().parents[1]))
@@ -547,8 +557,8 @@ def test_cli_refuses_a_listing_past_its_byte_bound_without_a_traceback(tmp_path)
     )
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", (
-        "budget exceeded: a listing of 13-point maps (24908083200 bytes) has order 479001600, "
-        "past the cap of 82595524\n"))
+        "budget exceeded: a listing of 13-point maps (24908152816 bytes) has order 479001600, "
+        "past the cap of 82594186\n"))
 
 
 def test_cli_analyze_caps_the_signed_group(tmp_path, capsys):

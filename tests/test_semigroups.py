@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fingerprints, green_classes
 from involute.errors import (
     IndexOutOfRangeError,
     InputFormatError,
@@ -258,7 +259,7 @@ def test_atoms_against_brute_force_on_random_tables():
 
 
 def test_green_rectangular_band():
-    g = rectangular_band(2, 3).green
+    g = green_classes(rectangular_band(2, 3))
     assert sorted(len(c) for c in g.r_classes) == [3, 3]
     assert sorted(len(c) for c in g.l_classes) == [2, 2, 2]
     assert len(g.h_classes) == 6
@@ -267,13 +268,13 @@ def test_green_rectangular_band():
 
 
 def test_green_t2_rank_classes():
-    g = full_transformation_monoid(2).green
+    g = green_classes(full_transformation_monoid(2))
     # constants {[0 0], [1 1]} and bijections {id, swap}
     assert sorted(sorted(c) for c in g.d_classes) == [[0, 3], [1, 2]]
 
 
 def test_green_group_is_a_single_class():
-    g = cyclic_group(6).green
+    g = green_classes(cyclic_group(6))
     for part in (g.r_classes, g.l_classes, g.h_classes, g.d_classes, g.j_classes):
         assert len(part) == 1
 
@@ -362,11 +363,11 @@ def test_close_under_raises_exactly_past_the_cap():
 
 def test_fingerprint_examples():
     z6 = cyclic_group(6)
-    fps = z6.fingerprints
+    fps = fingerprints(z6)
     assert fps[0].is_idempotent and (fps[0].index, fps[0].period) == (1, 1)
     assert (fps[1].index, fps[1].period) == (1, 6)
     t3 = full_transformation_monoid(3)
-    const = t3.fingerprints[0]  # the map sending everything to 0
+    const = fingerprints(t3)[0]  # the map sending everything to 0
     assert const.is_idempotent
     assert const.right_mult_rank == 1
 
