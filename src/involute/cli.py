@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import families
 from .battery import check_names, run_battery
@@ -262,7 +263,9 @@ class _Parser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of :func:`main`, built on its first call, not at import."""
     parser = _Parser(
         prog="involute",
         description="Involutions and (anti-)automorphisms of finite semigroups.",

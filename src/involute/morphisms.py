@@ -552,7 +552,7 @@ def enumerate_anti_automorphisms(
             return enumerate_automorphisms(s, budget=budget, cap=cap)
         found = _isomorphisms(s, s, True, budget, 1, "Aut⁻(S)")
         if not found:
-            return MorphismSet(s.n, ())
+            return MorphismSet(s.n, np.empty((0, s.n), dtype=np.int32))
         auts = enumerate_automorphisms(s, budget=budget, cap=cap)
         composed = np.take(auts.array, found[0], axis=1)  # row a o beta
         if not _generator_certificate(s, s, generating_set(s), anti=True)(composed):

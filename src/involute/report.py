@@ -12,6 +12,8 @@ from collections import Counter
 from functools import partial
 from math import factorial, gcd, lcm
 
+import numpy as np
+
 from . import families
 from .morphisms import (
     StabiliserChain,
@@ -107,7 +109,8 @@ def analyze(
     order_cap: int | None = None,
 ) -> dict:
     """The report for one Cayley table, as the document ``analyze --json``
-    prints (morphisms as mapping tuples); deterministic across runs.
+    prints, its ``morphisms`` the sets Aut(S), Aut⁻(S) and I(S) themselves,
+    each a :class:`~involute.morphisms.MorphismSet`; deterministic across runs.
 
     The parts are computed in the order Aut, Aut⁻, I, J, C, G, Aut±, the
     fingerprint of C, the laws and the identification of C, so a budget
@@ -153,9 +156,9 @@ def analyze(
         "checks": {"splitLaw": split_law, "centralLaw": central_law},
         "identification": dict(identify_group(c, fp, budget=budget)),
         "morphisms": {
-            "automorphisms": auts.elements,
-            "antiAutomorphisms": antis.elements,
-            "involutions": invs.elements,
+            "automorphisms": auts,
+            "antiAutomorphisms": antis,
+            "involutions": invs,
         },
     }
 
@@ -201,28 +204,29 @@ BLOCK = 64
 
 def write_json(doc: dict, out) -> None:
     """Write the :func:`analyze` document to the text stream ``out``, byte
-    for byte as ``json.dump(doc, out, sort_keys=True, indent=2)`` followed by
-    a newline.
+    for byte as ``json.dump(doc, out, sort_keys=True, indent=2, default=list)``
+    followed by a newline.
 
     Everything but the three morphism lists goes through ``json.dumps``.
-    Each list is written :data:`BLOCK` maps per ``write``, every map as its
-    images' decimal strings joined: ``json`` falls back to its pure-Python
-    encoder under ``indent`` and writes once per token, and the whole
-    document as one string would double the peak memory.
+    Each list is written :data:`BLOCK` maps per ``write``, from its set's
+    ``array`` by one gather of the points' decimal strings, with no mapping
+    tuples: ``json`` falls back to its pure-Python encoder under ``indent``
+    and writes once per token, and the whole document as one string would
+    double the peak memory.
     """
     head, _, tail = json.dumps(dict(doc, morphisms=None), sort_keys=True, indent=2).partition(
         '\n  "morphisms": null')
     out.write(head + '\n  "morphisms": {')
+    # every map permutes the document's points 0..size-1
+    points = np.array([str(x) for x in range(doc["size"])], dtype=object)
     for i, (key, maps) in enumerate(sorted(doc["morphisms"].items())):
         out.write(("," if i else "") + f"\n    {json.dumps(key)}: [")
         if not maps:
             out.write("]")
             continue
-        # a map permutes 0..n-1, so each point's text is made once per list
-        point = [str(x) for x in range(len(maps[0]))].__getitem__
         for start in range(0, len(maps), BLOCK):
             out.write(("\n" if start == 0 else ",\n") + ",\n".join(
-                "      [\n        " + ",\n        ".join(map(point, m)) + "\n      ]"
-                for m in maps[start:start + BLOCK]))
+                "      [\n        " + ",\n        ".join(m) + "\n      ]"
+                for m in points[maps.array[start:start + BLOCK]].tolist()))
         out.write("\n    ]")
     out.write("\n  }" + tail + "\n")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import involute
-from involute.cli import _FAMILIES, main
+from involute.cli import _FAMILIES, build_parser, main
 from involute.errors import SearchBudgetExceededError
 from involute.families import (
     cyclic_group,
@@ -202,8 +202,8 @@ def test_analyze_square_band_report():
 
 def test_report_serialization_is_deterministic(klein):
     r = analyze(klein, name="klein")
-    d1 = json.dumps(r, sort_keys=True)
-    d2 = json.dumps(analyze(klein, name="klein"), sort_keys=True)
+    d1 = json.dumps(r, sort_keys=True, default=list)
+    d2 = json.dumps(analyze(klein, name="klein"), sort_keys=True, default=list)
     assert d1 == d2
     text = report_to_text(r)
     assert "|C(S)|:" in text and "6" in text
@@ -403,6 +403,37 @@ def test_cli_rejects_negative_counts(argv):
     assert exc.value.code == 2
 
 
+def _main_result(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    return (code, *capsys.readouterr())
+
+
+def test_cli_reuses_one_parser_with_the_results_of_a_fresh_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    dump_table(klein_four(), "klein.json")
+    argvs = [["analyze", "klein.json", "--budget-nodes", "x"], ["--help"], ["analyze", "klein.json", "--json"]]
+    reused = [_main_result(argv, capsys) for argv in argvs]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(_main_result(argv, capsys))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [("exit", 2), ("exit", 0), 0]
+
+
+def test_import_builds_no_parser():
+    src = str(Path(involute.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import involute.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -421,8 +452,10 @@ def test_cli_analyze_rejects_non_integer_tables(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-#: sha256 of ``analyze NAME.json --json`` on five small tables; the report is
-#: meant to stay byte-identical unless a change says why it moves.
+#: sha256 of ``analyze NAME.json --json`` on eight small tables; the report is
+#: meant to stay byte-identical unless a change says why it moves.  zero6
+#: (720 maps, 12 blocks), sym4 (two-digit points) and band1x7 (5,040 maps)
+#: cross the block and digit boundaries of ``write_json``.
 GOLDEN_ANALYZE = {
     "z12": (
         lambda: cyclic_group(12),
@@ -444,6 +477,18 @@ GOLDEN_ANALYZE = {
         lambda: sym_group_table(3),
         "c3bb6128dc5e0af07754a4ca37d5f8e95abf13ad1fa1d1f0332b06781bd0978b",
     ),
+    "zero6": (
+        lambda: zero_semigroup(6),
+        "91a7b5ef25e0c9d8f33cded1076c09c4507d443e928ea5ace7670de976a5a0e7",
+    ),
+    "sym4": (
+        lambda: sym_group_table(4),
+        "87872dd12ece533f10af0a79f2f92636f22e8939573fb51342bdf21033a55fcc",
+    ),
+    "band1x7": (
+        lambda: rectangular_band(1, 7),
+        "c1e2f49f1547bf82bceea747bbabdb6ab01f985c7c244a3d07fda807f3242e7d",
+    ),
 }
 
 
@@ -463,6 +508,9 @@ GOLDEN_TEXT = {
     "t3": "c96eb4c3b6d8343fc2590595d9cfa5016cc93653f40fc10f14b3e0a0adb8aba7",
     "doubled_lz2": "458dc651d0d8066b8c8ca974226e6c69c85a8f30a9b97b8eaabe5f2d6e658f2c",
     "sym3": "b0af4bb123dea72edfdd4bae4097254a582968f910dd5500ee6e6837d7104845",
+    "zero6": "cca9260b672e413dfebeede51662274e9e30cbc12a42c40d1b4fe2025e687f5a",
+    "sym4": "b72aa5262181da33ba158b2d0f200fafcbe470ed46981d6e7d2973b563dc8f60",
+    "band1x7": "8e3af1924438bcd1832d7d8c1148b4461e6c376e9cab2fcd58bb7a0fe1778050",
 }
 
 

@@ -1,10 +1,12 @@
 """``report.write_json``, the one JSON renderer of the report document,
-against ``json.dumps(doc, sort_keys=True, indent=2)`` as the oracle."""
+against ``json.dumps(doc, sort_keys=True, indent=2, default=list)`` as the
+oracle: a ``MorphismSet`` lists its mapping tuples."""
 
 import io
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,12 +18,13 @@ from involute.families import (
     sym_group_table,
     zero_semigroup,
 )
-from involute.report import BLOCK, analyze, write_json
+from involute.morphisms import MorphismSet
+from involute.report import BLOCK, analyze, report_to_text, write_json
 from involute.semigroups import dump_table, validate
 
 
 def _oracle(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=list) + "\n"
 
 
 def _written(doc):
@@ -64,25 +67,41 @@ def test_write_json_escapes_the_input_name_as_json_does():
     assert json.loads(text)["input"] == name
 
 
+@pytest.mark.parametrize("build", [lambda: zero_semigroup(6), lambda: full_transformation_monoid(4)],
+                         ids=["zero6", "t4"])
+@pytest.mark.parametrize("render", [lambda doc: write_json(doc, io.StringIO()), report_to_text],
+                         ids=["json", "text"])
+def test_rendering_builds_no_mapping_tuples(build, render):
+    doc = analyze(build(), name="table.json")
+    render(doc)
+    assert all(isinstance(maps, MorphismSet) and "elements" not in vars(maps)
+               for maps in doc["morphisms"].values())
+
+
 _KEYS = ("automorphisms", "antiAutomorphisms", "involutions")
 
 
 @st.composite
 def _documents(draw):
     """Documents shaped like the report: scalar keys on both sides of
-    ``morphisms`` and three lists of maps of one degree."""
-    degree = draw(st.integers(1, 5))
+    ``morphisms`` and three sets of maps of one degree, up to two-digit
+    points, each a ``MorphismSet`` from an int32 array or from tuples."""
+    degree = draw(st.integers(1, 12))
     rng = random.Random(draw(st.integers(0, 2**32)))
     lengths = draw(st.tuples(*[st.integers(0, 3 * BLOCK + 1)] * 3))
+    from_array = draw(st.tuples(*[st.booleans()] * 3))
+    morphisms = {}
+    for key, length, as_array in zip(_KEYS, lengths, from_array):
+        maps = {tuple(rng.sample(range(degree), degree)) for _ in range(length)}
+        rows = np.array(sorted(maps), dtype=np.int32).reshape(len(maps), degree)
+        shuffled = rows[rng.sample(range(len(rows)), len(rows))]  # sorted by MorphismSet
+        morphisms[key] = MorphismSet(degree, shuffled if as_array else maps)
     return {
         "input": draw(st.text(max_size=8)),
-        "counts": dict(zip(_KEYS, lengths)),
+        "counts": {key: len(maps) for key, maps in morphisms.items()},
         "identity": draw(st.none() | st.integers(0, degree - 1)),
         "size": degree,
-        "morphisms": {
-            key: [tuple(rng.sample(range(degree), degree)) for _ in range(length)]
-            for key, length in zip(_KEYS, lengths)
-        },
+        "morphisms": morphisms,
     }
 
 
