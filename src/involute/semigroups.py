@@ -8,7 +8,9 @@ generating set, and the rest is cached on the instance when first read.
 
 from __future__ import annotations
 
+import io
 import json
+import re
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import chain
@@ -529,8 +531,138 @@ def read_json(path):
         raise InputFormatError(f"{path} is nested too deeply to read") from exc
 
 
+#: the table key and the spaces around its colon, up to the table's "[";
+#: what may follow the table's last row
+_TABLE_KEY = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
+_TABLE_END = re.compile(rb"[ \t\n\r]*\][ \t\n\r]*\}[ \t\n\r]*")
+#: about this many bytes of rows are scanned at a time
+_BLOCK_BYTES = 2**15
+#: a token's byte less 48 (wrapped as uint8), floored at 9: a number's last digit,
+#: ",", "[" and "]"; any other byte keeps its own value
+_NUMBER = 9
+_COMMA, _OPEN, _CLOSE = (np.frombuffer(b",[]", np.uint8) - 48).tolist()
+_POWERS = 10 ** np.arange(9, dtype=np.int32)
+
+
+def _read_rows(block, template, opener, out) -> bool:
+    """Read the rows in ``block`` (uint8, from the byte after the previous
+    row, or the table's "[", to the last row's "]") into ``out``, or return
+    False if they are not exactly ``len(out)`` rows of the shape
+    ``template`` gives, each entry a JSON integer of at most 9 digits with no
+    sign, point, exponent or leading zero.
+
+    After Langdale and Lemire, "Parsing gigabytes of JSON per second" (VLDB
+    J. 28, 2019): whole-block scans find the tokens, the punctuation bytes
+    and each number's last digit, and check their sequence against the
+    template; the numbers are then summed digit column by digit column."""
+    d = block - 48
+    digit = d < 10
+    inner = digit[:-1] & digit[1:]      # a digit with a digit after it
+    if ((d[1:-1] == 0) & inner[1:] & ~digit[:-2]).any():
+        return False
+    control = block < 32
+    if control.any() and not np.isin(block[control], (9, 10, 13)).all():
+        return False
+    token = block > 32
+    token[:-1] &= ~inner
+    at = np.flatnonzero(token)
+    code = np.maximum(d.take(at), _NUMBER)
+    if code.size != len(out) * template.size or code[0] != opener:
+        return False
+    code[0] = _COMMA    # the table's "[" opens the first row as a comma does the others
+    if not (code.reshape(-1, template.size) == template).all():
+        return False
+    ends = at.reshape(-1, template.size)[:, 2:-1:2]
+    out[...] = d.take(ends)
+    more = True
+    for j in range(1, 10):
+        d_j = d.take(ends - j, mode="clip")
+        more = more & (d_j < 10)        # a digit j places before the last
+        if not more.any():
+            return True
+        if j == 9:
+            return False
+        out += (d_j * more) * _POWERS[j]
+
+
+def _read_table_document(data: bytes) -> dict | None:
+    """The document in ``data`` with its table read straight into an (n, n)
+    int32 array, if the table is its last key and a square list of rows of
+    at most :data:`TABLE_CAP` integers that :func:`_read_rows` takes; else
+    None, for ``json`` to read.
+
+    Everything before the table is parsed by ``json.loads`` from the
+    UTF-8-decoded text, with the table replaced by ``null``, so that JSON's
+    own rules decide it: a BOM, a duplicate key (the last wins) and bad
+    UTF-8 are as ``json`` has them.  The key must be the last pair of the
+    outermost object; a "table" inside a string fails that or the parse.
+    The rows are read a block of about :data:`_BLOCK_BYTES` at a time, so
+    the scans' temporaries are bounded by a block, not by the file."""
+    key = _TABLE_KEY.match(data, max(0, data.rfind(b'"table"')))
+    first = -1 if key is None else data.find(b"]", key.end())
+    if first < 0:
+        return None
+    start = key.end()
+    n = data.count(b",", start, first) + 1
+    if n > TABLE_CAP:
+        return None
+    arr = np.empty((n, n), np.int32)
+    template = np.full(2 * n + 2, _COMMA, np.uint8)     # a row: , [ N , N ... N ]
+    template[1], template[2:-1:2], template[-1] = _OPEN, _NUMBER, _CLOSE
+    step = max(1, _BLOCK_BYTES // (first - start + 1))
+    view = np.frombuffer(data, np.uint8)
+    for i in range(0, n, step):
+        end = start
+        for _ in range(min(step, n - i)):
+            end = data.find(b"]", end) + 1
+            if not end:
+                return None
+        if not _read_rows(view[start:end], template, _OPEN if i == 0 else _COMMA, arr[i:i + step]):
+            return None
+        start = end
+    if not _TABLE_END.fullmatch(data, start):
+        return None
+    pairs: list = []
+
+    def outermost_last(p):
+        pairs[:] = p
+        return dict(p)
+
+    try:
+        doc = json.loads(data[:key.end()].decode("utf-8") + "null}", object_pairs_hook=outermost_last)
+    except (ValueError, RecursionError):
+        return None
+    if type(doc) is not dict or pairs[-1] != ("table", None):
+        return None
+    doc["table"] = arr
+    return doc
+
+
+def _table_document(path) -> dict:
+    """The document in a table file, its bytes read once: by
+    :func:`_read_table_document` if it takes them, else by ``json`` from
+    the text :func:`read_json` would read, with the same errors."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    doc = _read_table_document(data)
+    if doc is not None:
+        return doc
+    try:
+        # read_json's text: UTF-8 with universal newlines
+        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    except ValueError as exc:
+        raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path} is nested too deeply to read") from exc
+
+
 def load_table(path) -> FiniteSemigroup:
-    return from_json_dict(read_json(path))
+    """The table in a file, as :func:`from_json_dict` of its document; the
+    file's bytes are freed before :func:`validate` runs."""
+    return from_json_dict(_table_document(path))
 
 
 def dump_table(s: FiniteSemigroup, path) -> None:

@@ -1,3 +1,5 @@
+import json
+import re
 from collections import namedtuple
 
 import numpy as np
@@ -81,3 +83,72 @@ def left_zero_2():
 @pytest.fixture
 def right_zero_2():
     return validate([[0, 1], [0, 1]])
+
+
+def table_file(table, layout: str, **extra) -> bytes:
+    """The bytes of a table file in one of the two layouts the toolkit meets:
+    "compact", as the benchmark writes its inputs ("n", then ``extra``'s keys
+    and "table" last, with no spaces), or "dump", as ``dump_table`` writes
+    (sorted keys, ", " and ": " separators)."""
+    doc = {"n": len(table), **extra, "table": table}
+    if layout == "compact":
+        return (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+    return (json.dumps(doc, sort_keys=True) + "\n").encode()
+
+
+_INTEGER = re.compile(rb"\d+")
+
+
+def _entry(data: bytes, k: int, new) -> bytes:
+    """``data`` with the k-th integer (mod their count) of the table's text
+    replaced by ``new(old)``."""
+    spans = [m.span() for m in _INTEGER.finditer(data, data.rindex(b'"table"'))]
+    a, b = spans[k % len(spans)]
+    return data[:a] + new(data[a:b]) + data[b:]
+
+
+_ROW_GAP = re.compile(rb"\][ \t\n\r]*(,)")
+
+
+def _row_gap(data: bytes, k: int, new: bytes) -> bytes:
+    """``data`` with the comma after the k-th row (mod their count) replaced
+    by ``new``; a table of one row is left as it is."""
+    spans = [m.span(1) for m in _ROW_GAP.finditer(data, data.rindex(b'"table"'))]
+    if not spans:
+        return data
+    a, b = spans[k % len(spans)]
+    return data[:a] + new + data[b:]
+
+
+def _before_end(data: bytes, text: bytes) -> bytes:
+    """``data`` with ``text`` put before the closing brace of its object."""
+    return data.rstrip()[:-1] + text + b"}\n"
+
+
+#: edits of a table file, each ``edit(data, k)``, with ``k`` choosing the
+#: entry or the byte it acts on; each makes a file the table reader must
+#: read as ``json`` does, or decline
+TABLE_FILE_EDITS = {
+    "leading zero": lambda data, k: _entry(data, k, lambda e: b"0" + e),
+    "-0": lambda data, k: _entry(data, k, lambda e: b"-0"),
+    "1e2": lambda data, k: _entry(data, k, lambda e: b"1e2"),
+    "1.0": lambda data, k: _entry(data, k, lambda e: b"1.0"),
+    "true": lambda data, k: _entry(data, k, lambda e: b"true"),
+    "ten digits": lambda data, k: _entry(data, k, lambda e: b"1234567890"),
+    "ragged row": lambda data, k: _entry(data, k, lambda e: e + b",0"),
+    "form feed for a space": lambda data, k: _entry(data, k, lambda e: b"\x0c" + e),
+    "no comma between rows": lambda data, k: _row_gap(data, k, b""),
+    "two commas between rows": lambda data, k: _row_gap(data, k, b",,"),
+    "a colon between rows": lambda data, k: _row_gap(data, k, b":"),
+    "truncated": lambda data, k: data[:k % len(data)],
+    "CRLF": lambda data, k: data.rstrip().replace(b"],", b"],\r\n") + b"\r\n",
+    "UTF-8 BOM": lambda data, k: b"\xef\xbb\xbf" + data,
+    "UTF-16": lambda data, k: data.decode().encode("utf-16"),
+    "key after the table": lambda data, k: _before_end(data, b', "z": 0'),
+    "duplicate table key before": lambda data, k: b'{"table": [[0]], ' + data[1:],
+    "duplicate table key after": lambda data, k: _before_end(data, b', "table": [[0]]'),
+    "table text in a string": lambda data, k: b'{"x": "\\"table\\": [[0]]", ' + data[1:],
+    "key ending in table": lambda data, k: _before_end(data, b', "x\\"table": [[0]]'),
+    "key ending in table after a null table": lambda data, k: _before_end(
+        data[:data.rindex(b'"table"')] + b'"table": null}', b', "x\\"table": [[0]]'),
+}

@@ -13,7 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import TABLE_FILE_EDITS, table_file
+from involute import cli
 from involute.cli import _FAMILIES, main
+from involute.families import cyclic_group, full_transformation_monoid, rectangular_band, zero_semigroup
+from involute.semigroups import from_json_dict, read_json, to_json_dict
 
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -59,6 +63,37 @@ def test_analyze_survives_random_bytes(input_path, content):
 @given(doc=_json_values | _table_docs)
 def test_analyze_survives_random_json_documents(input_path, doc):
     _assert_analyze_is_clean(input_path, json.dumps(doc).encode())
+
+
+def _analyze(path: Path) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", str(path), "--json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+_EDITED_BASES = [cyclic_group(6), rectangular_band(2, 2), full_transformation_monoid(2), zero_semigroup(3)]
+
+
+@pytest.mark.parametrize("edit", sorted(TABLE_FILE_EDITS))
+def test_analyze_reads_an_edited_table_file_as_json_load_does(input_path, monkeypatch, edit):
+    """Each edit of a valid file, in the benchmark's compact layout or as
+    ``dump_table`` writes it, gives the exit code, stdout and stderr it gives
+    when the table is loaded by ``from_json_dict(read_json(path))``."""
+    @settings(max_examples=6, deadline=None)
+    @given(s=st.sampled_from(_EDITED_BASES), layout=st.sampled_from(["compact", "dump"]),
+           k=st.integers(0, 10**4))
+    def check(s, layout, k):
+        extra = {} if layout == "compact" else to_json_dict(s)
+        extra.pop("table", None)
+        extra.pop("n", None)
+        input_path.write_bytes(TABLE_FILE_EDITS[edit](table_file(s.np_table.tolist(), layout, **extra), k))
+        result = _analyze(input_path)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "load_table", lambda path: from_json_dict(read_json(path)))
+            assert _analyze(input_path) == result
+
+    check()
 
 
 def _run(argv) -> tuple[int, str]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import table_file
 import involute
 from involute.cli import _FAMILIES, build_parser, main
 from involute.errors import SearchBudgetExceededError
@@ -256,6 +257,22 @@ def test_cli_refuses_an_oversized_table_file_as_bad_input(tmp_path):
             2, "", f"error: the requested table exceeds the limit of {TABLE_CAP} elements\n")
 
 
+def test_cli_reads_a_table_from_a_pipe_as_from_its_path(tmp_path, capsys):
+    # the file is read once, so a table on a pipe is read whole whichever route reads it
+    path = tmp_path / "z12.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(involute.__file__).resolve().parents[1]))
+    data = table_file(cyclic_group(12).np_table.tolist(), "compact")
+    for content, code in ((data, 0), (data[:len(data) // 2], 2)):
+        path.write_bytes(content)
+        assert main(["analyze", str(path), "--json"]) == code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "involute", "analyze", "/dev/stdin", "--json"],
+                              input=content, env=env, capture_output=True)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+            code, out.replace(f'"input": "{path}"', '"input": "/dev/stdin"'),
+            err.replace(str(path), "/dev/stdin"))
+
+
 def test_cli_construct_reports_an_unwritable_output(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     assert main(["construct", "cyclic", "1", "--output", str(target)]) == 2
@@ -452,10 +469,37 @@ def test_cli_analyze_rejects_non_integer_tables(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-#: sha256 of ``analyze NAME.json --json`` on eight small tables; the report is
+def _relabelled(s, seed):
+    """The rows of S's table under a seeded bijection sigma of its elements,
+    sigma(x)sigma(y) = sigma(xy), and its names carried along."""
+    sigma = np.random.default_rng(seed).permutation(s.n)
+    table = np.empty_like(s.np_table)
+    table[np.ix_(sigma, sigma)] = sigma[s.np_table]
+    names = None if s.names is None else [s.names[x] for x in np.argsort(sigma).tolist()]
+    return table.tolist(), names
+
+
+def _compact_file(s, seed) -> bytes:
+    """A relabelled S as the benchmark writes its inputs: "n", then "table",
+    with no spaces."""
+    table, _ = _relabelled(s, seed)
+    return (json.dumps({"n": s.n, "table": table}, separators=(",", ":")) + "\n").encode()
+
+
+def _escaped_names(s, seed):
+    """A relabelled S whose names carry a quote, a backslash and non-ASCII,
+    for :func:`dump_table` to write."""
+    table, names = _relabelled(s, seed)
+    return validate(table, names=[f'"{name}"\\\u2192{i}' for i, name in enumerate(names)])
+
+
+#: sha256 of ``analyze NAME.json --json`` on ten small tables; the report is
 #: meant to stay byte-identical unless a change says why it moves.  zero6
 #: (720 maps, 12 blocks), sym4 (two-digit points) and band1x7 (5,040 maps)
-#: cross the block and digit boundaries of ``write_json``.
+#: cross the block and digit boundaries of ``write_json``.  Each is written
+#: by :func:`dump_table` (sorted keys, ", " separators, names where the table
+#: has them), except z60_compact, which is a file's bytes in the benchmark's
+#: compact layout.
 GOLDEN_ANALYZE = {
     "z12": (
         lambda: cyclic_group(12),
@@ -489,6 +533,14 @@ GOLDEN_ANALYZE = {
         lambda: rectangular_band(1, 7),
         "c1e2f49f1547bf82bceea747bbabdb6ab01f985c7c244a3d07fda807f3242e7d",
     ),
+    "z60_compact": (
+        lambda: _compact_file(cyclic_group(60), 1),
+        "8d1a771574a24252d8fc8301ddfced6b93e74610e25f4a1886abcf24539bfb0e",
+    ),
+    "t3_escaped_names": (
+        lambda: _escaped_names(full_transformation_monoid(3), 3),
+        "7c5b6ffde03a2b4bcbda7a43d71040e03d817e8bd4a2dded535074cd198826e8",
+    ),
 }
 
 
@@ -496,7 +548,11 @@ GOLDEN_ANALYZE = {
 def test_cli_analyze_json_is_pinned(tmp_path, monkeypatch, capsys, name):
     build, digest = GOLDEN_ANALYZE[name]
     monkeypatch.chdir(tmp_path)
-    dump_table(build(), f"{name}.json")
+    built = build()
+    if isinstance(built, bytes):
+        Path(f"{name}.json").write_bytes(built)
+    else:
+        dump_table(built, f"{name}.json")
     assert main(["analyze", f"{name}.json", "--json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
