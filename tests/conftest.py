@@ -85,6 +85,15 @@ def right_zero_2():
     return validate([[0, 1], [0, 1]])
 
 
+def relabelled(table, sigma) -> np.ndarray:
+    """The table of the isomorphic copy under a bijection sigma of the
+    elements: sigma(x)sigma(y) = sigma(xy)."""
+    sigma = np.asarray(sigma)
+    out = np.empty_like(table)
+    out[np.ix_(sigma, sigma)] = sigma[table]
+    return out
+
+
 def table_file(table, layout: str, **extra) -> bytes:
     """The bytes of a table file in one of the two layouts the toolkit meets:
     "compact", as the benchmark writes its inputs ("n", then ``extra``'s keys
@@ -120,6 +129,16 @@ def _row_gap(data: bytes, k: int, new: bytes) -> bytes:
     return data[:a] + new + data[b:]
 
 
+def _in_a_name(data: bytes, text: bytes) -> bytes:
+    """``data`` with ``text`` put at the start of its first name, or as the
+    value of a new first key if it has no names."""
+    names = data.find(b'"names": ["')
+    if names < 0:
+        return b'{"x": "' + text + b'", ' + data[1:]
+    at = names + len(b'"names": ["')
+    return data[:at] + text + data[at:]
+
+
 def _before_end(data: bytes, text: bytes) -> bytes:
     """``data`` with ``text`` put before the closing brace of its object."""
     return data.rstrip()[:-1] + text + b"}\n"
@@ -147,7 +166,7 @@ TABLE_FILE_EDITS = {
     "key after the table": lambda data, k: _before_end(data, b', "z": 0'),
     "duplicate table key before": lambda data, k: b'{"table": [[0]], ' + data[1:],
     "duplicate table key after": lambda data, k: _before_end(data, b', "table": [[0]]'),
-    "table text in a string": lambda data, k: b'{"x": "\\"table\\": [[0]]", ' + data[1:],
+    "table text in a name": lambda data, k: _in_a_name(data, b'\\"table\\": [[0]]'),
     "key ending in table": lambda data, k: _before_end(data, b', "x\\"table": [[0]]'),
     "key ending in table after a null table": lambda data, k: _before_end(
         data[:data.rindex(b'"table"')] + b'"table": null}', b', "x\\"table": [[0]]'),

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import table_file
+from conftest import relabelled, table_file
 import involute
 from involute.cli import _FAMILIES, build_parser, main
 from involute.errors import SearchBudgetExceededError
@@ -470,20 +470,11 @@ def test_cli_analyze_rejects_non_integer_tables(tmp_path, capsys, doc):
 
 
 def _relabelled(s, seed):
-    """The rows of S's table under a seeded bijection sigma of its elements,
-    sigma(x)sigma(y) = sigma(xy), and its names carried along."""
+    """The rows of S's table under a seeded bijection of its elements, and
+    its names carried along."""
     sigma = np.random.default_rng(seed).permutation(s.n)
-    table = np.empty_like(s.np_table)
-    table[np.ix_(sigma, sigma)] = sigma[s.np_table]
     names = None if s.names is None else [s.names[x] for x in np.argsort(sigma).tolist()]
-    return table.tolist(), names
-
-
-def _compact_file(s, seed) -> bytes:
-    """A relabelled S as the benchmark writes its inputs: "n", then "table",
-    with no spaces."""
-    table, _ = _relabelled(s, seed)
-    return (json.dumps({"n": s.n, "table": table}, separators=(",", ":")) + "\n").encode()
+    return relabelled(s.np_table, sigma).tolist(), names
 
 
 def _escaped_names(s, seed):
@@ -534,7 +525,7 @@ GOLDEN_ANALYZE = {
         "c1e2f49f1547bf82bceea747bbabdb6ab01f985c7c244a3d07fda807f3242e7d",
     ),
     "z60_compact": (
-        lambda: _compact_file(cyclic_group(60), 1),
+        lambda: table_file(_relabelled(cyclic_group(60), 1)[0], "compact"),
         "8d1a771574a24252d8fc8301ddfced6b93e74610e25f4a1886abcf24539bfb0e",
     ),
     "t3_escaped_names": (

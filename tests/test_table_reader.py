@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TABLE_FILE_EDITS, table_file
+from conftest import TABLE_FILE_EDITS, relabelled, table_file
 from involute import semigroups
 from involute.cli import main
 from involute.errors import AlgebraError
@@ -37,10 +37,7 @@ def _documents(draw) -> dict:
     and "identity", right or wrong, its keys in any order."""
     if draw(st.booleans()):
         s = draw(st.sampled_from(_SEMIGROUPS))
-        n, sigma = s.n, np.array(draw(st.permutations(range(s.n))))
-        table = np.empty_like(s.np_table)
-        table[np.ix_(sigma, sigma)] = sigma[s.np_table]
-        table = table.tolist()
+        n, table = s.n, relabelled(s.np_table, draw(st.permutations(range(s.n)))).tolist()
     else:
         n = draw(st.integers(1, 12))
         row = st.lists(st.integers(0, n), min_size=n, max_size=n)
@@ -136,9 +133,7 @@ class _AtValidate(Exception):
 
 def test_reading_a_table_file_holds_its_bytes_and_one_block_beside_the_array(tmp_path, monkeypatch):
     n = 1024
-    sigma = np.random.default_rng(0).permutation(n)
-    table = np.empty((n, n), np.int32)
-    table[np.ix_(sigma, sigma)] = sigma[np.add.outer(np.arange(n), np.arange(n)) % n]
+    table = relabelled(np.add.outer(np.arange(n), np.arange(n)) % n, np.random.default_rng(0).permutation(n))
     path = tmp_path / "z1024.json"
     path.write_bytes(table_file(table.tolist(), "compact"))
     size = path.stat().st_size
