@@ -8,8 +8,8 @@ generating set, and the rest is cached on the instance when first read.
 
 from __future__ import annotations
 
-import io
 import json
+import os
 import re
 from collections.abc import Iterator
 from functools import cached_property
@@ -516,19 +516,41 @@ def from_json_dict(doc) -> FiniteSemigroup:
     return s
 
 
-def read_json(path):
-    """The JSON document in a UTF-8 file; every way to fail is an
-    :class:`InputFormatError`."""
+#: Largest input file read, in bytes: over five times Z_1024 written with ``indent=2``
+#: (11,458,592 bytes; 5,163,995 as :func:`dump_table` writes it, 4,108,308 compact).
+INPUT_BYTES = 2**26
+
+
+def _input_bytes(path) -> bytes:
+    """An input file's bytes, read once: a regular file at its ``fstat`` size, a pipe
+    or a device chunk by chunk, to one byte past :data:`INPUT_BYTES` at most."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            data = fh.read(size + 1) if 0 < size <= INPUT_BYTES else bytearray()
+            while not size and len(data) <= INPUT_BYTES and (chunk := fh.read1(2**20)):
+                data += chunk
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    if max(size, len(data)) > INPUT_BYTES:
+        raise InputFormatError(f"{path} is larger than the input limit of {INPUT_BYTES} bytes")
+    return data
+
+
+def _json_document(data: bytes, path):
+    """The JSON document in the UTF-8 bytes of the file at ``path``."""
+    try:
+        # bad JSON, bytes that are not UTF-8 and over-long integers: all ValueErrors
+        return json.loads(data.decode("utf-8"))
     except ValueError as exc:
-        # bad JSON, bytes that are not UTF-8 and over-long integers alike
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputFormatError(f"{path} is nested too deeply to read") from exc
+
+
+def read_json(path):
+    """The JSON document in a UTF-8 input file; any failure is an :class:`InputFormatError`."""
+    return _json_document(_input_bytes(path), path)
 
 
 #: the table key and the spaces around its colon, up to the table's "[";
@@ -587,25 +609,30 @@ def _read_rows(block, template, opener, out) -> bool:
 
 def _read_table_document(data: bytes) -> dict | None:
     """The document in ``data`` with its table read straight into an (n, n)
-    int32 array, if the table is its last key and a square list of rows of
-    at most :data:`TABLE_CAP` integers that :func:`_read_rows` takes; else
-    None, for ``json`` to read.
+    int32 array, if "table" is its last key and a square list of rows of
+    integers that :func:`_read_rows` takes; else None, for ``json`` to read.
+    A first row past :data:`TABLE_CAP` raises :class:`OrderBudgetExceededError`.
 
-    Everything before the table is parsed by ``json.loads`` from the
-    UTF-8-decoded text, with the table replaced by ``null``, so that JSON's
-    own rules decide it: a BOM, a duplicate key (the last wins) and bad
-    UTF-8 are as ``json`` has them.  The key must be the last pair of the
-    outermost object; a "table" inside a string fails that or the parse.
-    The rows are read a block of about :data:`_BLOCK_BYTES` at a time, so
-    the scans' temporaries are bounded by a block, not by the file."""
+    The text before the table, with ``null`` for the table, is parsed first
+    by ``json.loads``, so a BOM and bad UTF-8 are as ``json`` has them, and
+    "table" must be the outermost object's last key: a "table" in a string,
+    a key ending in it and a "table" key repeated before another key are not.
+    The rows are read in blocks of about :data:`_BLOCK_BYTES`, so the scans'
+    temporaries are bounded by a block, not by the file."""
     key = _TABLE_KEY.match(data, max(0, data.rfind(b'"table"')))
     first = -1 if key is None else data.find(b"]", key.end())
     if first < 0:
         return None
     start = key.end()
+    try:
+        doc = json.loads(data[:start].decode("utf-8") + "null}")
+    except (ValueError, RecursionError):
+        return None
+    if type(doc) is not dict or next(reversed(doc)) != "table":
+        return None
     n = data.count(b",", start, first) + 1
     if n > TABLE_CAP:
-        return None
+        raise OrderBudgetExceededError(TABLE_CAP)
     arr = np.empty((n, n), np.int32)
     template = np.full(2 * n + 2, _COMMA, np.uint8)     # a row: , [ N , N ... N ]
     template[1], template[2:-1:2], template[-1] = _OPEN, _NUMBER, _CLOSE
@@ -622,41 +649,14 @@ def _read_table_document(data: bytes) -> dict | None:
         start = end
     if not _TABLE_END.fullmatch(data, start):
         return None
-    pairs: list = []
-
-    def outermost_last(p):
-        pairs[:] = p
-        return dict(p)
-
-    try:
-        doc = json.loads(data[:key.end()].decode("utf-8") + "null}", object_pairs_hook=outermost_last)
-    except (ValueError, RecursionError):
-        return None
-    if type(doc) is not dict or pairs[-1] != ("table", None):
-        return None
     doc["table"] = arr
     return doc
 
 
 def _table_document(path) -> dict:
-    """The document in a table file, its bytes read once: by
-    :func:`_read_table_document` if it takes them, else by ``json`` from
-    the text :func:`read_json` would read, with the same errors."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    doc = _read_table_document(data)
-    if doc is not None:
-        return doc
-    try:
-        # read_json's text: UTF-8 with universal newlines
-        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
-    except ValueError as exc:
-        raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise InputFormatError(f"{path} is nested too deeply to read") from exc
+    """A table file's document, by :func:`_read_table_document` or as :func:`read_json` reads it."""
+    data = _input_bytes(path)
+    return _read_table_document(data) or _json_document(data, path)
 
 
 def load_table(path) -> FiniteSemigroup:

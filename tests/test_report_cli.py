@@ -257,6 +257,23 @@ def test_cli_refuses_an_oversized_table_file_as_bad_input(tmp_path):
             2, "", f"error: the requested table exceeds the limit of {TABLE_CAP} elements\n")
 
 
+def test_cli_refuses_an_endless_input_without_a_traceback(tmp_path):
+    # the read stops one byte past INPUT_BYTES; the address-space limit
+    # turns a read that does not stop into a failure rather than a swap
+    graph = tmp_path / "zero.json"
+    graph.symlink_to("/dev/zero")
+    env = dict(os.environ, PYTHONPATH=str(Path(involute.__file__).resolve().parents[1]))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (6 * 10**8, 6 * 10**8))
+
+    for argv, path in ((["analyze", "/dev/zero"], "/dev/zero"), (["construct", "frucht", str(graph)], graph)):
+        proc = subprocess.run([sys.executable, "-m", "involute", *argv], env=env, capture_output=True,
+                              text=True, preexec_fn=limit_address_space)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: {path} is larger than the input limit of {2**26} bytes\n")
+
+
 def test_cli_reads_a_table_from_a_pipe_as_from_its_path(tmp_path, capsys):
     # the file is read once, so a table on a pipe is read whole whichever route reads it
     path = tmp_path / "z12.json"
