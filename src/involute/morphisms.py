@@ -291,9 +291,30 @@ def _generator_certificate(s: FiniteSemigroup, t: FiniteSemigroup, gens, anti: b
     return holds
 
 
-def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, layer, steps=0, anti=False):
-    """Core backtracking loop; with ``anti`` it finds anti-isomorphisms,
-    reading T's rows transposed, tuples of the int objects of ``t.table``.
+class _Lines(dict):
+    """Column and row h of an (n, n) table, ``lines[h]`` = (x -> x*h,
+    x -> h*x), as lists of one shared int object per point (an int32 array's
+    ``tolist()`` makes one per entry past 256), each made when first read and
+    kept."""
+
+    def __init__(self, arr):
+        super().__init__()
+        self.arr, self.points = arr, np.arange(len(arr)).astype(object)
+
+    def __missing__(self, h):
+        line = self[h] = (self.points[self.arr[:, h]].tolist(), self.points[self.arr[h]].tolist())
+        return line
+
+
+def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, layer, s_lines, t_lines,
+                         steps=0, anti=False):
+    """Core backtracking loop; with ``anti`` it finds anti-isomorphisms.
+
+    It reads the tables only through the :class:`_Lines` of the pairs it
+    places: ``s_lines`` of S, ``t_lines`` of T, or for ``anti`` of T's
+    transposed view, so that T's row h is read where an isomorphism would
+    read its column.  Lines made by one search serve the next, and a search
+    of S onto itself may pass one ``_Lines`` as both.
 
     Returns the mapping tuples, lexicographically sorted, and the node count:
     ``steps`` (the nodes already spent by earlier searches under the same
@@ -313,12 +334,11 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, layer, steps
     ``layer``.
     """
     n = s.n
-    tab_s, tab_t = s.table, tuple(zip(*t.table)) if anti else t.table
     certified = _generator_certificate(s, t, gens, anti)
     image = [-1] * n
     preim = [-1] * n
     known: list[int] = []
-    placed: list[tuple[int, int]] = []
+    placed: list[tuple] = []  # the lines of each placed pair: S's of g, then T's of h
     results: list[tuple[int, ...]] = []
 
     def rollback(base):
@@ -346,17 +366,15 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, layer, steps
         base = len(known)
         if not assign(g, h):
             return False
-        placed.append((g, h))
+        placed.append(s_lines[g] + t_lines[h])
+        xg, gx, yh, hy = placed[-1]
         ok = True
         qi = base
         # products of everything already known with the new generator
         for k in range(base):
             x = known[k]
             fx = image[x]
-            if not (
-                assign(tab_s[x][g], tab_t[fx][h])
-                and assign(tab_s[g][x], tab_t[h][fx])
-            ):
+            if not (assign(xg[x], yh[fx]) and assign(gx[x], hy[fx])):
                 ok = False
                 break
         # then saturate the queue of newly assigned elements
@@ -367,11 +385,8 @@ def _search_isomorphisms(s, t, gens, cand, sid, tid, budget, limit, layer, steps
             steps += 1
             if steps > budget:
                 raise SearchBudgetExceededError(budget, layer=layer)
-            for gg, hh in placed:
-                if not (
-                    assign(tab_s[x][gg], tab_t[fx][hh])
-                    and assign(tab_s[gg][x], tab_t[hh][fx])
-                ):
+            for xg, gx, yh, hy in placed:
+                if not (assign(xg[x], yh[fx]) and assign(gx[x], hy[fx])):
                     ok = False
                     break
         if not ok:
@@ -446,7 +461,11 @@ def _isomorphisms(s, t, anti: bool, budget, limit, layer) -> list[tuple[int, ...
     """The (``anti``: anti-)isomorphisms S -> T as sorted mapping tuples, the first ``limit``."""
     budget = DEFAULT_NODE_BUDGET if budget is None else budget
     plan = _search_plan(s, t, anti)
-    return [] if plan is None else _search_isomorphisms(s, t, *plan, budget, limit, layer, anti=anti)[0]
+    if plan is None:
+        return []
+    s_lines = _Lines(s.np_table)
+    t_lines = s_lines if t is s and not anti else _Lines(t.np_table.T if anti else t.np_table)
+    return _search_isomorphisms(s, t, *plan, budget, limit, layer, s_lines, t_lines, anti=anti)[0]
 
 
 def automorphism_chain(s: FiniteSemigroup, *, budget: int | None = None) -> StabiliserChain:
@@ -480,13 +499,13 @@ def automorphism_chain(s: FiniteSemigroup, *, budget: int | None = None) -> Stab
     def build():
         gens, cand, sid, tid = _search_plan(s, s)
         chain = StabiliserChain(s.n, gens)
+        lines = _Lines(s.np_table)
         steps = 0
         for i in reversed(range(len(gens))):
             fixed, rest = [[g] for g in gens[:i]], cand[i]
             while rest := [h for h in rest if h not in chain.transversals[i]]:
-                hit, steps = _search_isomorphisms(
-                    s, s, gens, fixed + [rest] + cand[i + 1:], sid, tid, budget, 1, "Aut(S)", steps
-                )
+                hit, steps = _search_isomorphisms(s, s, gens, fixed + [rest] + cand[i + 1:], sid, tid,
+                                                  budget, 1, "Aut(S)", lines, lines, steps)
                 if not hit:
                     break
                 chain.generators.append(hit[0])

@@ -67,8 +67,8 @@ def closure(generators, degree=None, *, cap: int | None = None) -> StabiliserCha
 
 
 def _noncommuting_pair(s: FiniteSemigroup, gens):
-    t = s.table
-    return next(((x, y) for x, y in combinations(gens, 2) if t[x][y] != t[y][x]), None)
+    product = s.np_table.item
+    return next(((x, y) for x, y in combinations(gens, 2) if product(x, y) != product(y, x)), None)
 
 
 def _signed_chain(s: FiniteSemigroup, budget) -> StabiliserChain:
@@ -85,7 +85,7 @@ def _signed_chain(s: FiniteSemigroup, budget) -> StabiliserChain:
     aut = automorphism_chain(s, budget=budget)
     base = [g for g, level in zip(aut.base, aut.transversals) if len(level) > 1]
     pair = _noncommuting_pair(s, aut.base)
-    extra = () if pair is None else (*pair, s.table[pair[0]][pair[1]])
+    extra = () if pair is None else (*pair, s.np_table.item(pair))
     return StabiliserChain(s.n, base + [p for p in dict.fromkeys(extra) if p not in base])
 
 
@@ -132,7 +132,7 @@ def involution_laws(s: FiniteSemigroup, invs, j_set, c: StabiliserChain, g: Stab
     aut = automorphism_chain(s)
     x, y = _noncommuting_pair(s, aut.base)
     m = c.array
-    split = c.order == 2 * int((m[:, s.table[x][y]] == s.np_table[m[:, x], m[:, y]]).sum())
+    split = c.order == 2 * int((m[:, s.np_table.item(x, y)] == s.np_table[m[:, x], m[:, y]]).sum())
     central = invs.array
     for a in map(np.asarray, aut.generators):  # row i o a against a o i
         central = central[(central[:, a] == a[central]).all(axis=1)]

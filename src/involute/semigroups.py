@@ -35,7 +35,9 @@ class FiniteSemigroup:
     """A semigroup on {0..n-1}; build instances through :func:`validate`.
 
     ``np_table``, the table as an int32 array, is trusted and made read-only
-    by the constructor; ``table``, its rows as tuples, is built on first read.
+    by the constructor; ``table``, its rows as tuples, is built on first read,
+    by the battery, the builders and the tests: the searches and the report
+    read the array.
     ``green_labels`` (the R, L and D labels and translation ranks of
     :func:`_green_labels`), ``fingerprint_rows`` (the (n, 8) int array of
     :func:`_compute_fingerprints`) and ``generators`` (the generating set of
@@ -235,12 +237,12 @@ def atoms(s: FiniteSemigroup) -> frozenset[int]:
     (it factors as 1*1); without an identity every factorization counts.
     """
     e = s.identity
-    factors = [x for x in range(s.n) if x != e]
-    products = {s.table[b][c] for b in factors for c in factors}
-    out = set(range(s.n)) - products
+    factors = np.flatnonzero(np.arange(s.n) != e)
+    out = np.ones(s.n, dtype=bool)
+    out[s.np_table[np.ix_(factors, factors)]] = False
     if e is not None:
-        out.discard(e)
-    return frozenset(out)
+        out[e] = False
+    return frozenset(np.flatnonzero(out).tolist())
 
 
 def _occurrence_masks(arr) -> tuple[np.ndarray, np.ndarray]:
@@ -330,40 +332,61 @@ def _green_labels(arr) -> tuple:
     return r, l, _join(r, l), left_rank, right_rank, j
 
 
+def _power_walk(arr, x: int) -> tuple[dict, int, int]:
+    """The powers of x as {x^k: k} for k = 1..i+p-1, and x's index i and
+    period p, walking column x of ``arr`` (x^(k+1) = x^k * x) in Python."""
+    col = arr[:, x].tolist()
+    exponents = {x: 1}
+    y = col[x]
+    while y not in exponents:
+        exponents[y] = len(exponents) + 1
+        y = col[y]
+    i = exponents[y]
+    return exponents, i, len(exponents) + 1 - i
+
+
 def index_and_period(s: FiniteSemigroup, x: int) -> tuple[int, int]:
-    """Minimal (i, p) with x^(i+p) = x^i; bounded by n via pigeonhole."""
+    """Minimal (i, p) with x^(i+p) = x^i, from column x; bounded by n via pigeonhole."""
     if type(x) is not int or not 0 <= x < s.n:  # type(): a bool is not an element
         raise IndexOutOfRangeError(f"elements are ints in 0..{s.n - 1}, not {x!r}")
-    seen = {x: 1}
-    y = x
-    for k in range(2, s.n + 2):
-        y = s.table[y][x]
-        if y in seen:
-            i = seen[y]
-            return i, k - i
-        seen[y] = k
-    raise AssertionError("power sequence failed to cycle within n steps")
+    return _power_walk(s.np_table, x)[1:]
+
+
+#: Powers taken in lockstep by :func:`_indices_and_periods` before it walks
+#: the elements left one by one: every element of T_4, P_3 and I_4 has
+#: index + period at most 5, and a cyclic group's generators need n + 1.
+_LOCKSTEP_POWERS = 16
 
 
 def _indices_and_periods(arr) -> tuple[np.ndarray, np.ndarray]:
     """:func:`index_and_period` of every element at once.
 
-    All elements step through their powers together, one n-vector gather
-    per power: x^(k+1) = x^k * x.  ``seen[v * n + x]`` is the least k with
-    x^k = v, or 0.  The first power of x met a second time is x^(i+p), and
-    it was first met as x^i, which gives both numbers; the element then
-    drops out.  So the loop runs max(i+p) <= n+1 times, with n^2 int16 of
-    memory, and stops after a few steps on tables whose elements all have
-    short power sequences.
+    First all elements step through their powers together, one n-vector
+    gather per power: x^(k+1) = x^k * x.  ``seen[v * n + x]`` is the least
+    k with x^k = v, or 0.  The first power of x met a second time is
+    x^(i+p), and it was first met as x^i, which gives both numbers; the
+    element then drops out.  This runs for at most :data:`_LOCKSTEP_POWERS`
+    powers, with n^2 int16 of memory, and ends every element whose
+    index + period is within that.
+
+    Each element x still open that no earlier walk met is then walked alone
+    by :func:`_power_walk`, which gives its index i and period p and every
+    power y = x^k, 1 <= k < i + p; y gets index max(1, ceil(i/k)) and
+    period p / gcd(p, k).  Proof: x^a = x^b iff a = b or a, b >= i and
+    a = b mod p.  So for q > 0, y^(m+q) = x^(km+kq) equals y^m = x^(km) iff
+    km >= i (then k(m+q) >= i too) and p divides kq.  The least m >= 1 with
+    km >= i is max(1, ceil(i/k)), and the least q > 0 with p | kq is
+    p / gcd(p, k), whatever the other is.  On Z_n one walk from a
+    generator ends every element, where the lockstep alone takes n + 1 steps.
     """
     n = len(arr)
     flat = arr.ravel()
     seen = np.zeros(n * n, dtype=np.int16)
-    index = np.empty(n, dtype=np.int64)
-    period = np.empty(n, dtype=np.int64)
+    index = np.zeros(n, dtype=np.int64)
+    period = np.zeros(n, dtype=np.int64)
     cols = cur = np.arange(n)               # the elements left, and their k-th powers
     k = 1
-    while cols.size:
+    while cols.size and k <= _LOCKSTEP_POWERS:
         key = cur * n + cols
         first = seen[key]
         if first.any():
@@ -374,6 +397,13 @@ def _indices_and_periods(arr) -> tuple[np.ndarray, np.ndarray]:
         seen[key] = k
         cur = flat[key]
         k += 1
+    for x in cols.tolist():
+        if not index[x]:
+            exponents, i, p = _power_walk(arr, x)
+            powers = np.fromiter(exponents, dtype=np.intp, count=len(exponents))
+            ks = np.fromiter(exponents.values(), dtype=np.int64, count=len(exponents))
+            index[powers] = np.maximum(1, -(-i // ks))
+            period[powers] = p // np.gcd(p, ks)
     return index, period
 
 
@@ -461,7 +491,8 @@ def greedy_generators(candidates, product) -> Iterator:
 
 
 def closure_of_subset(s: FiniteSemigroup, seed) -> frozenset[int]:
-    """Smallest subsemigroup containing ``seed``, elements as ints in 0..n-1.
+    """Smallest subsemigroup containing ``seed``, elements as ints in 0..n-1,
+    from the columns of the seeds.
 
     The subsemigroup <A> is the set of all products a1*a2*...*ak with every
     ai in A.  Each such product is a1 right-multiplied by a2, ..., ak in
@@ -472,8 +503,8 @@ def closure_of_subset(s: FiniteSemigroup, seed) -> frozenset[int]:
     seed = list(seed)
     if any(type(x) is not int or not 0 <= x < s.n for x in seed):
         raise IndexOutOfRangeError(f"elements are ints in 0..{s.n - 1}: {seed}")
-    t = s.table
-    return frozenset(close_under(seed, seed, lambda x, g: t[x][g]))
+    cols = {g: s.np_table[:, g].tolist() for g in seed}
+    return frozenset(close_under(seed, seed, lambda x, g: cols[g][x]))
 
 
 def generating_set(s: FiniteSemigroup) -> list[int]:

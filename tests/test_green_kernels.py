@@ -9,8 +9,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import Fingerprint, Green, fingerprints, green_classes
+from conftest import Fingerprint, Green, fingerprints, green_classes, relabelled
 from involute import semigroups
 from involute.battery import _completeness_corpus, run_battery
 from involute.cli import main
@@ -205,11 +206,9 @@ def test_kernels_match_the_reference_on_named_tables(name, monkeypatch):
 def _monogenic(index, period):
     """<x | x^(index+period) = x^index> on x^1..x^(index+period-1), x^k at k-1."""
     m = index + period - 1
-
-    def power(k):
-        return k if k <= m else index + (k - index) % period
-
-    return validate([[power(a + b) - 1 for b in range(1, m + 1)] for a in range(1, m + 1)])
+    k = np.arange(1, m + 1)
+    power = k[:, None] + k                  # x^a x^b = x^(a+b), reduced past x^m
+    return validate(np.where(power <= m, power, index + (power - index) % period) - 1)
 
 
 def test_kernels_match_the_reference_on_monogenic_semigroups():
@@ -218,6 +217,62 @@ def test_kernels_match_the_reference_on_monogenic_semigroups():
             s = _monogenic(index, period)
             assert index_and_period(s, 0) == (index, period)
             _assert_matches_reference(s)
+
+
+def _powers_by_rows(s, x):
+    """x's index and period from its powers in a dict, read off the tuple table."""
+    t, seen, y = s.table, {}, x
+    while y not in seen:
+        seen[y] = len(seen) + 1
+        y = t[y][x]
+    return seen[y], len(seen) + 1 - seen[y]
+
+
+def _assert_powers_match(s):
+    index, period = semigroups._indices_and_periods(s.np_table)
+    expected = [index_and_period(s, x) for x in range(s.n)]
+    assert list(zip(index.tolist(), period.tolist())) == expected
+    assert expected == [_powers_by_rows(s, x) for x in range(s.n)]
+
+
+def test_the_power_walk_matches_on_long_monogenic_semigroups():
+    # past _LOCKSTEP_POWERS, x and its powers are ended by the walk
+    assert semigroups._LOCKSTEP_POWERS < 40
+    for index in range(1, 41):
+        for period in range(1, 41):
+            s = _monogenic(index, period)
+            assert index_and_period(s, 0) == (index, period)
+            _assert_powers_match(s)
+
+
+def test_the_power_walk_matches_on_relabelled_cyclic_groups_and_their_products():
+    for n in range(1, 201):
+        sigma = list(range(n))
+        random.Random(n).shuffle(sigma)
+        z_n = np.add.outer(np.arange(n), np.arange(n)) % n
+        _assert_powers_match(validate(relabelled(z_n, sigma)))
+    for a, b in ((2, 2), (2, 12), (4, 6), (6, 10), (12, 15), (5, 30)):
+        _assert_powers_match(direct_product_table(cyclic_group(a), cyclic_group(b)))
+
+
+#: tables whose elements the walk ends, in several cyclic parts
+_WALKED = {
+    "monogenic 5+30": lambda: _monogenic(5, 30),
+    "monogenic 23+12": lambda: _monogenic(23, 12),
+    "Z_90": lambda: cyclic_group(90),
+    "Z_6 x Z_20": lambda: direct_product_table(cyclic_group(6), cyclic_group(20)),
+    "Z_18 x monogenic 3+4": lambda: direct_product_table(cyclic_group(18), _monogenic(3, 4)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_power_walk_matches_under_any_relabelling(data):
+    # the walk takes the open elements in label order, so the labels decide
+    # which element of a cyclic part is walked and which are met as its powers
+    base = _WALKED[data.draw(st.sampled_from(sorted(_WALKED)))]()
+    sigma = data.draw(st.permutations(range(base.n)))
+    _assert_powers_match(validate(relabelled(base.np_table, sigma)))
 
 
 def test_kernels_match_the_reference_on_random_transformation_semigroups():

@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 
 from involute.cli import main
 from involute.families import (
+    cyclic_group,
+    doubled_semigroup,
     full_transformation_monoid,
+    partition_monoid,
     rectangular_band,
     sym_group_table,
     zero_semigroup,
 )
-from involute.morphisms import MorphismSet
+from involute.morphisms import MorphismSet, find_anti_isomorphism
 from involute.report import BLOCK, analyze, report_to_text, write_json
 from involute.semigroups import dump_table, validate
 
@@ -79,6 +82,21 @@ def test_rendering_builds_no_mapping_tuples(build, render):
 
 
 _KEYS = ("automorphisms", "antiAutomorphisms", "involutions")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic_group(840), lambda: full_transformation_monoid(4), lambda: partition_monoid(3),
+    lambda: doubled_semigroup(full_transformation_monoid(3)),
+], ids=["Z_840", "T_4", "P_3", "doubled_T_3"])
+def test_analysis_builds_no_tuple_table(build):
+    # FiniteSemigroup.table, every row as a tuple, is n^2 Python entries; the
+    # searches, the laws and the report read the int32 array
+    s = build()
+    write_json(analyze(s), io.StringIO())
+    assert "table" not in s.__dict__
+    t = s.dual()
+    assert find_anti_isomorphism(s, t) is not None
+    assert "table" not in s.__dict__ and "table" not in t.__dict__
 
 
 @st.composite
